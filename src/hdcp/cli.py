@@ -417,6 +417,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _open_unit(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hdcp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hdcp {__version__}")
@@ -426,13 +446,14 @@ def make_parser() -> argparse.ArgumentParser:
     det.add_argument("--input", required=True, help="delimited matrix, rows = time points")
     det.add_argument("--m", default="auto",
                      help="dependence order: integer, or 'auto' for the elbow rule")
-    det.add_argument("--alpha", type=float, default=0.05, help="test level")
+    det.add_argument("--alpha", type=_open_unit, default=0.05, help="test level")
     det.add_argument("--fwer", action="store_true",
                      help="per-segment level 1/(n log n) for family-wise error control")
     det.add_argument("--min-seg", type=int, default=None, help="minimum segment length")
-    det.add_argument("--drop-ratio", type=float, default=0.02,
+    det.add_argument("--drop-ratio", type=_open_unit, default=0.02,
                      help="elbow collapse threshold relative to lag-zero energy")
-    det.add_argument("--h-max", type=int, default=None, help="largest lag probed by the elbow")
+    det.add_argument("--h-max", type=_nonnegative_int, default=None,
+                     help="largest lag probed by the elbow")
     det.add_argument("--seed", type=int, default=0, help="echoed into the report")
     det.add_argument("--output", default=None, help="report path (default: stdout)")
     det.add_argument("--trace", action="store_true",

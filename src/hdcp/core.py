@@ -112,6 +112,15 @@ _EXTENDED_PRECISION_THRESHOLD = 10**7
 
 
 def _accumulator_dtype(n: int, p: int) -> type:
+    """Accumulator of the 2-D Gram prefix sums for n observations of dimension p.
+
+    ``raw_prefix`` and ``centered_prefix`` become ``np.longdouble`` when
+    n^2 p > 1e7, else stay float64. ``l_trace`` reads each split
+    statistic as a difference of prefix entries that grow like n^2 times
+    the typical inner product, so large inputs would cancel most float64
+    digits. Nothing else switches: the separated trace-product sums work
+    on float64 values, and their tuple counts are exact int64.
+    """
     return np.longdouble if n * n * p > _EXTENDED_PRECISION_THRESHOLD else np.float64
 
 

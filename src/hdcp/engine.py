@@ -3,7 +3,8 @@
 Everything here is computed from a :class:`~hdcp.core.GramSummary`, never
 from the raw observations: with n observations of dimension p, one O(n^2 p)
 pass builds the inner-product matrices and all statistics afterwards cost
-O(n^2) to O(n^2 M^2) regardless of p.
+O(n^2) per separated sum, and O(n^2 M^2) for a full variance, regardless
+of p.
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
@@ -354,64 +355,43 @@ def b_aggregate(n: int, window: DependenceWindow) -> ContrastMatrix:
     return ContrastMatrix(B)
 
 
+def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, i + d) for i < rows and d in offsets, kept inside [0, n)."""
+    i = np.repeat(np.arange(rows), offsets.shape[0])
+    j = i + np.tile(offsets, rows)
+    keep = (j >= 0) & (j < n)
+    return i[keep], j[keep]
+
+
 class _SeparatedSums:
     """Shared prefix structures for the separated trace-product sums.
 
-    One instance serves every (h1, h2) pair of a lag window: the pair term
-    is O(n^2) per pair, the triple term O(n^2) per distinct lag, and the
-    quadruple term O(n^2 M) once.
-    """
+    One instance serves every (h1, h2) pair of a lag window, and every sum
+    costs O(n^2) whatever M is: the pair term per lag pair, the triple term
+    once per distinct |h| (shared by h and -h), and the quadruple term
+    once. Counts are exact integers: the quadruple count in closed form,
+    the pair and triple counts as int64 sums (below n^3).
 
-    _CHUNK_ELEMENTS = 500_000
+    Windows are 0-based and half-open: index i excludes the indices in
+    ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
+    series.
+    """
 
     def __init__(self, raw: np.ndarray, m: int):
         n = raw.shape[0]
         self.n = n
         self.m = m
         self.raw = raw
-        self.col_prefix = np.zeros((n + 1, n), dtype=np.float64)
-        self.col_prefix[1:] = raw.cumsum(axis=0)
+        idx = np.arange(n)
+        self.lo = np.maximum(idx - m, 0)
+        self.hi = np.minimum(idx + m + 1, n)
         self.row_sums = raw.sum(axis=1)
-        self.row_sum_prefix = np.concatenate([[0.0], self.row_sums.cumsum()])
-        self.total = float(self.row_sums.sum())
-        self.prefix2 = np.zeros((n + 1, n + 1), dtype=np.float64)
-        self.prefix2[1:, 1:] = raw.cumsum(axis=0).cumsum(axis=1)
-
-        idx = np.arange(1, n + 1)
-        lo = np.maximum(idx - m, 1)
-        hi = np.minimum(idx + m, n)
-        row_prefix = np.concatenate([np.zeros((n, 1)), raw.cumsum(axis=1)], axis=1)
-        self.band_row = row_prefix[np.arange(n), hi] - row_prefix[np.arange(n), lo - 1]
-        self.band_row_prefix = np.concatenate([[0.0], self.band_row.cumsum()])
-        self.band_len = hi - lo + 1
-        self.band_len_prefix = np.concatenate([[0], self.band_len.cumsum()])
-        self.band_total = float(self.band_row.sum())
-        self.band_count = int(self.band_len.sum())
-
-        self.diag_prefix = {}
-        for d in range(-m, m + 1):
-            diag = np.zeros(n, dtype=np.float64)
-            s = np.arange(max(1, 1 - d), min(n, n - d) + 1)
-            diag[s - 1] = raw[s - 1, s - 1 + d]
-            self.diag_prefix[d] = np.concatenate([[0.0], diag.cumsum()])
-
-    @staticmethod
-    def _interval_sum(prefix: np.ndarray, lo, hi):
-        lo_i = np.clip(lo - 1, 0, prefix.shape[0] - 1)
-        hi_i = np.clip(hi, 0, prefix.shape[0] - 1)
-        return np.where(lo <= hi, prefix[hi_i] - prefix[lo_i], 0.0)
-
-    @staticmethod
-    def _interval_len(lo, hi):
-        return np.maximum(0, hi - lo + 1)
-
-    def _col_range(self, cols, lo, hi):
-        n = self.n
-        lo_c = np.maximum(lo, 1)
-        hi_c = np.minimum(hi, n)
-        lo_i = np.clip(lo_c - 1, 0, n)
-        hi_i = np.clip(hi_c, 0, n)
-        return np.where(lo_c <= hi_c, self.col_prefix[hi_i, cols] - self.col_prefix[lo_i, cols], 0.0)
+        # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
+        self.row_prefix = np.zeros((n, n + 1), dtype=np.float64)
+        np.cumsum(raw, axis=1, out=self.row_prefix[:, 1:])
+        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag
+        self.window_sums = self.row_prefix[:, self.hi] - self.row_prefix[:, self.lo]
+        self._triples: dict[int, tuple[float, int]] = {}
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
         """sum of x_{t+h2}'x_s * x_{s+h1}'x_t over separated groups, with count.
@@ -425,134 +405,114 @@ class _SeparatedSums:
         t_lo, t_hi = max(1, 1 - h2), min(n, n - h2)
         if s_lo > s_hi or t_lo > t_hi:
             return 0.0, 0
-        s0 = np.arange(s_lo - 1, s_hi)
-        t0 = np.arange(t_lo - 1, t_hi)
-        d = s0[:, None] - t0[None, :]
-        sep = (
+        # separation depends on s - t only, so tabulate it per offset
+        d = np.arange(s_lo - t_hi, s_hi - t_lo + 1)
+        ok = (
             (np.abs(d) > m)
             & (np.abs(d - h2) > m)
             & (np.abs(d + h1) > m)
             & (np.abs(d + h1 - h2) > m)
         )
-        left = self.raw[np.ix_(t0 + h2, s0)].T
-        right = self.raw[np.ix_(s0 + h1, t0)]
+        i = np.arange(s_hi - s_lo + 1)
+        j = np.arange(t_hi - t_lo + 1)
+        sep = ok[i[:, None] - j[None, :] + (t_hi - t_lo)]
+        # raw is symmetric, so both factors are plain slices
+        left = self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2]
+        right = self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi]
         total = float(np.sum(left * right, where=sep))
         return total, int(sep.sum())
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
 
-        For each admissible (s, t) the inner r-sum removes the exclusion
-        window around the s-group (one merged interval, since |h| <= M)
-        and around t, via column prefix sums.
+        Swapping r <-> t and using the symmetry of the Gram maps the sum at
+        -h onto the sum at h, with the same count, so each |h| is computed
+        once per instance.
         """
+        h = abs(h)
+        if h not in self._triples:
+            self._triples[h] = self._triple(h)
+        return self._triples[h]
+
+    def _triple(self, h: int) -> tuple[float, int]:
+        # For each admissible (s, t) the inner r-sum is the row sum of s
+        # minus the window of the s-group, minus the window of t (one
+        # shared box-filtered matrix), plus their overlap, which is
+        # nonempty only on the O(nM) bands -2M <= t - s < -M and
+        # h + M < t - s <= h + 2M.
         n, m = self.n, self.m
-        s_lo, s_hi = max(1, 1 - h), min(n, n - h)
-        if s_lo > s_hi:
+        ns = n - h
+        if ns <= 0:
             return 0.0, 0
-        s0 = np.arange(s_lo - 1, s_hi)
-        s1 = s0 + 1
-        t1 = np.arange(1, n + 1)
-        d = s1[:, None] - t1[None, :]
-        sep = (np.abs(d) > m) & (np.abs(d + h) > m)
+        lo, hi = self.lo, self.hi
+        pre = self.row_prefix
+        s = np.arange(ns)
+        d = np.arange(n)[None, :] - s[:, None]
+        sep = (d < -m) | (d > h + m)
 
-        cols = s0[:, None]
-        sw_lo = s1 + min(h, 0) - m
-        sw_hi = s1 + max(h, 0) + m
-        win_s = self._col_range(s0, sw_lo, sw_hi)[:, None] * np.ones((1, n))
-        win_t = self._col_range(cols, (t1 - m)[None, :], (t1 + m)[None, :])
-        ov_lo = np.maximum(sw_lo[:, None], (t1 - m)[None, :])
-        ov_hi = np.minimum(sw_hi[:, None], (t1 + m)[None, :])
-        win_ov = self._col_range(cols, ov_lo, ov_hi)
-        inner = self.row_sums[s0][:, None] - (win_s + win_t - win_ov)
+        offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
+        sb, tb = _offset_pairs(ns, offsets, n)
+        left = tb < sb
+        ov_lo = np.where(left, lo[sb], lo[tb])
+        ov_hi = np.where(left, hi[tb], hi[sb + h])
 
-        len_s = np.minimum(sw_hi, n) - np.maximum(sw_lo, 1) + 1
-        len_t = np.minimum(t1 + m, n) - np.maximum(t1 - m, 1) + 1
-        ov_len = self._interval_len(np.maximum(ov_lo, 1), np.minimum(ov_hi, n))
-        inner_cnt = n - (len_s[:, None] + len_t[None, :] - ov_len)
+        group_lo, group_hi = lo[s], hi[s + h]
+        own_cnt = n - (group_hi - group_lo)
+        count = int(np.sum(own_cnt[:, None] - (hi - lo)[None, :], where=sep))
+        count += int(np.sum(ov_hi - ov_lo))
+        if count == 0:
+            return 0.0, 0
 
-        outer = self.raw[np.ix_(s0 + h, t1 - 1)]
-        total = float(np.sum(outer * inner, where=sep))
-        count = int(np.sum(inner_cnt, where=sep))
+        own = self.row_sums[:ns] - (pre[s, group_hi] - pre[s, group_lo])
+        outer = self.raw[h:]
+        total = float(np.sum(outer * (own[:, None] - self.window_sums[:ns]), where=sep))
+        total += float(np.sum(outer[sb, tb] * (pre[sb, ov_hi] - pre[sb, ov_lo])))
         return total, count
-
-    def _rect(self, rlo, rhi, clo, chi):
-        P = self.prefix2
-        n = self.n
-        r0 = np.clip(rlo - 1, 0, n)
-        r1 = np.clip(rhi, 0, n)
-        c0 = np.clip(clo - 1, 0, n)
-        c1 = np.clip(chi, 0, n)
-        val = P[r1, c1] - P[r0, c1] - P[r1, c0] + P[r0, c0]
-        return np.where((rlo <= rhi) & (clo <= chi), val, 0.0)
 
     def quad_term(self) -> tuple[float, int]:
         """sum over pairwise-separated (q, r, s, t) of x_q'x_r * x_s'x_t.
 
-        For each (q, r) the admissible (s, t) mass is the grand total minus
-        the rows/columns of the forbidden windows around q and r, corrected
-        by window-block and within-band terms, all via prefix sums.
+        Sorted, such a tuple is four increasing values of [1, n - 3M]
+        spread apart by M each, so there are 24 * C(n - 3M, 4) of them.
+
+        With W the Gram masked to pairs more than M apart, each pair (q, r)
+        admits the W mass outside the forbidden set F = win(q) u win(r) on
+        both axes: T - 2 rows(F) + W(F x F). Disjoint windows split that
+        into window row sums rho, window blocks kappa and one cross block
+        box[q, r]; only the band M < |q - r| <= 2M, where F is a single
+        interval, is corrected afterwards.
         """
         n, m = self.n, self.m
-        total = 0.0
-        count = 0
-        r1 = np.arange(1, n + 1)
-        lo_r = np.maximum(r1 - m, 1)
-        hi_r = np.minimum(r1 + m, n)
-        chunk = max(1, self._CHUNK_ELEMENTS // n)
-        for start in range(0, n, chunk):
-            q1 = np.arange(start + 1, min(start + chunk, n) + 1)[:, None]
-            sep = np.abs(q1 - r1[None, :]) > m
-            lo_q = np.maximum(q1 - m, 1)
-            hi_q = np.minimum(q1 + m, n)
+        k = n - 3 * m
+        if k < 4:
+            return 0.0, 0
+        count = k * (k - 1) * (k - 2) * (k - 3)
 
-            overlap = np.maximum(lo_q, lo_r) <= np.minimum(hi_q, hi_r)
-            a_lo = np.where(overlap, np.minimum(lo_q, lo_r), lo_q)
-            a_hi = np.where(overlap, np.maximum(hi_q, hi_r), hi_q)
-            b_lo = np.where(overlap, 1, lo_r * np.ones_like(q1))
-            b_hi = np.where(overlap, 0, hi_r * np.ones_like(q1))
+        lo, hi = self.lo, self.hi
+        idx = np.arange(n)
+        w = np.where(np.abs(idx[:, None] - idx[None, :]) > m, self.raw, 0.0)
+        rows = w.sum(axis=1)
+        total = rows.sum()
+        row_pre = np.zeros(n + 1, dtype=np.float64)
+        np.cumsum(rows, out=row_pre[1:])
+        rho = row_pre[hi] - row_pre[lo]
+        pre = np.zeros((n + 1, n + 1), dtype=np.float64)
+        np.cumsum(w, axis=0, out=pre[1:, 1:])
+        np.cumsum(pre[1:, 1:], axis=1, out=pre[1:, 1:])
+        strip = pre[hi] - pre[lo]
+        box = strip[:, hi]
+        box -= strip[:, lo]
+        del strip
+        kappa = np.diagonal(box)
+        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * np.vdot(w, box)
 
-            len_f = self._interval_len(a_lo, a_hi) + self._interval_len(b_lo, b_hi)
-            row_f = self._interval_sum(self.row_sum_prefix, a_lo, a_hi) + self._interval_sum(
-                self.row_sum_prefix, b_lo, b_hi
-            )
-            band_row_f = self._interval_sum(self.band_row_prefix, a_lo, a_hi) + self._interval_sum(
-                self.band_row_prefix, b_lo, b_hi
-            )
-            band_len_f = self._interval_sum(self.band_len_prefix, a_lo, a_hi) + self._interval_sum(
-                self.band_len_prefix, b_lo, b_hi
-            )
-
-            intervals = ((a_lo, a_hi), (b_lo, b_hi))
-            block = 0.0
-            for ulo, uhi in intervals:
-                for vlo, vhi in intervals:
-                    block = block + self._rect(ulo, uhi, vlo, vhi)
-
-            band_both = 0.0
-            band_both_cnt = 0.0
-            for d in range(-m, m + 1):
-                v_lo, v_hi = max(1, 1 - d), min(n, n - d)
-                for ulo, uhi in intervals:
-                    for vlo, vhi in intervals:
-                        p_lo = np.maximum(np.maximum(ulo, vlo - d), v_lo)
-                        p_hi = np.minimum(np.minimum(uhi, vhi - d), v_hi)
-                        band_both = band_both + self._interval_sum(
-                            self.diag_prefix[d], p_lo, p_hi
-                        )
-                        band_both_cnt = band_both_cnt + self._interval_len(p_lo, p_hi)
-
-            rect_part = self.total - 2.0 * row_f + block
-            rect_cnt = (n - len_f) ** 2
-            band_part = self.band_total - 2.0 * band_row_f + band_both
-            band_cnt = self.band_count - 2.0 * band_len_f + band_both_cnt
-            inner = rect_part - band_part
-            inner_cnt = rect_cnt - band_cnt
-
-            g_rows = self.raw[start : start + q1.shape[0], :]
-            total += float(np.sum(g_rows * inner, where=sep))
-            count += int(round(float(np.sum(inner_cnt, where=sep))))
-        return total, count
+        # band fix, one side (q < r), doubled by symmetry
+        q, r = _offset_pairs(n, np.arange(m + 1, 2 * m + 1), n)
+        a, b = lo[q], hi[r]
+        merged = -2 * (row_pre[b] - row_pre[a]) + (pre[b, b] - pre[a, b] - pre[b, a] + pre[a, a])
+        split = -2 * (rho[q] + rho[r]) + kappa[q] + kappa[r] + 2 * box[q, r]
+        out += 2 * np.sum(w[q, r] * (merged - split))
+        return float(out), count
 
 
 def _combine_terms(
@@ -608,7 +568,6 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     m = window.m
     ctx = _SeparatedSums(gram.raw, m)
     quad = ctx.quad_term()
-    triples = {h: ctx.triple_term(h) for h in range(-m, m + 1)}
     values = np.full((2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
@@ -616,7 +575,9 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
             if (h1, h2) != min(orbit):
                 continue
             est = _combine_terms(
-                (ctx.pair_term(h1, h2), triples[h1], triples[h2], quad), h1, h2
+                (ctx.pair_term(h1, h2), ctx.triple_term(h1), ctx.triple_term(h2), quad),
+                h1,
+                h2,
             )
             for a, b in orbit:
                 values[a + m, b + m] = est

@@ -42,8 +42,13 @@ class SelectedOrder:
 
 
 def default_h_max(n: int) -> int:
-    """Probe depth min(10, floor(sqrt(n))); orders beyond sqrt(n) are unstable."""
-    return min(10, int(math.isqrt(n)))
+    """Probe depth min(10, floor(sqrt(n)), (n - 4) // 3).
+
+    Orders beyond sqrt(n) are unstable, and the quadruple term at order h
+    needs four indices pairwise more than h apart, so n >= 3h + 4 keeps
+    every separated sum of the curve non-empty.
+    """
+    return min(10, int(math.isqrt(n)), (n - 4) // 3)
 
 
 def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:

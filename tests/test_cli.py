@@ -186,3 +186,35 @@ def test_simulate_multi_cp_and_elbow_configs(tmp_path):
     assert main(["simulate", "--config", str(elbow), "--output", str(out2)]) == EXIT_OK
     curves = json.loads(out2.read_text())["results"]["curves"]
     assert len(curves) == 1 and len(curves[0]["w_hat_mean"]) == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--m", "0", "--alpha", "2"],
+        ["--m", "auto", "--drop-ratio", "5"],
+        ["--m", "auto", "--h-max", "-1"],
+    ],
+    ids=["alpha", "drop-ratio", "h-max"],
+)
+def test_invalid_detect_flag_is_usage_error(change_file, capsys, flags):
+    code = main(["detect", "--input", str(change_file), *flags])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert flags[-2] in err
+    assert "Traceback" not in err
+
+
+def test_detect_auto_short_series_clamps_h_max(tmp_path):
+    path = tmp_path / "six.csv"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((6, 3)), delimiter=",")
+    out = tmp_path / "rep.json"
+    code = main(["detect", "--input", str(path), "--m", "auto", "--output", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["elbow"]["h"] == [0]
+    assert report["settings"]["m_used"] == 0
+    # an explicit order that the series cannot host is still a data error
+    code = main(["detect", "--input", str(path), "--m", "auto", "--h-max", "1"])
+    assert code == EXIT_DATA

@@ -12,9 +12,11 @@ Two subcommands:
                    elbow curves) and writes the results table.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
-error, 2 data error, 3 numerical failure. Reports are self-describing and
-byte-identical across repeated runs with the same inputs, seed, and any
-worker count (HDCP_WORKERS).
+error, 2 data error, 3 numerical failure. A simulate config with a
+missing key or an invalid value (out of range, or inconsistent with n) is
+a data error, reported before any replication runs. Reports are
+self-describing and byte-identical across repeated runs with the same
+inputs, seed, and any worker count (HDCP_WORKERS).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .core import (
     DependenceWindow,
     DimensionTooSmall,
     EmptySumRange,
-    HdcpError,
     IndexOutOfRange,
     NonFiniteEntry,
     NonPositiveBaseline,
@@ -243,7 +244,8 @@ def parse_config(path: str) -> dict:
     """Read a flat declarative config: one 'key = value' per line.
 
     Comments start with '#'. Values may be scalars or comma-separated
-    lists; types are resolved by the design schema.
+    lists; types are resolved by :func:`build_design`. The process keys
+    and their defaults are listed on :class:`hdcp.simulator.ProcessParams`.
     """
     out: dict[str, str] = {}
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -262,19 +264,24 @@ def parse_config(path: str) -> dict:
     return out
 
 
-_REQUIRED = object()
-
-
-def _take(cfg: dict, key: str, conv, default=_REQUIRED):
-    if key in cfg:
-        raw = cfg.pop(key)
-        try:
-            return conv(raw)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"config key {key!r}: {exc}") from None
-    if default is _REQUIRED:
+def _take(cfg: dict, key: str, conv):
+    if key not in cfg:
         raise DataError(f"config is missing required key {key!r}")
-    return default
+    try:
+        return conv(cfg.pop(key))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"config key {key!r}: {exc}") from None
+
+
+# config keys whose design field has another name
+_FIELD_OF = {"fwer": "fwer_mode", "min_seg": "min_segment_len"}
+
+
+def _given(cfg: dict, **convs) -> dict:
+    """Design fields for the optional keys present in ``cfg``; absent keys
+    keep the defaults of the design dataclass."""
+    return {_FIELD_OF.get(key, key): _take(cfg, key, conv)
+            for key, conv in convs.items() if key in cfg}
 
 
 def _as_bool(raw: str) -> bool:
@@ -294,19 +301,18 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 def _common(cfg: dict) -> dict:
     return {
-        "n": _take(cfg, "n", int),
-        "p": _take(cfg, "p", int),
-        "reps": _take(cfg, "reps", int),
-        "seed": _take(cfg, "seed", int, 0),
-        "innovation": _take(cfg, "innovation", str, "gaussian"),
-        "t_dof": _take(cfg, "t_dof", float, 8.0),
-        "rho": _take(cfg, "rho", float, 0.6),
-        "perturb_sparsity": _take(cfg, "perturb_sparsity", float, 0.05),
-        "perturb_scale": _take(cfg, "perturb_scale", float, 0.05),
+        **{key: _take(cfg, key, int) for key in ("n", "p", "reps")},
+        **_given(cfg, seed=int, innovation=str, t_dof=float, rho=float,
+                 perturb_sparsity=float, perturb_scale=float),
     }
 
 
 def build_design(cfg: dict):
+    """Turn a parsed config into ``(design name, validated design)``.
+
+    Process keys and defaults: see :class:`hdcp.simulator.ProcessParams`.
+    Optional keys absent from the config keep the dataclass defaults.
+    """
     cfg = dict(cfg)
     name = cfg.pop("design").lower()
     try:
@@ -315,21 +321,15 @@ def build_design(cfg: dict):
                 **_common(cfg),
                 m_true=_take(cfg, "m_true", int),
                 m_used=_take(cfg, "m_used", int),
-                alpha=_take(cfg, "alpha", float, 0.05),
-                delta=_take(cfg, "delta", float, 0.0),
-                tau=_take(cfg, "tau", int, None),
+                **_given(cfg, alpha=float, delta=float, tau=int),
             )
         elif name == "multi_cp":
             design = MultiCpDesign(
                 **_common(cfg),
                 m_true=_take(cfg, "m_true", int),
                 m_used=_take(cfg, "m_used", int),
-                change_points=_take(cfg, "change_points", _int_list, ()),
-                deltas=_take(cfg, "deltas", _float_list, (0.0,)),
-                alpha=_take(cfg, "alpha", float, 0.05),
-                fwer_mode=_take(cfg, "fwer", _as_bool, False),
-                tolerance_pts=_take(cfg, "tolerance_pts", int, 0),
-                min_segment_len=_take(cfg, "min_seg", int, None),
+                **_given(cfg, change_points=_int_list, deltas=_float_list, alpha=float,
+                         fwer=_as_bool, tolerance_pts=int, min_seg=int),
             )
         elif name == "boundary_curve":
             design = BoundaryDesign(
@@ -340,17 +340,14 @@ def build_design(cfg: dict):
                 deltas=_take(cfg, "deltas", _float_list),
             )
         elif name == "elbow_curve":
-            change_points = _take(cfg, "change_points", _int_list, ())
-            deltas = _take(
-                cfg, "deltas", _float_list, (0.0,) * (len(change_points) + 1)
-            )
+            opts = _given(cfg, drop_ratio=float, change_points=_int_list, deltas=_float_list)
+            # change points without deltas describe a constant zero mean
+            opts.setdefault("deltas", (0.0,) * (len(opts.get("change_points", ())) + 1))
             design = ElbowDesign(
                 **_common(cfg),
                 m_true_values=_take(cfg, "m_true", _int_list),
                 h_max=_take(cfg, "h_max", int),
-                drop_ratio=_take(cfg, "drop_ratio", float, 0.02),
-                change_points=change_points,
-                deltas=deltas,
+                **opts,
             )
         else:
             raise DataError(f"unknown design {name!r}")

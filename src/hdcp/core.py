@@ -114,11 +114,10 @@ _EXTENDED_PRECISION_THRESHOLD = 10**7
 def _accumulator_dtype(n: int, p: int) -> type:
     """Accumulator of the 2-D Gram prefix sums for n observations of dimension p.
 
-    ``raw_prefix`` and ``centered_prefix`` become ``np.longdouble`` when
-    n^2 p > 1e7, else stay float64. ``l_trace`` reads each split
-    statistic as a difference of prefix entries that grow like n^2 times
-    the typical inner product, so large inputs would cancel most float64
-    digits. Nothing else switches: the separated trace-product sums work
+    ``raw_prefix`` becomes ``np.longdouble`` when n^2 p > 1e7, else stays
+    float64. ``l_trace`` reads each split statistic as a difference of
+    prefix entries that grow like n^2 times the typical inner product, so
+    large inputs would cancel most float64 digits. Nothing else switches: the separated trace-product sums work
     on float64 values, and their tuple counts are exact int64.
     """
     return np.longdouble if n * n * p > _EXTENDED_PRECISION_THRESHOLD else np.float64
@@ -132,8 +131,8 @@ class GramSummary:
 
     - ``raw[i, j]``       inner product of observations i and j,
     - ``centered[i, j]``  same after subtracting the global mean,
-    - ``raw_prefix`` / ``centered_prefix``  2-D prefix sums with a zero
-      guard row/column, so ``raw_prefix[a, b]`` sums the leading a x b block,
+    - ``raw_prefix``      2-D prefix sums of ``raw`` with a zero guard
+      row/column, so ``raw_prefix[a, b]`` sums the leading a x b block,
     - ``row_sums`` / ``total_sum``  row sums and grand sum of ``raw``.
 
     Both matrices are exactly symmetric by construction and every row of
@@ -143,7 +142,6 @@ class GramSummary:
     raw: np.ndarray
     centered: np.ndarray
     raw_prefix: np.ndarray
-    centered_prefix: np.ndarray
     row_sums: np.ndarray
     total_sum: float
 

@@ -159,13 +159,10 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     acc = _accumulator_dtype(n, p)
     raw_prefix = np.zeros((n + 1, n + 1), dtype=acc)
     raw_prefix[1:, 1:] = raw.astype(acc).cumsum(axis=0).cumsum(axis=1)
-    centered_prefix = np.zeros((n + 1, n + 1), dtype=acc)
-    centered_prefix[1:, 1:] = centered.astype(acc).cumsum(axis=0).cumsum(axis=1)
     return GramSummary(
         raw=raw,
         centered=centered,
         raw_prefix=raw_prefix,
-        centered_prefix=centered_prefix,
         row_sums=row_sums,
         total_sum=total,
     )

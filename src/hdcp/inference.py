@@ -43,28 +43,23 @@ from .engine import (
 class InferenceConfig:
     """Tuning of the tests and the segmentation recursion.
 
-    ``alpha_seg`` overrides the per-segment level; when None it defaults to
-    ``alpha``, or to 1 / (n log n) when ``fwer_mode`` is set, which keeps the
-    family-wise error rate controlled. ``min_segment_len`` defaults to
-    max(4, 2(M + 2)), the shortest segment every statistic is defined on.
+    The per-segment level is ``alpha``, or 1 / (n log n) when ``fwer_mode``
+    is set, which keeps the family-wise error rate controlled.
+    ``min_segment_len`` defaults to max(4, 2(M + 2)), the shortest segment
+    every statistic is defined on.
     """
 
     alpha: float = 0.05
-    alpha_seg: Optional[float] = None
     min_segment_len: Optional[int] = None
     fwer_mode: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.alpha_seg is not None and not 0.0 < self.alpha_seg < 1.0:
-            raise ValueError(f"alpha_seg must be in (0, 1), got {self.alpha_seg}")
 
     def segment_alpha(self, n: int) -> float:
         if self.fwer_mode:
             return 1.0 / (n * math.log(n))
-        if self.alpha_seg is not None:
-            return self.alpha_seg
         return self.alpha
 
     def segment_min_length(self, window: DependenceWindow) -> int:

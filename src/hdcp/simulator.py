@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, asdict
-from typing import Literal, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -42,19 +42,25 @@ def _rng(entropy, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(stream,)))
 
 
-@dataclass(frozen=True)
-class LinearProcessSpec:
-    """Parameters of the generating process.
+@dataclass(frozen=True, kw_only=True)
+class ProcessParams:
+    """Linear-process parameters shared by every simulation design.
 
-    ``m_true`` is the dependence order of the generator (the analysis
-    window may use a different order). ``rho`` controls the within-matrix
-    geometric decay; ``perturb_sparsity`` and ``perturb_scale`` shape the
-    two trailing sparse coefficient matrices used when ``m_true > 0``.
+    The one list of the process keys of an ``hdcp simulate`` config, with
+    their defaults; invalid values raise ``ValueError`` at construction.
+
+    - ``n``, ``p`` (required): length and dimension of each series;
+    - ``rho`` (0.6): Toeplitz coefficient decay rho^|i-j|, in (0, 1);
+    - ``perturb_sparsity`` (0.05): share of nonzero entries per row of the
+      sparse matrix at the two trailing lags, in [0, 1];
+    - ``perturb_scale`` (0.05): upper end of those entries' uniform draws;
+    - ``innovation`` ("gaussian"): or "student_t", scaled to unit variance;
+    - ``t_dof`` (8.0): Student-t degrees of freedom, above 2;
+    - ``seed`` (0): nonnegative master seed of every random stream.
     """
 
     n: int
     p: int
-    m_true: int
     rho: float = 0.6
     perturb_sparsity: float = 0.05
     perturb_scale: float = 0.05
@@ -63,6 +69,8 @@ class LinearProcessSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.p < 1:
+            raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not 0.0 <= self.perturb_sparsity <= 1.0:
@@ -71,6 +79,21 @@ class LinearProcessSpec:
             raise ValueError(f"unknown innovation {self.innovation!r}")
         if self.innovation == "student_t" and self.t_dof <= 2:
             raise ValueError("student_t innovations need t_dof > 2 for unit variance")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinearProcessSpec(ProcessParams):
+    """A process with ``m_true``, the dependence order of the generator
+    (the analysis window may use a different order)."""
+
+    m_true: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.m_true < 0:
+            raise ValueError(f"m_true must be nonnegative, got {self.m_true}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,11 @@ class MeanProfile:
         object.__setattr__(self, "change_points", cps)
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
+    def check_within(self, n: int) -> None:
+        for cp in self.change_points:
+            if not 1 <= cp <= n - 1:
+                raise ValueError(f"change point {cp} outside {{1, ..., {n - 1}}}")
+
 
 def null_profile() -> MeanProfile:
     return MeanProfile()
@@ -117,9 +145,7 @@ def mean_matrix(profile: Optional[MeanProfile], n: int, p: int) -> np.ndarray:
     means = np.zeros((n, p), dtype=np.float64)
     if profile is None or all(d == 0.0 for d in profile.deltas):
         return means
-    for cp in profile.change_points:
-        if not 1 <= cp <= n - 1:
-            raise ValueError(f"change point {cp} outside {{1, ..., {n - 1}}}")
+    profile.check_within(n)
     size = profile.support_size
     if size is None:
         size = int(math.floor(p**0.7))
@@ -331,36 +357,40 @@ def _binomial_se(rate: float, reps: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / reps)
 
 
-@dataclass(frozen=True)
-class SizePowerDesign:
+def _check_run(reps: int, name: str, order: int, n: int, min_n: int) -> None:
+    """Shared design checks: reps >= 1, and 0 <= order with n >= min_n."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    if order < 0:
+        raise ValueError(f"{name} must be nonnegative, got {order}")
+    if n < min_n:
+        raise ValueError(f"n={n} too short for {name}={order} (needs n >= {min_n})")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SizePowerDesign(LinearProcessSpec):
     """One cell of a size/power experiment.
 
     ``delta = 0`` runs the null; otherwise a single change of magnitude
     ``delta`` sits at ``tau``. ``m_used`` is the analysis window and may
-    deliberately differ from ``m_true``.
+    deliberately differ from ``m_true``; the global test needs
+    n >= 3 m_used + 4.
     """
 
-    n: int
-    p: int
-    m_true: int
     m_used: int
     reps: int
     alpha: float = 0.05
     delta: float = 0.0
     tau: Optional[int] = None
-    innovation: Literal["gaussian", "student_t"] = "gaussian"
-    t_dof: float = 8.0
-    rho: float = 0.6
-    perturb_sparsity: float = 0.05
-    perturb_scale: float = 0.05
-    seed: int = 0
 
-    def spec(self) -> LinearProcessSpec:
-        return LinearProcessSpec(
-            n=self.n, p=self.p, m_true=self.m_true, rho=self.rho,
-            perturb_sparsity=self.perturb_sparsity, perturb_scale=self.perturb_scale,
-            innovation=self.innovation, t_dof=self.t_dof, seed=self.seed,
-        )
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_run(self.reps, "m_used", self.m_used, self.n, 3 * self.m_used + 4)
+        self.inference_config()  # checks alpha
+        self.profile().check_within(self.n)
+
+    def inference_config(self) -> InferenceConfig:
+        return InferenceConfig(alpha=self.alpha)
 
     def profile(self) -> MeanProfile:
         if self.delta == 0.0:
@@ -387,21 +417,17 @@ class SizePowerResult:
 
 
 def _size_power_rep(rep: int):
-    design, model, spec, profile = _PAYLOAD
-    series = generate_series(spec, profile, model=model, seed=[design.seed, rep])
-    outcome = test_global(
-        series, DependenceWindow(design.m_used), InferenceConfig(alpha=design.alpha)
-    )
+    design, model, cfg = _PAYLOAD
+    series = generate_series(design, model=model, seed=[design.seed, rep])
+    outcome = test_global(series, DependenceWindow(design.m_used), cfg)
     return outcome.reject, outcome.degenerate
 
 
 def run_size_power(design: SizePowerDesign) -> SizePowerResult:
     """Rejection rate of the global test over seeded replications."""
-    spec = design.spec()
-    profile = design.profile()
-    model = build_coefficients(spec, profile)
+    model = build_coefficients(design, design.profile())
     rows = _map_replications(
-        _size_power_rep, range(design.reps), (design, model, spec, profile)
+        _size_power_rep, range(design.reps), (design, model, design.inference_config())
     )
     rejects = np.array([r for r, _ in rows], dtype=bool)
     rate = float(rejects.mean())
@@ -413,13 +439,10 @@ def run_size_power(design: SizePowerDesign) -> SizePowerResult:
     )
 
 
-@dataclass(frozen=True)
-class MultiCpDesign:
+@dataclass(frozen=True, kw_only=True)
+class MultiCpDesign(LinearProcessSpec):
     """Binary segmentation experiment with a piecewise-constant mean."""
 
-    n: int
-    p: int
-    m_true: int
     m_used: int
     reps: int
     change_points: tuple[int, ...] = ()
@@ -428,18 +451,18 @@ class MultiCpDesign:
     fwer_mode: bool = False
     tolerance_pts: int = 0
     min_segment_len: Optional[int] = None
-    innovation: Literal["gaussian", "student_t"] = "gaussian"
-    t_dof: float = 8.0
-    rho: float = 0.6
-    perturb_sparsity: float = 0.05
-    perturb_scale: float = 0.05
-    seed: int = 0
 
-    def spec(self) -> LinearProcessSpec:
-        return LinearProcessSpec(
-            n=self.n, p=self.p, m_true=self.m_true, rho=self.rho,
-            perturb_sparsity=self.perturb_sparsity, perturb_scale=self.perturb_scale,
-            innovation=self.innovation, t_dof=self.t_dof, seed=self.seed,
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_run(self.reps, "m_used", self.m_used, self.n, 2 * self.m_used + 4)
+        self.inference_config().segment_min_length(DependenceWindow(self.m_used))
+        self.profile().check_within(self.n)
+
+    def inference_config(self) -> InferenceConfig:
+        return InferenceConfig(
+            alpha=self.alpha,
+            fwer_mode=self.fwer_mode,
+            min_segment_len=self.min_segment_len,
         )
 
     def profile(self) -> MeanProfile:
@@ -466,25 +489,18 @@ class MultiCpResult:
 
 
 def _multi_cp_rep(rep: int):
-    design, model, spec, profile, cfg = _PAYLOAD
-    series = generate_series(spec, profile, model=model, seed=[design.seed, rep])
+    design, model, cfg = _PAYLOAD
+    series = generate_series(design, model=model, seed=[design.seed, rep])
     found = binary_segmentation(series, DependenceWindow(design.m_used), cfg)
     return classify_errors(found, list(design.change_points), design.tolerance_pts)
 
 
 def run_multi_cp(design: MultiCpDesign) -> MultiCpResult:
     """Mean and standard deviation of (FP, FN, TP) over replications."""
-    spec = design.spec()
-    profile = design.profile()
-    model = build_coefficients(spec, profile)
-    cfg = InferenceConfig(
-        alpha=design.alpha,
-        fwer_mode=design.fwer_mode,
-        min_segment_len=design.min_segment_len,
-    )
+    model = build_coefficients(design, design.profile())
     rows = np.array(
         _map_replications(
-            _multi_cp_rep, range(design.reps), (design, model, spec, profile, cfg)
+            _multi_cp_rep, range(design.reps), (design, model, design.inference_config())
         ),
         dtype=np.float64,
     )
@@ -499,30 +515,19 @@ def run_multi_cp(design: MultiCpDesign) -> MultiCpResult:
     )
 
 
-@dataclass(frozen=True)
-class BoundaryDesign:
+@dataclass(frozen=True, kw_only=True)
+class BoundaryDesign(LinearProcessSpec):
     """Detection-probability sweep for a single change at a fixed location."""
 
-    n: int
-    p: int
-    m_true: int
     m_used: int
     tau: int
     deltas: tuple[float, ...]
     reps: int
-    innovation: Literal["gaussian", "student_t"] = "gaussian"
-    t_dof: float = 8.0
-    rho: float = 0.6
-    perturb_sparsity: float = 0.05
-    perturb_scale: float = 0.05
-    seed: int = 0
 
-    def spec(self) -> LinearProcessSpec:
-        return LinearProcessSpec(
-            n=self.n, p=self.p, m_true=self.m_true, rho=self.rho,
-            perturb_sparsity=self.perturb_sparsity, perturb_scale=self.perturb_scale,
-            innovation=self.innovation, t_dof=self.t_dof, seed=self.seed,
-        )
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_run(self.reps, "m_used", self.m_used, self.n, 2 * self.m_used + 4)
+        single_change_profile(self.tau, 0.0).check_within(self.n)
 
 
 @dataclass(frozen=True)
@@ -542,29 +547,21 @@ class BoundaryResult:
 
 def _boundary_rep(task: tuple[int, int]):
     delta_index, rep = task
-    design, models, spec = _PAYLOAD
-    profiles, built = models
+    design, models = _PAYLOAD
     series = generate_series(
-        spec,
-        profiles[delta_index],
-        model=built[delta_index],
-        seed=[design.seed, delta_index, rep],
+        design, model=models[delta_index], seed=[design.seed, delta_index, rep]
     )
     return estimate_single(series, DependenceWindow(design.m_used)) == design.tau
 
 
 def run_boundary_curve(design: BoundaryDesign) -> BoundaryResult:
     """Probability that the argmax estimator hits the change point exactly."""
-    spec = design.spec()
-    profiles = [
-        single_change_profile(design.tau, d, sign_seed=design.seed)
+    models = [
+        build_coefficients(design, single_change_profile(design.tau, d, sign_seed=design.seed))
         for d in design.deltas
     ]
-    built = [build_coefficients(spec, prof) for prof in profiles]
     tasks = [(di, rep) for di in range(len(design.deltas)) for rep in range(design.reps)]
-    hits = _map_replications(
-        _boundary_rep, tasks, (design, (profiles, built), spec)
-    )
+    hits = _map_replications(_boundary_rep, tasks, (design, models))
     hits = np.array(hits, dtype=bool).reshape(len(design.deltas), design.reps)
     probs = hits.mean(axis=1)
     return BoundaryResult(
@@ -574,24 +571,36 @@ def run_boundary_curve(design: BoundaryDesign) -> BoundaryResult:
     )
 
 
-@dataclass(frozen=True)
-class ElbowDesign:
-    """Lag-energy curves and order recovery for one or more true orders."""
+@dataclass(frozen=True, kw_only=True)
+class ElbowDesign(ProcessParams):
+    """Lag-energy curves and order recovery for one or more true orders.
 
-    n: int
-    p: int
+    The curves probe h = 0..h_max, which needs n >= 3 h_max + 4.
+    """
+
     m_true_values: tuple[int, ...]
     reps: int
     h_max: int
     drop_ratio: float = 0.02
     change_points: tuple[int, ...] = ()
     deltas: tuple[float, ...] = (0.0,)
-    innovation: Literal["gaussian", "student_t"] = "gaussian"
-    t_dof: float = 8.0
-    rho: float = 0.6
-    perturb_sparsity: float = 0.05
-    perturb_scale: float = 0.05
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_run(self.reps, "h_max", self.h_max, self.n, 3 * self.h_max + 4)
+        for m in self.m_true_values:
+            self.with_order(m)  # checks m_true >= 0
+        if not 0.0 < self.drop_ratio < 1.0:
+            raise ValueError(f"drop_ratio must be in (0, 1), got {self.drop_ratio}")
+        self.profile().check_within(self.n)
+
+    def with_order(self, m_true: int) -> LinearProcessSpec:
+        """The process of this design with dependence order ``m_true``."""
+        params = {f.name: getattr(self, f.name) for f in fields(ProcessParams)}
+        return LinearProcessSpec(**params, m_true=m_true)
+
+    def profile(self) -> MeanProfile:
+        return MeanProfile(self.change_points, self.deltas, sign_seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -624,9 +633,9 @@ class ElbowResult:
 
 def _elbow_rep(task: tuple[int, int]):
     m_index, rep = task
-    design, specs, models, profile = _PAYLOAD
+    design, specs, models = _PAYLOAD
     series = generate_series(
-        specs[m_index], profile, model=models[m_index], seed=[design.seed, m_index, rep]
+        specs[m_index], model=models[m_index], seed=[design.seed, m_index, rep]
     )
     curve = lag_energy_curve(series, design.h_max)
     chosen = select_m(curve, design.drop_ratio)
@@ -635,20 +644,13 @@ def _elbow_rep(task: tuple[int, int]):
 
 def run_elbow_curve(design: ElbowDesign) -> ElbowResult:
     """Replicated lag-energy curves plus order-recovery fractions."""
-    profile = MeanProfile(design.change_points, design.deltas, sign_seed=design.seed)
-    specs = [
-        LinearProcessSpec(
-            n=design.n, p=design.p, m_true=m, rho=design.rho,
-            perturb_sparsity=design.perturb_sparsity, perturb_scale=design.perturb_scale,
-            innovation=design.innovation, t_dof=design.t_dof, seed=design.seed,
-        )
-        for m in design.m_true_values
-    ]
+    profile = design.profile()
+    specs = [design.with_order(m) for m in design.m_true_values]
     models = [build_coefficients(spec, profile) for spec in specs]
     tasks = [
         (mi, rep) for mi in range(len(design.m_true_values)) for rep in range(design.reps)
     ]
-    rows = _map_replications(_elbow_rep, tasks, (design, specs, models, profile))
+    rows = _map_replications(_elbow_rep, tasks, (design, specs, models))
     curves = []
     selections = []
     fractions = []

@@ -218,3 +218,44 @@ def test_detect_auto_short_series_clamps_h_max(tmp_path):
     # an explicit order that the series cannot host is still a data error
     code = main(["detect", "--input", str(path), "--m", "auto", "--h-max", "1"])
     assert code == EXIT_DATA
+
+
+_SIZE = "design = size_power\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
+_MULTI = "design = multi_cp\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
+_BOUNDARY = ("design = boundary_curve\nn = 40\np = 20\nm_true = 0\nm_used = 0\n"
+             "deltas = 1.0\nreps = 4\n")
+_ELBOW = "design = elbow_curve\nn = 40\np = 20\nm_true = 0\nreps = 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SIZE + "rho = 1.5\n",
+        _SIZE + "perturb_sparsity = 2\n",
+        _SIZE + "innovation = cauchy\n",
+        _SIZE + "alpha = 2\n",
+        _MULTI + "alpha = 0\n",
+        _SIZE + "delta = 0.5\n",
+        _SIZE + "delta = 0.5\ntau = 90\n",
+        _BOUNDARY + "tau = 60\n",
+        _MULTI + "change_points = 20\n",
+        _MULTI + "change_points = 20, 10\ndeltas = 0, 1, 0\n",
+        _ELBOW + "h_max = -1\n",
+        _ELBOW + "h_max = 2\ndrop_ratio = 5\n",
+        _SIZE.replace("reps = 4", "reps = 0"),
+    ],
+    ids=["rho", "perturb_sparsity", "innovation", "alpha-size", "alpha-multi",
+         "delta-without-tau", "tau-size", "tau-boundary", "deltas-missing",
+         "change-points-order", "h-max", "drop-ratio", "reps"],
+)
+def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, text):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications started for an invalid design")
+
+    monkeypatch.setattr("hdcp.simulator._map_replications", no_replications)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err

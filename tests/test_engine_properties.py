@@ -1,6 +1,7 @@
 """Quantified invariants, via hypothesis where generation helps."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdcp import (
@@ -108,3 +109,19 @@ def test_classify_errors_count_identities(est, truth, tol):
     assert fp + tp == len(est)
     assert fn + tp == len(truth_sorted)
     assert min(fp, fn, tp) >= 0
+
+
+def test_l_trace_offset_invariant_above_extended_precision_threshold():
+    # n^2 p = 1.12e7 just crosses the longdouble switch of the prefix sums.
+    # A common offset of 1e3 leaves the split statistic unchanged in exact
+    # arithmetic but inflates the prefix entries by ~1e6, so float64
+    # prefixes miss the tolerance by about 10x.
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("longdouble is no wider than float64 on this platform")
+    x = np.random.default_rng(400).standard_normal((400, 70))
+    window = DependenceWindow(2)
+    shifted = compute_gram(as_series(x + 1e3))
+    assert shifted.raw_prefix.dtype == np.longdouble
+    ref = l_trace(compute_gram(as_series(x)), window)
+    got = l_trace(shifted, window)
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()

@@ -70,11 +70,9 @@ def test_estimate_single_constant_ties_to_first():
 def test_config_validation():
     with pytest.raises(ValueError):
         InferenceConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        InferenceConfig(alpha=0.05, alpha_seg=1.5)
     cfg = InferenceConfig(alpha=0.05, fwer_mode=True)
     assert cfg.segment_alpha(150) == pytest.approx(1.0 / (150 * np.log(150)))
-    assert InferenceConfig(alpha_seg=0.01).segment_alpha(150) == 0.01
+    assert InferenceConfig(alpha=0.01).segment_alpha(150) == 0.01
     assert InferenceConfig().segment_alpha(150) == 0.05
     assert InferenceConfig().segment_min_length(DependenceWindow(2)) == 8
     assert InferenceConfig().segment_min_length(W0) == 4

@@ -108,6 +108,8 @@ def load_matrix(path: str, delimiter: Optional[str] = None) -> np.ndarray:
         return [t for t in (line.split(delim) if delim else line.split())]
 
     start = 1 if _is_header([t.strip() for t in split(lines[0])]) else 0
+    if start == len(lines):
+        raise DataError(f"{path}: file contains no data rows")
     rows = []
     width = None
     for i, line in enumerate(lines[start:], start=start + 1):
@@ -474,7 +476,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input: a missing path, a directory, or bytes that are not text
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DataError, DimensionTooSmall, NonFiniteEntry, IndexOutOfRange,

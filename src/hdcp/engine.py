@@ -13,6 +13,17 @@ trace products tr{C(h1) C(h2)} of the lag-h autocovariances, estimated by a
 four-term U-statistic over index tuples forced to be more than M apart
 (``trace_product_estimate``).
 
+What depends on the shape (n, M) alone is built once per process and
+shared: ``_null_plan(n, M)`` holds the factored lag design ``F_matrix``,
+the boundary weights of every split, and the cross-product table and
+squared mass of the aggregated contrast ``b_aggregate``. One entry costs
+O(nM + M^2) floats, since the n x n contrast is reduced before it is
+stored; at most ``_PLAN_CACHE_SIZE`` (32) keys are kept, least recently
+used first out. The arrays are read-only, because every caller with the
+same key gets the same plan. ``l_trace`` and ``aggregate_variance`` read
+it, so the global test of a series of a seen length pays O(M^2) for its
+variance after the trace table.
+
 Conventions, fixed for the whole package:
 
 - indicator I(a, b) is 1 iff a == b; I(predicate) is 1 iff it holds;
@@ -26,6 +37,7 @@ Conventions, fixed for the whole package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +56,9 @@ from .core import (
 )
 
 _COND_LIMIT = 1e12
+# distinct (n, M) null-variance plans kept per process; one entry is
+# O(nM + M^2) floats, so even the full cache is small next to one Gram
+_PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -260,12 +275,15 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     observations and subtracts the serial-correlation correction. All n - 1
     values come from block prefix sums of the raw Gram matrix in O(1) per
     split after the O(n^2) reduction; the lag design system is solved once.
+    The factored design and the boundary weights of all splits come from
+    the (n, M) plan, so only the first call for a shape builds them (and
+    the plan's O(n^2 M^2) aggregate cross-products).
     """
     n = gram.n
     m = window.m
-    design = F_matrix(n, m)
+    plan = _null_plan(n, m)
     v = V_vector(gram, m)
-    x = design.solve(v.values)
+    x = plan.design.solve(v.values)
 
     P = gram.raw_prefix
     t = np.arange(1, n)
@@ -280,7 +298,7 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     n2 = float(n) ** 2
     term1 = (nt / (tt * n2)) * within_lo - (2.0 / n2) * cross + (tt / (nt * n2)) * within_hi
 
-    correction = _f_columns(n, t, m) @ x / n
+    correction = plan.weights @ x / n
     return np.asarray(term1, dtype=np.float64) - correction
 
 
@@ -333,11 +351,13 @@ def b_aggregate(n: int, window: DependenceWindow) -> ContrastMatrix:
     O(n^2 (M+1)) instead of n - 1 full constructions.
     """
     m = window.m
-    design = F_matrix(n, m)
-    t = np.arange(1, n)
-    f_sum = _f_columns(n, t, m).sum(axis=0)
-    g_sum = design.solve_transposed(f_sum)
+    weights = _f_columns(n, np.arange(1, n), m)
+    return ContrastMatrix(_aggregate_values(n, F_matrix(n, m), weights))
 
+
+def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> np.ndarray:
+    # the n x n aggregate contrast from the lag design and the split weights
+    g_sum = design.solve_transposed(weights.sum(axis=0))
     harm = np.zeros(n, dtype=np.float64)
     harm[1:] = np.cumsum(1.0 / np.arange(1, n))
     ii = np.arange(1, n + 1)[:, None]
@@ -349,7 +369,7 @@ def b_aggregate(n: int, window: DependenceWindow) -> ContrastMatrix:
     cross = -2.0 * np.maximum(0, jj - ii)
     B = upper + cross + lower
     _apply_lag_terms(B, g_sum, n)
-    return ContrastMatrix(B)
+    return B
 
 
 def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,14 +380,41 @@ def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, n
     return i[keep], j[keep]
 
 
+def _zero_diagonals(a: np.ndarray, offsets) -> int:
+    """Zero the diagonals a[i, i + k], k in offsets, of a C-contiguous array.
+
+    Each diagonal is one strided slice of the flat view, so the cost is the
+    number of entries zeroed. Returns that number.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("diagonals are zeroed through a flat view; need a C-contiguous array")
+    rows, cols = a.shape
+    flat = a.reshape(-1)
+    zeroed = 0
+    for k in offsets:
+        i0, j0 = max(0, -k), max(0, k)
+        length = min(rows - i0, cols - j0)
+        if length > 0:
+            start = i0 * cols + j0
+            flat[start : start + length * (cols + 1) : cols + 1] = 0.0
+            zeroed += length
+    return zeroed
+
+
 class _SeparatedSums:
     """Shared prefix structures for the separated trace-product sums.
 
     One instance serves every (h1, h2) pair of a lag window, and every sum
     costs O(n^2) whatever M is: the pair term per lag pair, the triple term
     once per distinct |h| (shared by h and -h), and the quadruple term
-    once. Counts are exact integers: the quadruple count in closed form,
-    the pair and triple counts as int64 sums (below n^3).
+    once. No sum builds an n x n mask: the indices a term forbids are
+    whole diagonals of its product array (at most four bands of 2M + 1 for
+    the pair term, one band of |h| + 2M + 1 for the triple term, one of
+    2M + 1 in the quadruple term's masked Gram W), so each term forms its
+    products, zeroes those O(nM) entries in place by strided slices and
+    takes one plain sum. Counts are exact integers: the quadruple count in
+    closed form, the pair count as the array size minus the diagonal
+    lengths, the triple count from O(n) int64 sums (below n^3).
 
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
@@ -386,8 +433,11 @@ class _SeparatedSums:
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = np.zeros((n, n + 1), dtype=np.float64)
         np.cumsum(raw, axis=1, out=self.row_prefix[:, 1:])
-        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag
-        self.window_sums = self.row_prefix[:, self.hi] - self.row_prefix[:, self.lo]
+        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag;
+        # C order, so the triple products can zero diagonals in place
+        self.window_sums = np.ascontiguousarray(
+            self.row_prefix[:, self.hi] - self.row_prefix[:, self.lo]
+        )
         self._triples: dict[int, tuple[float, int]] = {}
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
@@ -402,22 +452,17 @@ class _SeparatedSums:
         t_lo, t_hi = max(1, 1 - h2), min(n, n - h2)
         if s_lo > s_hi or t_lo > t_hi:
             return 0.0, 0
-        # separation depends on s - t only, so tabulate it per offset
-        d = np.arange(s_lo - t_hi, s_hi - t_lo + 1)
-        ok = (
-            (np.abs(d) > m)
-            & (np.abs(d - h2) > m)
-            & (np.abs(d + h1) > m)
-            & (np.abs(d + h1 - h2) > m)
+        # raw is symmetric, so both factors are plain slices; entry (i, j)
+        # has d = s_lo - t_lo + i - j, so each forbidden d is one diagonal
+        prod = (
+            self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2]
+            * self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi]
         )
-        i = np.arange(s_hi - s_lo + 1)
-        j = np.arange(t_hi - t_lo + 1)
-        sep = ok[i[:, None] - j[None, :] + (t_hi - t_lo)]
-        # raw is symmetric, so both factors are plain slices
-        left = self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2]
-        right = self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi]
-        total = float(np.sum(left * right, where=sep))
-        return total, int(sep.sum())
+        forbidden = {
+            s_lo - t_lo - c - e for c in (0, h2, -h1, h2 - h1) for e in range(-m, m + 1)
+        }
+        zeroed = _zero_diagonals(prod, forbidden)
+        return float(prod.sum()), prod.size - zeroed
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
@@ -436,7 +481,8 @@ class _SeparatedSums:
         # minus the window of the s-group, minus the window of t (one
         # shared box-filtered matrix), plus their overlap, which is
         # nonempty only on the O(nM) bands -2M <= t - s < -M and
-        # h + M < t - s <= h + 2M.
+        # h + M < t - s <= h + 2M. The forbidden -M <= t - s <= h + M is
+        # one band of diagonals.
         n, m = self.n, self.m
         ns = n - h
         if ns <= 0:
@@ -444,8 +490,6 @@ class _SeparatedSums:
         lo, hi = self.lo, self.hi
         pre = self.row_prefix
         s = np.arange(ns)
-        d = np.arange(n)[None, :] - s[:, None]
-        sep = (d < -m) | (d > h + m)
 
         offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
         sb, tb = _offset_pairs(ns, offsets, n)
@@ -453,16 +497,24 @@ class _SeparatedSums:
         ov_lo = np.where(left, lo[sb], lo[tb])
         ov_hi = np.where(left, hi[tb], hi[sb + h])
 
+        # count: sum over admissible (s, t) of own_cnt[s] - wlen[t], by
+        # rows; t is forbidden on [band_lo[s], band_hi[s])
         group_lo, group_hi = lo[s], hi[s + h]
         own_cnt = n - (group_hi - group_lo)
-        count = int(np.sum(own_cnt[:, None] - (hi - lo)[None, :], where=sep))
+        band_lo, band_hi = np.maximum(s - m, 0), np.minimum(s + h + m + 1, n)
+        wlen_pre = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=wlen_pre[1:])
+        count = int(np.sum(own_cnt * (n - (band_hi - band_lo))))
+        count -= int(np.sum(wlen_pre[n] - (wlen_pre[band_hi] - wlen_pre[band_lo])))
         count += int(np.sum(ov_hi - ov_lo))
         if count == 0:
             return 0.0, 0
 
         own = self.row_sums[:ns] - (pre[s, group_hi] - pre[s, group_lo])
         outer = self.raw[h:]
-        total = float(np.sum(outer * (own[:, None] - self.window_sums[:ns]), where=sep))
+        prod = outer * (own[:, None] - self.window_sums[:ns])
+        _zero_diagonals(prod, range(-m, h + m + 1))
+        total = float(prod.sum())
         total += float(np.sum(outer[sb, tb] * (pre[sb, ov_hi] - pre[sb, ov_lo])))
         return total, count
 
@@ -486,8 +538,8 @@ class _SeparatedSums:
         count = k * (k - 1) * (k - 2) * (k - 3)
 
         lo, hi = self.lo, self.hi
-        idx = np.arange(n)
-        w = np.where(np.abs(idx[:, None] - idx[None, :]) > m, self.raw, 0.0)
+        w = self.raw.copy()
+        _zero_diagonals(w, range(-m, m + 1))
         rows = w.sum(axis=1)
         total = rows.sum()
         row_pre = np.zeros(n + 1, dtype=np.float64)
@@ -605,6 +657,38 @@ def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+class _NullPlan(NamedTuple):
+    """What the global test needs that depends on (n, M) alone."""
+
+    design: DependenceDesign  # F_matrix(n, M), LU factored
+    weights: np.ndarray       # _f_columns(n, 1..n-1, M), shape (n - 1, M + 1)
+    cross: np.ndarray         # aggregate contrast cross-products, (2M + 1, 2M + 1)
+    mass: float               # sum of the squared aggregate contrast entries
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _null_plan(n: int, m: int) -> _NullPlan:
+    # every caller with the same (n, M) shares the result, so its arrays
+    # are frozen; the n x n aggregate contrast is dropped once reduced
+    design = F_matrix(n, m)
+    weights = _f_columns(n, np.arange(1, n), m)
+    B = _aggregate_values(n, design, weights)
+    plan = _NullPlan(design, weights, _contrast_cross_products(B, m), float((B**2).sum()))
+    for a in (design.matrix, *design._lu, plan.weights, plan.cross):
+        a.flags.writeable = False
+    return plan
+
+
+def _floored_variance(
+    cross: np.ndarray, mass: float, table: TraceTable, n: int
+) -> VarianceResult:
+    value = float((cross * table.values).sum()) / float(n) ** 4
+    floor = 1e-12 * (mass / float(n) ** 4 + 1.0)
+    if not np.isfinite(value) or value <= floor:
+        return VarianceResult(floor, True)
+    return VarianceResult(value, False)
+
+
 def variance_estimate(
     B: ContrastMatrix, table: TraceTable, n: int, window: DependenceWindow
 ) -> VarianceResult:
@@ -619,10 +703,16 @@ def variance_estimate(
     mass; a floored value is flagged degenerate rather than raised, and
     downstream tests report non-rejection.
     """
-    m = window.m
-    cross = _contrast_cross_products(B.values, m)
-    value = float((cross * table.values).sum()) / float(n) ** 4
-    floor = 1e-12 * (float((B.values**2).sum()) / float(n) ** 4 + 1.0)
-    if not np.isfinite(value) or value <= floor:
-        return VarianceResult(floor, True)
-    return VarianceResult(value, False)
+    values = B.values
+    cross = _contrast_cross_products(values, window.m)
+    return _floored_variance(cross, float((values**2).sum()), table, n)
+
+
+def aggregate_variance(table: TraceTable, n: int, window: DependenceWindow) -> VarianceResult:
+    """``variance_estimate(b_aggregate(n, window), table, n, window)``.
+
+    The contrast cross-products and mass come from the cached (n, M) plan,
+    so after the first call per (n, M) this costs O(M^2).
+    """
+    plan = _null_plan(n, window.m)
+    return _floored_variance(plan.cross, plan.mass, table, n)

@@ -30,7 +30,7 @@ from .core import (
     validate_input,
 )
 from .engine import (
-    b_aggregate,
+    aggregate_variance,
     b_matrix,
     build_trace_table,
     compute_gram,
@@ -94,8 +94,7 @@ def _global_test_core(
     curve = l_trace(gram, window)
     statistic = math.fsum(curve.tolist())
     table = build_trace_table(gram, window)
-    agg = b_aggregate(gram.n, window)
-    var = variance_estimate(agg, table, gram.n, window)
+    var = aggregate_variance(table, gram.n, window)
     return _outcome_from(statistic, var.value, var.degenerate, alpha), curve
 
 

@@ -245,10 +245,22 @@ def generate_series(
     Innovations are indexed from 1 - (m_true + 2) so the first observation
     is exactly stationary. ``model`` lets runners reuse fixed coefficients
     across replications while ``seed`` (any SeedSequence entropy) varies
-    only the innovations; both default to the pure-spec behavior.
+    only the innovations; both default to the pure-spec behavior. A given
+    ``model`` supplies the means, so it must match ``spec``'s (n, p) and,
+    when ``profile`` is passed too, that profile's mean matrix; otherwise
+    ``ValueError`` is raised.
     """
     if model is None:
         model = build_coefficients(spec, profile)
+    elif (spec.n, spec.p) != (model.n, model.p):
+        raise ValueError(
+            f"spec has (n, p) = ({spec.n}, {spec.p}) but the model was built "
+            f"for ({model.n}, {model.p})"
+        )
+    elif profile is not None and not np.array_equal(
+        mean_matrix(profile, spec.n, spec.p), model.means
+    ):
+        raise ValueError("profile's mean matrix differs from the model's means")
     burn = model.lag_support
     rng = _rng(spec.seed if seed is None else seed, _STREAM_INNOV)
     shape = (spec.n + burn, spec.p)

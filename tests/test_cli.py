@@ -107,6 +107,37 @@ def test_exit_codes(tmp_path):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def _unreadable_input(tmp_path, kind):
+    if kind == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "input.txt"
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        return path, "can't decode"
+    path.write_text("a,b\n")  # header row only
+    return path, "file contains no data rows"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "header-only"])
+def test_unreadable_detect_input_is_data_error(tmp_path, capsys, kind):
+    path, message = _unreadable_input(tmp_path, kind)
+    assert main(["detect", "--input", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_simulate_config_is_data_error(tmp_path, capsys, kind):
+    path, message = _unreadable_input(tmp_path, kind)
+    assert main(["simulate", "--config", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_singular_design_exit_code(change_file, monkeypatch):
     def boom(*args, **kwargs):
         raise SingularDesign("synthetic failure")

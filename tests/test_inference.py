@@ -18,6 +18,7 @@ from hdcp import (
 )
 from hdcp import test_at as split_test
 from hdcp import test_global as global_test
+from hdcp.engine import _null_plan
 
 W0 = DependenceWindow(0)
 
@@ -137,3 +138,34 @@ def test_classify_errors_greedy_one_to_one():
     assert classify_errors([9, 10], [10], 1) == (1, 0, 1)
     with pytest.raises(ValueError):
         classify_errors([5], [3, 3], 0)
+
+
+def test_global_outcomes_do_not_depend_on_cached_plans():
+    # two lengths and two orders, interleaved so each (n, M) plan is
+    # reused after calls on other keys; reversing the order changes which
+    # call builds each plan
+    series = {n: as_series(np.random.default_rng(n).standard_normal((n, 15)) + 0.2)
+              for n in (40, 57)}
+    calls = [(40, 0), (57, 2), (40, 2), (57, 0), (40, 0), (57, 2), (40, 2), (57, 0)]
+
+    def outcomes(order):
+        _null_plan.cache_clear()
+        return {i: global_test(series[n], DependenceWindow(m), InferenceConfig())
+                for i, (n, m) in order}
+
+    forward = outcomes(list(enumerate(calls)))
+    backward = outcomes(list(enumerate(calls))[::-1])
+    assert forward == backward
+    for i, (n, m) in enumerate(calls):
+        assert forward[i] == forward[calls.index((n, m))]
+
+
+def test_null_plan_is_read_only_and_holds_no_n_by_n_array():
+    n, m = 40, 2
+    plan = _null_plan(n, m)
+    assert plan.weights.shape == (n - 1, m + 1)
+    assert plan.cross.shape == (2 * m + 1, 2 * m + 1)
+    for array in (plan.weights, plan.cross, plan.design.matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert _null_plan(n, m) is plan

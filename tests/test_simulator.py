@@ -63,6 +63,23 @@ def test_zero_coefficients_reproduce_means_exactly():
     np.testing.assert_array_equal(x.values, means)
 
 
+def test_generate_series_rejects_a_profile_the_model_was_not_built_with():
+    spec = LinearProcessSpec(n=12, p=4, m_true=0, seed=2)
+    built_with = MeanProfile((5,), (0.0, 1.0), support_size=3, sign_seed=9)
+    other = MeanProfile((5,), (0.0, 2.0), support_size=3, sign_seed=9)
+    model = build_coefficients(spec, built_with)
+    generate_series(spec, built_with, model=model)
+    with pytest.raises(ValueError, match="profile"):
+        generate_series(spec, other, model=model)
+
+
+def test_generate_series_rejects_a_model_of_another_shape():
+    model = build_coefficients(LinearProcessSpec(n=12, p=4, m_true=0, seed=2))
+    for n, p in ((13, 4), (12, 5)):
+        with pytest.raises(ValueError, match=r"\(n, p\)"):
+            generate_series(LinearProcessSpec(n=n, p=p, m_true=0, seed=2), model=model)
+
+
 def test_generation_is_seed_deterministic():
     spec = LinearProcessSpec(n=25, p=7, m_true=2, seed=11)
     a = generate_series(spec)

@@ -11,6 +11,13 @@ Two subcommands:
                    multiple change points, boundary detection curves, or
                    elbow curves) and writes the results table.
 
+``detect`` reads its input once: the bytes it hashes into the report are
+the bytes it parses. Input made only of printable ASCII, tabs and line
+ends, with a one-character or whitespace delimiter, is parsed by numpy's C
+reader; any other input, and any the C reader rejects, by a Python row
+loop that reports the offending row and column. Both give bitwise-equal
+arrays. A leading UTF-8 byte order mark is ignored.
+
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 2 data error, 3 numerical failure. A simulate config with a
 missing key or an invalid value (out of range, or inconsistent with n) is
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -82,6 +91,10 @@ def _detect_delimiter(line: str) -> Optional[str]:
     return best if counts[best] > 0 else None
 
 
+def _split(line: str, delim: Optional[str]) -> list[str]:
+    return [t.strip() for t in (line.split(delim) if delim else line.split())]
+
+
 def _is_header(tokens: list[str]) -> bool:
     for tok in tokens:
         try:
@@ -91,29 +104,56 @@ def _is_header(tokens: list[str]) -> bool:
     return False
 
 
-def load_matrix(path: str, delimiter: Optional[str] = None) -> np.ndarray:
-    """Parse a delimited text matrix, one time point per row.
+def _layout(first: str, delimiter: Optional[str]) -> tuple[Optional[str], bool]:
+    """Delimiter, and whether ``first`` (the first non-blank line) is a header."""
+    delim = delimiter if delimiter is not None else _detect_delimiter(first)
+    return delim, _is_header(_split(first, delim))
 
-    The delimiter is auto-detected among comma, tab, and semicolon (falling
-    back to whitespace) unless overridden, and a single non-numeric header
-    row is skipped. Parse failures report the offending row and column.
-    """
-    text = Path(path).read_text()
+
+_BOM = b"\xef\xbb\xbf"
+# Input made only of these bytes has the same lines, blank lines and
+# whitespace for str.splitlines()/str.split() as for numpy's C reader.
+# Outside them the two can disagree silently: "\x0b", "\x0c" and
+# "\x1c".."\x1e" end a line for Python but are whitespace within a line
+# for numpy. Other control bytes and non-ASCII text go to the row loop too.
+_C_READER_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# blank lines, then the next line (leading whitespace included) and its end
+_NEXT_LINE = re.compile(rb"(?:[ \t]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?")
+
+
+def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
+    """The matrix by numpy's C reader, or None where only the row loop applies."""
+    if data.translate(None, _C_READER_BYTES):
+        return None
+    first = _NEXT_LINE.match(data)
+    if not first.group(1).strip():
+        return None  # no data rows: the row loop reports it
+    delim, header = _layout(first.group(1).decode("ascii"), delimiter)
+    if delim is not None and (len(delim) != 1 or delim in "\r\n"):
+        return None
+    start = first.end() if header else 0
+    if not _NEXT_LINE.match(data, start).group(1).strip():
+        return None
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    try:
+        return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_rows(path: str, text: str, delimiter: Optional[str]) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: file contains no data rows")
-    delim = delimiter if delimiter is not None else _detect_delimiter(lines[0])
-
-    def split(line: str) -> list[str]:
-        return [t for t in (line.split(delim) if delim else line.split())]
-
-    start = 1 if _is_header([t.strip() for t in split(lines[0])]) else 0
+    delim, header = _layout(lines[0], delimiter)
+    start = 1 if header else 0
     if start == len(lines):
         raise DataError(f"{path}: file contains no data rows")
     rows = []
     width = None
     for i, line in enumerate(lines[start:], start=start + 1):
-        tokens = [t.strip() for t in split(line)]
+        tokens = _split(line, delim)
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
@@ -130,6 +170,34 @@ def load_matrix(path: str, delimiter: Optional[str] = None) -> np.ndarray:
                 ) from None
         rows.append(vals)
     return np.asarray(rows, dtype=np.float64)
+
+
+def load_matrix(
+    path: str, delimiter: Optional[str] = None, data: Optional[bytes] = None
+) -> np.ndarray:
+    """Parse a delimited text matrix, one time point per row.
+
+    ``data`` holds the file's bytes when the caller has read them already;
+    otherwise ``path`` is read. The text is UTF-8, and one leading byte
+    order mark is ignored. The delimiter is auto-detected among comma,
+    tab, and semicolon (falling back to whitespace) on the first non-blank
+    line unless overridden, and that line is skipped when it is a
+    non-numeric header. Blank lines are skipped.
+
+    Two readers give bitwise-equal arrays. numpy's C reader
+    (``np.loadtxt``) parses input made only of printable ASCII, tabs and
+    line ends, with a one-character delimiter or whitespace. Everything
+    else, and any input the C reader rejects with ``ValueError``, goes
+    through a Python row loop, which produces every parse error and
+    reports the offending row and column.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    data = data.removeprefix(_BOM)
+    matrix = _read_fast(data, delimiter)
+    if matrix is None:
+        matrix = _read_rows(path, data.decode("utf-8"), delimiter)
+    return matrix
 
 
 def _json_dump(obj, path: Optional[str]) -> str:
@@ -149,7 +217,7 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 def cmd_detect(args) -> int:
     raw = Path(args.input).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    matrix = load_matrix(args.input, args.delimiter)
+    matrix = load_matrix(args.input, args.delimiter, data=raw)
     series = SeriesMatrix(matrix)
 
     warnings: list[str] = []

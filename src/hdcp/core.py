@@ -8,6 +8,7 @@ outside ``[1, n]`` are defined to be zero; see the contrast matrices in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -112,42 +113,72 @@ _EXTENDED_PRECISION_THRESHOLD = 10**7
 
 
 def _accumulator_dtype(n: int, p: int) -> type:
-    """Accumulator of the 2-D Gram prefix sums for n observations of dimension p.
+    """Accumulator of the Gram's row sums and of the prefix sums built on them.
 
-    ``raw_prefix`` becomes ``np.longdouble`` when n^2 p > 1e7, else stays
-    float64. ``l_trace`` reads each split statistic as a difference of
-    prefix entries that grow like n^2 times the typical inner product, so
-    large inputs would cancel most float64 digits. Nothing else switches: the separated trace-product sums work
-    on float64 values, and their tuple counts are exact int64.
+    ``np.longdouble`` when n^2 p > 1e7, else float64. The switch governs
+    ``GramSummary.row_sums`` and ``total_sum``, the O(n) cumulative sums
+    that ``l_trace`` and ``V_vector`` build from them, and the derived 2-D
+    ``raw_prefix``. ``l_trace`` reads each split statistic as a difference
+    of block sums that grow like n^2 times the typical inner product, so
+    large inputs would cancel most float64 digits. Nothing else switches:
+    ``raw`` and the separated trace-product sums stay float64, and their
+    tuple counts are exact int64.
     """
     return np.longdouble if n * n * p > _EXTENDED_PRECISION_THRESHOLD else np.float64
 
 
 @dataclass(frozen=True)
 class GramSummary:
-    """All inner products of a series plus prefix sums.
+    """All inner products of a series, with their row sums and grand sum.
 
-    Every statistic downstream is a function of this reduction:
+    Every statistic downstream is a function of this reduction. Fields:
 
-    - ``raw[i, j]``       inner product of observations i and j,
-    - ``centered[i, j]``  same after subtracting the global mean,
-    - ``raw_prefix``      2-D prefix sums of ``raw`` with a zero guard
-      row/column, so ``raw_prefix[a, b]`` sums the leading a x b block,
-    - ``row_sums`` / ``total_sum``  row sums and grand sum of ``raw``.
+    - ``raw[i, j]``  inner product of observations i and j, float64 and
+      exactly symmetric,
+    - ``row_sums`` / ``total_sum``  row sums and grand sum of ``raw``,
+      accumulated and kept in ``_accumulator_dtype(n, p)``; the dtype of
+      ``row_sums`` records which one.
 
-    Both matrices are exactly symmetric by construction and every row of
-    ``centered`` sums to zero up to rounding in the inputs.
+    Derived members, built on first read and then cached; the hot path
+    never reads them, only tests and oracles do:
+
+    - ``centered[i, j]``  ``raw`` after subtracting the global mean,
+      exactly symmetric, every row summing to zero up to rounding,
+    - ``raw_prefix``  2-D prefix sums of ``raw`` in the accumulator dtype,
+      with a zero guard row/column, so ``raw_prefix[a, b]`` sums the
+      leading a x b block.
+
+    At n = 800 above the threshold, a Gram that stored all five held
+    20.5 MB (``raw`` and ``centered`` 5.1 MB each, the longdouble
+    ``raw_prefix`` 10.3 MB); the three fields hold 5.1 MB.
     """
 
     raw: np.ndarray
-    centered: np.ndarray
-    raw_prefix: np.ndarray
     row_sums: np.ndarray
-    total_sum: float
+    total_sum: np.floating
 
     @property
     def n(self) -> int:
         return self.raw.shape[0]
+
+    @functools.cached_property
+    def centered(self) -> np.ndarray:
+        raw = self.raw
+        n = self.n
+        row_sums = raw.sum(axis=1)
+        total = float(row_sums.sum())
+        # one exactly symmetric mean adjustment keeps the result bitwise symmetric
+        scaled = row_sums / n
+        adjustment = scaled[:, None] + scaled[None, :]
+        return (raw - adjustment) + total / n**2
+
+    @functools.cached_property
+    def raw_prefix(self) -> np.ndarray:
+        acc = self.row_sums.dtype
+        n = self.n
+        prefix = np.zeros((n + 1, n + 1), dtype=acc)
+        prefix[1:, 1:] = self.raw.astype(acc).cumsum(axis=0).cumsum(axis=1)
+        return prefix
 
 
 @dataclass(frozen=True)

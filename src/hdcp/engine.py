@@ -154,33 +154,18 @@ class VarianceResult(NamedTuple):
 
 
 def compute_gram(series: SeriesMatrix) -> GramSummary:
-    """Reduce a series to its raw and globally centered inner products.
+    """Reduce a series to its inner products, their row sums and grand sum.
 
-    The centered matrix uses the grand mean of the series that was passed
-    in, so segment-local calls center on segment-local means.
+    Sums are accumulated in ``_accumulator_dtype(n, p)``. A segment's Gram
+    holds the segment's own products, so everything derived from it
+    (centering included) is segment-local.
     """
     x = series.values
     n, p = x.shape
     raw = x @ x.T
     raw = (raw + raw.T) / 2.0
-    row_sums = raw.sum(axis=1)
-    total = float(row_sums.sum())
-    # build the mean adjustment as one exactly symmetric matrix so the
-    # centered Gram is bitwise symmetric
-    scaled = row_sums / n
-    adjustment = scaled[:, None] + scaled[None, :]
-    centered = (raw - adjustment) + total / n**2
-
-    acc = _accumulator_dtype(n, p)
-    raw_prefix = np.zeros((n + 1, n + 1), dtype=acc)
-    raw_prefix[1:, 1:] = raw.astype(acc).cumsum(axis=0).cumsum(axis=1)
-    return GramSummary(
-        raw=raw,
-        centered=centered,
-        raw_prefix=raw_prefix,
-        row_sums=row_sums,
-        total_sum=total,
-    )
+    row_sums = raw.sum(axis=1, dtype=_accumulator_dtype(n, p))
+    return GramSummary(raw=raw, row_sums=row_sums, total_sum=row_sums.sum())
 
 
 def _f_columns(n: int, t: np.ndarray, m: int) -> np.ndarray:
@@ -257,27 +242,46 @@ def F_matrix(n: int, m: int) -> DependenceDesign:
     return DependenceDesign(F)
 
 
+def _row_sum_prefix(gram: GramSummary) -> np.ndarray:
+    # prefix[t] sums rows 0..t-1 of raw, in the accumulator dtype
+    prefix = np.zeros(gram.n + 1, dtype=gram.row_sums.dtype)
+    np.cumsum(gram.row_sums, out=prefix[1:])
+    return prefix
+
+
 def V_vector(gram: GramSummary, m: int) -> LagTraceVector:
-    """Centered lag sums: entry k averages products at lag k, k = 0..m."""
+    """Centered lag sums: entry k averages products at lag k, k = 0..m.
+
+    Entry k is the k-th diagonal sum of the centered Gram over n, taken
+    from the k-th diagonal of ``raw`` and two partial row-sum totals, in
+    O(n M) and in the accumulator dtype.
+    """
     n = gram.n
     if m >= n:
         raise DimensionTooSmall(f"lag order M={m} needs n > M, got n={n}")
-    vals = np.array(
-        [float(np.trace(gram.centered, offset=k)) / n for k in range(m + 1)]
-    )
-    return LagTraceVector(vals)
+    acc = gram.row_sums.dtype
+    total = gram.total_sum
+    prefix = _row_sum_prefix(gram)
+    k = np.arange(m + 1)
+    diag = np.array([np.trace(gram.raw, offset=h, dtype=acc) for h in k])
+    # sum over i of centered[i, i + k]: each of rows 0..n-k-1 and columns
+    # k..n-1 loses its mean share once, and n - k entries regain T / n^2
+    vals = (diag - (prefix[n - k] + (total - prefix[k])) / n + (n - k) * (total / n**2)) / n
+    return LagTraceVector(vals.astype(np.float64))
 
 
 def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     """Dependence-corrected split statistics for every t in 1..n-1.
 
     Entry t - 1 contrasts the means of the first t and last n - t
-    observations and subtracts the serial-correlation correction. All n - 1
-    values come from block prefix sums of the raw Gram matrix in O(1) per
-    split after the O(n^2) reduction; the lag design system is solved once.
-    The factored design and the boundary weights of all splits come from
-    the (n, M) plan, so only the first call for a shape builds them (and
-    the plan's O(n^2 M^2) aggregate cross-products).
+    observations and subtracts the serial-correlation correction. The
+    statistic needs three block sums of ``raw`` per split: the leading
+    t x t block, the first t rows, and the whole matrix. They come from
+    O(n) cumulative sums of the row sums and of the lower-triangle row
+    sums, accumulated in the Gram's accumulator dtype; the lag design
+    system is solved once. The factored design and the boundary weights of
+    all splits come from the (n, M) plan, so only the first call for a
+    shape builds them (and the plan's O(n^2 M^2) aggregate cross-products).
     """
     n = gram.n
     m = window.m
@@ -285,16 +289,23 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     v = V_vector(gram, m)
     x = plan.design.solve(v.values)
 
-    P = gram.raw_prefix
-    t = np.arange(1, n)
-    ptt = P[t, t]
-    ptn = P[t, n]
-    pnn = P[n, n]
+    raw = gram.raw
+    acc = gram.row_sums.dtype
+    # the leading block grows by row t's lower part twice plus raw[t, t]
+    lower = np.tril(raw, -1).sum(axis=1, dtype=acc)
+    block = np.cumsum(2 * lower + np.diagonal(raw), dtype=acc)
+    prefix = _row_sum_prefix(gram)
+    ptt = block[:-1]
+    ptn = prefix[1:n]
+    # P[n, n] from the same running sum as P[t, n], so that their rounding
+    # cancels in P[n, n] - 2 P[t, n] + P[t, t]
+    pnn = prefix[n]
     within_lo = ptt
     cross = ptn - ptt
     within_hi = pnn - 2 * ptn + ptt
-    nt = (n - t).astype(P.dtype)
-    tt = t.astype(P.dtype)
+    t = np.arange(1, n)
+    nt = (n - t).astype(acc)
+    tt = t.astype(acc)
     n2 = float(n) ** 2
     term1 = (nt / (tt * n2)) * within_lo - (2.0 / n2) * cross + (tt / (nt * n2)) * within_hi
 

@@ -1,6 +1,8 @@
 """Command-line behavior: parsing, reports, exit codes, determinism."""
 
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,112 @@ def test_load_matrix_error_locations(tmp_path):
     bad.write_text("1,2\n3,oops\n")
     with pytest.raises(cli.DataError, match="row 2, column 2"):
         load_matrix(str(bad))
+
+
+# (name, file bytes, --delimiter); every case parses without error
+_LOADER_CORPUS = [
+    ("comma", b"1,2,3\n4,5,6\n", None),
+    ("tab", b"1\t2\n3\t4\n", None),
+    ("semicolon", b"1;2\n3;4\n", None),
+    ("whitespace", b"1 2  3\n 4\t5 6 \n", None),
+    ("override-semicolon", b"1;2\n3;4\n", ";"),
+    ("override-empty", b"1 2\n3 4\n", ""),
+    ("override-multichar", b"1::2\n3::4\n", "::"),
+    ("header", b"a,b\n1,2\n3,4\n", None),
+    ("header-whitespace", b"x y\n1 2\n3 4\n", None),
+    ("blank-lines", b"\n\n1,2\n\n3,4\n\n", None),
+    ("whitespace-only-lines", b"1,2\n  \n3,4\n", None),
+    ("blank-then-header", b"\r\n \na,b\r\n\r\n1,2\r\n", None),
+    ("crlf", b"1,2\r\n3,4\r\n", None),
+    ("cr", b"a,b\r1,2\r3,4", None),
+    ("no-trailing-newline", b"1,2\n3,4", None),
+    ("one-row", b"1,2,3\n", None),
+    ("one-column", b"1\n2\n3\n", None),
+    ("one-value", b"7", None),
+    ("special-values", b"nan,-0.0,1e308\n-nan,0.0,-1e308\ninf,-inf,4.9e-324\n", None),
+    ("underscore", b"1_0,2\n3,4\n", None),
+    ("space-padded", b" 1 , 2 \n3\t,\t4\n", None),
+    ("padded-override", b" 1 ; 2\n3 ;4 \n", ";"),
+    ("signs-and-exponents", b"+1.5,-.5,1E+05\n1.,2e-3,0.1\n", None),
+    ("form-feed", b"1 2\x0c3 4\n", None),
+    ("vertical-tab", b"1,2\x0b3,4\n", None),
+    ("non-ascii", "1,2\n3,٤\n".encode(), None),
+]
+
+_FAST_CASES = {
+    "comma", "tab", "semicolon", "whitespace", "override-semicolon", "header",
+    "header-whitespace", "blank-lines", "blank-then-header", "crlf",
+    "no-trailing-newline", "one-row", "one-column", "one-value", "special-values",
+    "space-padded", "padded-override", "signs-and-exponents",
+}
+
+
+@pytest.mark.parametrize("name,data,delimiter", _LOADER_CORPUS,
+                         ids=[case[0] for case in _LOADER_CORPUS])
+def test_loader_c_reader_matches_row_loop(tmp_path, name, data, delimiter):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = cli._read_rows(str(path), data.decode("utf-8"), delimiter)
+        fast = cli._read_fast(data, delimiter)
+        loaded = load_matrix(str(path), delimiter)
+    assert (fast is not None) == (name in _FAST_CASES)
+    for got in (loaded, fast if fast is not None else loaded):
+        assert got.dtype == rows.dtype and got.shape == rows.shape
+        assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    b"1,2\n3,4,5\n", b"1,2\n3,x\n", b"1,2,\n3,4,\n", b"1,,2\n", b"1 2\n3 4 # c\n",
+    b"\t1 2\n3 4\n", b"1,2\n3;4\n", b'"1",2\n',
+])
+def test_loader_rejections_come_from_the_row_loop(tmp_path, data):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(cli.DataError) as expected:
+        cli._read_rows(str(path), data.decode("utf-8"), None)
+    assert cli._read_fast(data, None) is None
+    with pytest.raises(cli.DataError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == str(expected.value)
+
+
+def test_loader_header_only_and_blank_files(tmp_path):
+    for data in (b"a,b\n", b"a,b\n  \n", b"\xef\xbb\xbfx y", b"\n \n", b""):
+        path = tmp_path / "h.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cli.DataError, match="file contains no data rows"):
+                load_matrix(str(path))
+
+
+# "٤" is an Arabic-Indic 4, which float() accepts: non-ASCII input takes the row loop
+@pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n", "a,b\n1.0,2.0\n3.0,4.0\n",
+                                  "1.0,2.0\n3.0,٤\n", "a,b\n1,2\n3,٤\n"])
+def test_load_matrix_ignores_byte_order_mark(tmp_path, text):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    np.testing.assert_array_equal(load_matrix(str(path)), [[1, 2], [3, 4]])
+
+
+def test_detect_parses_the_bytes_it_hashes(change_file, monkeypatch, capsys):
+    # the file changes right after it is read: the report must describe
+    # the bytes that were hashed, not a second read of the file
+    original = change_file.read_bytes()
+    read_bytes = cli.Path.read_bytes
+
+    def read_then_truncate(self):
+        data = read_bytes(self)
+        self.write_bytes(b"".join(data.splitlines(keepends=True)[:20]))
+        return data
+
+    monkeypatch.setattr(cli.Path, "read_bytes", read_then_truncate)
+    assert main(["detect", "--input", str(change_file), "--m", "0"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["sha256"] == hashlib.sha256(original).hexdigest()
+    assert report["input"]["n"] == 60
 
 
 def test_detect_constant_series(tmp_path, capsys):

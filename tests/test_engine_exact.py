@@ -16,6 +16,9 @@ from hdcp import (
     f_vector,
     l_trace,
 )
+from hdcp import inference
+from hdcp.core import _accumulator_dtype
+from hdcp.inference import InferenceConfig
 from oracles import naive_F, naive_f
 
 W0 = DependenceWindow(0)
@@ -109,6 +112,45 @@ def test_gram_centering_and_symmetry():
     # centered Gram is positive semidefinite
     assert np.linalg.eigvalsh(g.centered).min() > -1e-8 * max(scale, 1.0)
     assert g.raw_prefix[-1, -1] == pytest.approx(g.total_sum)
+
+
+@pytest.mark.parametrize("n,p", [(40, 6), (130, 600)])
+def test_gram_derives_centered_and_prefix_on_demand(monkeypatch, n, p):
+    # (130, 600) crosses the longdouble switch at n^2 p = 1e7
+    x = np.random.default_rng(n).standard_normal((n, p)) + 0.5
+    window = DependenceWindow(3)
+    grams = []
+
+    def recording(series):
+        grams.append(compute_gram(series))
+        return grams[-1]
+
+    monkeypatch.setattr(inference, "compute_gram", recording)
+    inference.test_global(as_series(x), window, InferenceConfig())
+    gram = grams[0]
+    l_trace(gram, window)
+    assert "centered" not in vars(gram) and "raw_prefix" not in vars(gram)
+
+    acc = _accumulator_dtype(n, p)
+    assert gram.row_sums.dtype == acc
+    raw = gram.raw
+    row_sums = raw.sum(axis=1)
+    scaled = row_sums / n
+    centered = (raw - (scaled[:, None] + scaled[None, :])) + float(row_sums.sum()) / n**2
+    prefix = np.zeros((n + 1, n + 1), dtype=acc)
+    prefix[1:, 1:] = raw.astype(acc).cumsum(axis=0).cumsum(axis=1)
+    assert gram.centered.dtype == centered.dtype
+    assert gram.centered.tobytes() == centered.tobytes()
+    assert gram.raw_prefix.dtype == prefix.dtype
+    # a longdouble's padding bytes are undefined, so compare values
+    assert np.array_equal(gram.raw_prefix, prefix)
+    assert gram.raw_prefix is gram.raw_prefix
+
+    np.testing.assert_allclose(
+        V_vector(gram, window.m).values,
+        [np.trace(gram.centered, offset=k) / n for k in range(window.m + 1)],
+        rtol=1e-12,
+    )
 
 
 def test_gram_constant_series_centered_zero():

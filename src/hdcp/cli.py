@@ -126,9 +126,10 @@ def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
     if data.translate(None, _C_READER_BYTES):
         return None
     first = _NEXT_LINE.match(data)
-    if not first.group(1).strip():
+    line = first.group(1)
+    if not line.strip():
         return None  # no data rows: the row loop reports it
-    delim, header = _layout(first.group(1).decode("ascii"), delimiter)
+    delim, header = _layout(line.decode("ascii"), delimiter)
     if delim is not None and (len(delim) != 1 or delim in "\r\n"):
         return None
     start = first.end() if header else 0

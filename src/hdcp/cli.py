@@ -19,50 +19,36 @@ loop that reports the offending row and column. Both give bitwise-equal
 arrays. A leading UTF-8 byte order mark is ignored.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
-error, 2 data error, 3 numerical failure. A simulate config with a
-missing key or an invalid value (out of range, or inconsistent with n) is
-a data error, reported before any replication runs. Reports are
+error, 3 numerical failure (``SingularDesign``), 2 data error: any other
+``HdcpError``, including this module's ``DataError``, and any input that
+cannot be read. A simulate config with a missing key or an invalid value
+(out of range, or inconsistent with n) is a data error, reported before
+any replication runs. ``HDCP_WORKERS`` sets the worker processes of
+``simulate`` (default 1); any value but a positive integer is a usage
+error, also reported before any replication runs. Reports are
 self-describing and byte-identical across repeated runs with the same
-inputs, seed, and any worker count (HDCP_WORKERS).
+inputs, seed, and any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    DependenceWindow,
-    DimensionTooSmall,
-    EmptySumRange,
-    IndexOutOfRange,
-    NonFiniteEntry,
-    NonPositiveBaseline,
-    SeriesMatrix,
-    SingularDesign,
-    validate_input,
-)
+from .core import DependenceWindow, HdcpError, SeriesMatrix, SingularDesign, validate_input
 from .inference import InferenceConfig, binary_segmentation, test_global
 from .selector import default_h_max, lag_energy_curve, select_m
-from .simulator import (
-    BoundaryDesign,
-    ElbowDesign,
-    MultiCpDesign,
-    SizePowerDesign,
-    run_boundary_curve,
-    run_elbow_curve,
-    run_multi_cp,
-    run_size_power,
-)
+from .simulator import DESIGNS, worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +60,7 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
+class DataError(HdcpError):
     pass
 
 
@@ -315,8 +301,10 @@ def parse_config(path: str) -> dict:
     """Read a flat declarative config: one 'key = value' per line.
 
     Comments start with '#'. Values may be scalars or comma-separated
-    lists; types are resolved by :func:`build_design`. The process keys
-    and their defaults are listed on :class:`hdcp.simulator.ProcessParams`.
+    lists; :func:`build_design` converts them. The keys of each design are
+    the fields of its dataclass in ``hdcp.simulator.DESIGNS``, renamed
+    where a field sets ``metadata["key"]``; a field without a default is a
+    required key (see :class:`hdcp.simulator.ProcessParams`).
     """
     out: dict[str, str] = {}
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -344,17 +332,6 @@ def _take(cfg: dict, key: str, conv):
         raise DataError(f"config key {key!r}: {exc}") from None
 
 
-# config keys whose design field has another name
-_FIELD_OF = {"fwer": "fwer_mode", "min_seg": "min_segment_len"}
-
-
-def _given(cfg: dict, **convs) -> dict:
-    """Design fields for the optional keys present in ``cfg``; absent keys
-    keep the defaults of the design dataclass."""
-    return {_FIELD_OF.get(key, key): _take(cfg, key, conv)
-            for key, conv in convs.items() if key in cfg}
-
-
 def _as_bool(raw: str) -> bool:
     try:
         return _BOOL_VALUES[raw.lower()]
@@ -362,66 +339,46 @@ def _as_bool(raw: str) -> bool:
         raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _list_of(conv):
+    return lambda raw: tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-
-
-def _common(cfg: dict) -> dict:
-    return {
-        **{key: _take(cfg, key, int) for key in ("n", "p", "reps")},
-        **_given(cfg, seed=int, innovation=str, t_dof=float, rho=float,
-                 perturb_sparsity=float, perturb_scale=float),
-    }
+def _converter(hint):
+    """Parser of a config value for a field of type ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        (inner,) = [a for a in args if a is not type(None)]
+        return _converter(inner)
+    if origin is Literal:
+        return str
+    if origin is tuple:  # tuple[X, ...]: a comma list
+        return _list_of(_converter(args[0]))
+    return _as_bool if hint is bool else hint
 
 
 def build_design(cfg: dict):
     """Turn a parsed config into ``(design name, validated design)``.
 
-    Process keys and defaults: see :class:`hdcp.simulator.ProcessParams`.
-    Optional keys absent from the config keep the dataclass defaults.
+    The design's config keys are the fields of its dataclass in
+    ``hdcp.simulator.DESIGNS``: a field is read from ``metadata["key"]``
+    when set, else from its name; a field without a default is required,
+    and an absent optional key keeps the default. Each value is parsed by
+    the field's type.
     """
     cfg = dict(cfg)
     name = cfg.pop("design").lower()
+    if name not in DESIGNS:
+        raise DataError(f"unknown design {name!r}")
+    design_type, _ = DESIGNS[name]
+    hints = get_type_hints(design_type)
+    values = {}
+    for f in dataclasses.fields(design_type):
+        key = f.metadata.get("key", f.name)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if key in cfg or required:
+            values[f.name] = _take(cfg, key, _converter(hints[f.name]))
     try:
-        if name == "size_power":
-            design = SizePowerDesign(
-                **_common(cfg),
-                m_true=_take(cfg, "m_true", int),
-                m_used=_take(cfg, "m_used", int),
-                **_given(cfg, alpha=float, delta=float, tau=int),
-            )
-        elif name == "multi_cp":
-            design = MultiCpDesign(
-                **_common(cfg),
-                m_true=_take(cfg, "m_true", int),
-                m_used=_take(cfg, "m_used", int),
-                **_given(cfg, change_points=_int_list, deltas=_float_list, alpha=float,
-                         fwer=_as_bool, tolerance_pts=int, min_seg=int),
-            )
-        elif name == "boundary_curve":
-            design = BoundaryDesign(
-                **_common(cfg),
-                m_true=_take(cfg, "m_true", int),
-                m_used=_take(cfg, "m_used", int),
-                tau=_take(cfg, "tau", int),
-                deltas=_take(cfg, "deltas", _float_list),
-            )
-        elif name == "elbow_curve":
-            opts = _given(cfg, drop_ratio=float, change_points=_int_list, deltas=_float_list)
-            # change points without deltas describe a constant zero mean
-            opts.setdefault("deltas", (0.0,) * (len(opts.get("change_points", ())) + 1))
-            design = ElbowDesign(
-                **_common(cfg),
-                m_true_values=_take(cfg, "m_true", _int_list),
-                h_max=_take(cfg, "h_max", int),
-                **opts,
-            )
-        else:
-            raise DataError(f"unknown design {name!r}")
+        design = design_type(**values)
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid config: {exc}") from None
     if cfg:
@@ -429,45 +386,16 @@ def build_design(cfg: dict):
     return name, design
 
 
-_RUNNERS = {
-    "size_power": run_size_power,
-    "multi_cp": run_multi_cp,
-    "boundary_curve": run_boundary_curve,
-    "elbow_curve": run_elbow_curve,
-}
-
-
-def _summary_lines(name: str, result) -> list[str]:
-    if name == "size_power":
-        return [
-            f"rejection rate {result.rejection_rate:.4f} "
-            f"(se {result.std_error:.4f}, reps {result.design.reps})"
-        ]
-    if name == "multi_cp":
-        return [
-            f"FP {result.fp_mean:.3f} (sd {result.fp_sd:.3f})",
-            f"FN {result.fn_mean:.3f} (sd {result.fn_sd:.3f})",
-            f"TP {result.tp_mean:.3f} (sd {result.tp_sd:.3f})",
-        ]
-    if name == "boundary_curve":
-        return [
-            f"delta {d:g}: detection {pr:.3f} (se {se:.3f})"
-            for d, pr, se in zip(
-                result.design.deltas, result.probabilities, result.std_errors
-            )
-        ]
-    return [
-        f"m_true {m}: recovery {frac:.2f}"
-        for m, frac in zip(result.design.m_true_values, result.recovery_fractions)
-    ]
-
-
 def cmd_simulate(args) -> int:
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise UsageError(exc) from None
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     name, design = build_design(cfg)
-    result = _RUNNERS[name](design)
+    result = DESIGNS[name][1](design)
     report = {
         "tool": {"name": "hdcp", "version": __version__, "command": "simulate"},
         "design_name": name,
@@ -477,7 +405,7 @@ def cmd_simulate(args) -> int:
     text = _json_dump(report, args.output)
     if args.output:
         print(f"design {name}, master seed {design.seed}")
-        for line in _summary_lines(name, result):
+        for line in result.summary_lines():
             print("  " + line)
         print(f"results written to {args.output}")
     else:
@@ -545,17 +473,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        # unreadable input: a missing path, a directory, or bytes that are not text
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DataError, DimensionTooSmall, NonFiniteEntry, IndexOutOfRange,
-            EmptySumRange, NonPositiveBaseline) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except SingularDesign as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # any other error of this package, or unreadable input: a missing
+    # path, a directory, or bytes that are not text
+    except (HdcpError, OSError, UnicodeDecodeError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

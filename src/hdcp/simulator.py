@@ -48,6 +48,9 @@ class ProcessParams:
 
     The one list of the process keys of an ``hdcp simulate`` config, with
     their defaults; invalid values raise ``ValueError`` at construction.
+    The config keys of a design (see ``DESIGNS``) are its dataclass fields:
+    a field is required when it has no default, and a field whose
+    ``metadata["key"]`` is set is read from that key instead of its name.
 
     - ``n``, ``p`` (required): length and dimension of each series;
     - ``rho`` (0.6): Toeplitz coefficient decay rho^|i-j|, in (0, 1);
@@ -345,16 +348,23 @@ def _install_payload(payload) -> None:
 
 
 def worker_count() -> int:
+    """Worker processes from ``HDCP_WORKERS`` (default 1).
+
+    Raises ``ValueError`` unless the variable is a positive integer.
+    """
     raw = os.environ.get("HDCP_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HDCP_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _map_replications(worker, tasks, payload):
     workers = worker_count()
-    if workers <= 1:
+    if workers == 1:
         _install_payload(payload)
         try:
             return [worker(task) for task in tasks]
@@ -427,6 +437,12 @@ class SizePowerResult:
             "degenerate_count": self.degenerate_count,
         }
 
+    def summary_lines(self) -> list[str]:
+        return [
+            f"rejection rate {self.rejection_rate:.4f} "
+            f"(se {self.std_error:.4f}, reps {self.design.reps})"
+        ]
+
 
 def _size_power_rep(rep: int):
     design, model, cfg = _PAYLOAD
@@ -460,13 +476,15 @@ class MultiCpDesign(LinearProcessSpec):
     change_points: tuple[int, ...] = ()
     deltas: tuple[float, ...] = (0.0,)
     alpha: float = 0.05
-    fwer_mode: bool = False
+    fwer_mode: bool = field(default=False, metadata={"key": "fwer"})
     tolerance_pts: int = 0
-    min_segment_len: Optional[int] = None
+    min_segment_len: Optional[int] = field(default=None, metadata={"key": "min_seg"})
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_run(self.reps, "m_used", self.m_used, self.n, 2 * self.m_used + 4)
+        if self.tolerance_pts < 0:
+            raise ValueError(f"tolerance_pts must be nonnegative, got {self.tolerance_pts}")
         self.inference_config().segment_min_length(DependenceWindow(self.m_used))
         self.profile().check_within(self.n)
 
@@ -498,6 +516,13 @@ class MultiCpResult:
             "fn": {"mean": self.fn_mean, "sd": self.fn_sd},
             "tp": {"mean": self.tp_mean, "sd": self.tp_sd},
         }
+
+    def summary_lines(self) -> list[str]:
+        return [
+            f"FP {self.fp_mean:.3f} (sd {self.fp_sd:.3f})",
+            f"FN {self.fn_mean:.3f} (sd {self.fn_sd:.3f})",
+            f"TP {self.tp_mean:.3f} (sd {self.tp_sd:.3f})",
+        ]
 
 
 def _multi_cp_rep(rep: int):
@@ -540,6 +565,8 @@ class BoundaryDesign(LinearProcessSpec):
         super().__post_init__()
         _check_run(self.reps, "m_used", self.m_used, self.n, 2 * self.m_used + 4)
         single_change_profile(self.tau, 0.0).check_within(self.n)
+        if not self.deltas:
+            raise ValueError("deltas needs at least one value")
 
 
 @dataclass(frozen=True)
@@ -555,6 +582,12 @@ class BoundaryResult:
             "detection_probability": list(self.probabilities),
             "std_error": list(self.std_errors),
         }
+
+    def summary_lines(self) -> list[str]:
+        return [
+            f"delta {d:g}: detection {pr:.3f} (se {se:.3f})"
+            for d, pr, se in zip(self.design.deltas, self.probabilities, self.std_errors)
+        ]
 
 
 def _boundary_rep(task: tuple[int, int]):
@@ -587,19 +620,24 @@ def run_boundary_curve(design: BoundaryDesign) -> BoundaryResult:
 class ElbowDesign(ProcessParams):
     """Lag-energy curves and order recovery for one or more true orders.
 
-    The curves probe h = 0..h_max, which needs n >= 3 h_max + 4.
+    The curves probe h = 0..h_max, which needs n >= 3 h_max + 4. Without
+    ``deltas`` every regime between the change points has mean zero.
     """
 
-    m_true_values: tuple[int, ...]
+    m_true_values: tuple[int, ...] = field(metadata={"key": "m_true"})
     reps: int
     h_max: int
     drop_ratio: float = 0.02
     change_points: tuple[int, ...] = ()
-    deltas: tuple[float, ...] = (0.0,)
+    deltas: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.deltas is None:
+            object.__setattr__(self, "deltas", (0.0,) * (len(self.change_points) + 1))
         _check_run(self.reps, "h_max", self.h_max, self.n, 3 * self.h_max + 4)
+        if not self.m_true_values:
+            raise ValueError("m_true needs at least one order")
         for m in self.m_true_values:
             self.with_order(m)  # checks m_true >= 0
         if not 0.0 < self.drop_ratio < 1.0:
@@ -642,6 +680,12 @@ class ElbowResult:
             ],
         }
 
+    def summary_lines(self) -> list[str]:
+        return [
+            f"m_true {m}: recovery {frac:.2f}"
+            for m, frac in zip(self.design.m_true_values, self.recovery_fractions)
+        ]
+
 
 def _elbow_rep(task: tuple[int, int]):
     m_index, rep = task
@@ -680,3 +724,13 @@ def run_elbow_curve(design: ElbowDesign) -> ElbowResult:
         selected=tuple(selections),
         recovery_fractions=tuple(fractions),
     )
+
+
+# The ``hdcp simulate`` designs by config name: the design type, whose
+# fields are the config keys, and the runner that takes it.
+DESIGNS = {
+    "size_power": (SizePowerDesign, run_size_power),
+    "multi_cp": (MultiCpDesign, run_multi_cp),
+    "boundary_curve": (BoundaryDesign, run_boundary_curve),
+    "elbow_curve": (ElbowDesign, run_elbow_curve),
+}

@@ -1,15 +1,30 @@
 """Command-line behavior: parsing, reports, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hdcp.cli as cli
-from hdcp import LinearProcessSpec, SingularDesign, generate_series, single_change_profile
-from hdcp.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, load_matrix, main, parse_config
+from hdcp import HdcpError, LinearProcessSpec, SingularDesign, generate_series, single_change_profile
+from hdcp.cli import (
+    EXIT_DATA,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_design,
+    load_matrix,
+    main,
+    parse_config,
+)
+from hdcp.simulator import DESIGNS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -375,10 +390,15 @@ _ELBOW = "design = elbow_curve\nn = 40\np = 20\nm_true = 0\nreps = 4\n"
         _ELBOW + "h_max = -1\n",
         _ELBOW + "h_max = 2\ndrop_ratio = 5\n",
         _SIZE.replace("reps = 4", "reps = 0"),
+        _ELBOW.replace("m_true = 0", "m_true = ") + "h_max = 2\n",
+        _BOUNDARY.replace("deltas = 1.0", "deltas = ") + "tau = 20\n",
+        _MULTI.replace("n = 40", "n = 60")
+        + "change_points = 30\ndeltas = 0, 2.0\ntolerance_pts = -5\n",
     ],
     ids=["rho", "perturb_sparsity", "innovation", "alpha-size", "alpha-multi",
          "delta-without-tau", "tau-size", "tau-boundary", "deltas-missing",
-         "change-points-order", "h-max", "drop-ratio", "reps"],
+         "change-points-order", "h-max", "drop-ratio", "reps", "no-orders",
+         "no-deltas", "tolerance-pts"],
 )
 def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, text):
     def no_replications(*args, **kwargs):
@@ -391,3 +411,122 @@ def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, te
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_malformed_worker_count_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications started with a malformed HDCP_WORKERS")
+
+    monkeypatch.setattr("hdcp.simulator._map_replications", no_replications)
+    monkeypatch.setenv("HDCP_WORKERS", value)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_SIZE)
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: HDCP_WORKERS")
+    assert repr(value) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", HdcpError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys, error):
+    def boom(args):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "cmd_detect", boom)
+    code = main(["detect", "--input", "unused.csv"])
+    err = capsys.readouterr().err
+    if error is SingularDesign:
+        assert code == EXIT_NUMERICAL
+        assert err == "numerical failure: synthetic failure\n"
+    else:
+        assert code == EXIT_DATA
+        assert err == "data error: synthetic failure\n"
+
+
+# Config keys of each design as the per-design key lists of the CLI gave
+# them: (required keys with valid values, optional keys with valid values).
+_PROCESS_KEYS = (
+    {"n": "40", "p": "20", "reps": "4"},
+    {"seed": "3", "innovation": "student_t", "t_dof": "5", "rho": "0.4",
+     "perturb_sparsity": "0.2", "perturb_scale": "0.1"},
+)
+_DESIGN_KEYS = {
+    "size_power": ({"m_true": "0", "m_used": "0"},
+                   {"alpha": "0.1", "delta": "1.5", "tau": "20"}),
+    "multi_cp": ({"m_true": "0", "m_used": "0"},
+                 {"change_points": "20", "deltas": "0, 2", "alpha": "0.1", "fwer": "yes",
+                  "tolerance_pts": "2", "min_seg": "6"}),
+    "boundary_curve": ({"m_true": "0", "m_used": "0", "tau": "20", "deltas": "1, 2"}, {}),
+    "elbow_curve": ({"m_true": "0, 1", "h_max": "2"},
+                    {"drop_ratio": "0.1", "change_points": "20", "deltas": "0, 1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DESIGN_KEYS))
+def test_simulate_config_schema(name):
+    required = {**_PROCESS_KEYS[0], **_DESIGN_KEYS[name][0]}
+    optional = {**_PROCESS_KEYS[1], **_DESIGN_KEYS[name][1]}
+    accepted = set(required) | set(optional)
+    design_type = DESIGNS[name][0]
+    assert {f.metadata.get("key", f.name) for f in dataclasses.fields(design_type)} == accepted
+
+    assert build_design({"design": name, **required, **optional})[0] == name
+    assert build_design({"design": name, **required})[0] == name
+    for key in required:
+        cfg = {"design": name, **required}
+        del cfg[key]
+        with pytest.raises(cli.DataError) as exc:
+            build_design(cfg)
+        assert str(exc.value) == f"config is missing required key {key!r}"
+
+    foreign = {key for req, opt in _DESIGN_KEYS.values() for key in (*req, *opt)}
+    foreign |= {f.name for f in dataclasses.fields(design_type)}
+    for key in sorted(foreign - accepted):
+        with pytest.raises(cli.DataError, match=re.escape(f"unknown config keys: [{key!r}]")):
+            build_design({"design": name, **required, key: "1"})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_builds(path):
+    name, design = build_design(parse_config(str(path)))
+    assert isinstance(design, DESIGNS[name][0])
+
+
+_SUMMARY_CASES = {
+    "size_power": (
+        "n = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 6\ndelta = 0.6\ntau = 20\nseed = 3\n",
+        ["rejection rate 0.1667 (se 0.1521, reps 6)"],
+    ),
+    "multi_cp": (
+        "n = 60\np = 20\nm_true = 0\nm_used = 0\nreps = 6\nchange_points = 30\n"
+        "deltas = 0, 1.0\nseed = 2\n",
+        ["FP 0.500 (sd 0.837)", "FN 0.500 (sd 0.548)", "TP 0.500 (sd 0.548)"],
+    ),
+    "boundary_curve": (
+        "n = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 6\ntau = 20\n"
+        "deltas = 0.5, 1, 2\nseed = 4\n",
+        ["delta 0.5: detection 0.000 (se 0.000)", "delta 1: detection 0.000 (se 0.000)",
+         "delta 2: detection 1.000 (se 0.000)"],
+    ),
+    "elbow_curve": (
+        "n = 40\np = 20\nm_true = 0, 1\nreps = 6\nh_max = 2\nseed = 2\n",
+        ["m_true 0: recovery 0.50", "m_true 1: recovery 1.00"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUMMARY_CASES))
+def test_simulate_summary_lines(tmp_path, capsys, name):
+    text, lines = _SUMMARY_CASES[name]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"design = {name}\n{text}")
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    seed = re.search(r"seed = (\d+)", text).group(1)
+    assert capsys.readouterr().out.splitlines() == [
+        f"design {name}, master seed {seed}",
+        *("  " + line for line in lines),
+        f"results written to {out}",
+    ]

@@ -7,6 +7,7 @@ import pytest
 
 from hdcp import (
     DependenceWindow,
+    ElbowDesign,
     LinearProcessSpec,
     MeanProfile,
     OracleModel,
@@ -207,3 +208,9 @@ def test_run_size_power_requires_tau_with_delta():
         run_size_power(
             SizePowerDesign(n=40, p=20, m_true=0, m_used=0, reps=2, delta=0.5)
         )
+
+
+def test_elbow_design_without_deltas_has_zero_means():
+    design = ElbowDesign(n=40, p=10, m_true_values=(0,), reps=1, h_max=2, change_points=(20,))
+    assert design.deltas == (0.0, 0.0)
+    assert not mean_matrix(design.profile(), design.n, design.p).any()

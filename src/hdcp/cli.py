@@ -240,6 +240,8 @@ def cmd_detect(args) -> int:
         fwer_mode=args.fwer,
         min_segment_len=args.min_seg,
     )
+    # a --min-seg below the floor fails here, before the Gram is built
+    min_segment_len = cfg.segment_min_length(window)
 
     from .engine import compute_gram, l_trace
 
@@ -263,7 +265,7 @@ def cmd_detect(args) -> int:
             "alpha": args.alpha,
             "fwer_mode": args.fwer,
             "alpha_seg": cfg.segment_alpha(series.n),
-            "min_segment_len": cfg.segment_min_length(window),
+            "min_segment_len": min_segment_len,
             "drop_ratio": args.drop_ratio,
             "seed": args.seed,
             "delimiter": args.delimiter,
@@ -379,7 +381,7 @@ def build_design(cfg: dict):
             values[f.name] = _take(cfg, key, _converter(hints[f.name]))
     try:
         design = design_type(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, HdcpError) as exc:
         raise DataError(f"invalid config: {exc}") from None
     if cfg:
         raise DataError(f"unknown config keys: {sorted(cfg)}")

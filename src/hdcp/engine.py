@@ -14,7 +14,7 @@ four-term U-statistic over index tuples forced to be more than M apart
 (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
-shared: ``_null_plan(n, M)`` holds the factored lag design ``F_matrix``,
+shared: ``_null_plan(n, M)`` holds the checked lag design ``F_matrix``,
 the boundary weights of every split, and the cross-product table and
 squared mass of the aggregated contrast ``b_aggregate``. One entry costs
 O(nM + M^2) floats, since the n x n contrast is reduced before it is
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .core import (
     DependenceWindow,
@@ -76,8 +75,9 @@ class BoundaryWeights:
 class DependenceDesign:
     """(M+1) x (M+1) lag design matrix for a series of length n.
 
-    Invertibility is verified at construction; systems are solved through
-    the stored LU factorization, never an explicit inverse.
+    Invertibility is verified at construction; each system is solved by
+    ``np.linalg.solve`` on the matrix (or its transpose), never through an
+    explicit inverse.
     """
 
     matrix: np.ndarray
@@ -89,13 +89,12 @@ class DependenceDesign:
                 f"lag design matrix numerically singular (cond={cond:.3e}); "
                 "n is too small relative to M"
             )
-        object.__setattr__(self, "_lu", lu_factor(self.matrix))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, np.asarray(rhs, dtype=np.float64))
+        return np.linalg.solve(self.matrix, np.asarray(rhs, dtype=np.float64))
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, np.asarray(rhs, dtype=np.float64), trans=1)
+        return np.linalg.solve(self.matrix.T, np.asarray(rhs, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     t x t block, the first t rows, and the whole matrix. They come from
     O(n) cumulative sums of the row sums and of the lower-triangle row
     sums, accumulated in the Gram's accumulator dtype; the lag design
-    system is solved once. The factored design and the boundary weights of
+    system is solved once. The checked design and the boundary weights of
     all splits come from the (n, M) plan, so only the first call for a
     shape builds them (and the plan's O(n^2 M^2) aggregate cross-products).
     """
@@ -671,7 +670,7 @@ def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
 class _NullPlan(NamedTuple):
     """What the global test needs that depends on (n, M) alone."""
 
-    design: DependenceDesign  # F_matrix(n, M), LU factored
+    design: DependenceDesign  # F_matrix(n, M), condition checked
     weights: np.ndarray       # _f_columns(n, 1..n-1, M), shape (n - 1, M + 1)
     cross: np.ndarray         # aggregate contrast cross-products, (2M + 1, 2M + 1)
     mass: float               # sum of the squared aggregate contrast entries
@@ -685,7 +684,7 @@ def _null_plan(n: int, m: int) -> _NullPlan:
     weights = _f_columns(n, np.arange(1, n), m)
     B = _aggregate_values(n, design, weights)
     plan = _NullPlan(design, weights, _contrast_cross_products(B, m), float((B**2).sum()))
-    for a in (design.matrix, *design._lu, plan.weights, plan.cross):
+    for a in (design.matrix, plan.weights, plan.cross):
         a.flags.writeable = False
     return plan
 

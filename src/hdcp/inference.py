@@ -10,11 +10,11 @@ two halves with every statistic recomputed from the half's own data.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ChangePointSet,
@@ -76,8 +76,8 @@ class InferenceConfig:
 
 def _outcome_from(statistic: float, variance: float, degenerate: bool, alpha: float) -> TestOutcome:
     z = statistic / math.sqrt(variance)
-    pvalue = float(norm.sf(z))
-    reject = (not degenerate) and z > float(norm.isf(alpha))
+    pvalue = 0.5 * math.erfc(z * math.sqrt(0.5))  # standard normal upper tail
+    reject = (not degenerate) and z > -statistics.NormalDist().inv_cdf(alpha)
     return TestOutcome(
         statistic=float(statistic),
         variance=float(variance),

@@ -367,6 +367,17 @@ def test_detect_auto_short_series_clamps_h_max(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, monkeypatch):
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built for an infeasible --min-seg")
+
+    monkeypatch.setattr("hdcp.engine.compute_gram", no_gram)
+    code = main(["detect", "--input", str(change_file), "--m", "2", "--min-seg", "3"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "data error: min_segment_len=3 below the feasibility floor 2(M+2)=8\n"
+
+
 _SIZE = "design = size_power\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
 _MULTI = "design = multi_cp\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
 _BOUNDARY = ("design = boundary_curve\nn = 40\np = 20\nm_true = 0\nm_used = 0\n"
@@ -394,11 +405,12 @@ _ELBOW = "design = elbow_curve\nn = 40\np = 20\nm_true = 0\nreps = 4\n"
         _BOUNDARY.replace("deltas = 1.0", "deltas = ") + "tau = 20\n",
         _MULTI.replace("n = 40", "n = 60")
         + "change_points = 30\ndeltas = 0, 2.0\ntolerance_pts = -5\n",
+        _MULTI + "min_seg = -3\n",
     ],
     ids=["rho", "perturb_sparsity", "innovation", "alpha-size", "alpha-multi",
          "delta-without-tau", "tau-size", "tau-boundary", "deltas-missing",
          "change-points-order", "h-max", "drop-ratio", "reps", "no-orders",
-         "no-deltas", "tolerance-pts"],
+         "no-deltas", "tolerance-pts", "min-seg-floor"],
 )
 def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, text):
     def no_replications(*args, **kwargs):
@@ -409,7 +421,7 @@ def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, te
     cfg.write_text(text)
     assert main(["simulate", "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:")
+    assert err.startswith("data error: invalid config:")
     assert "Traceback" not in err
 
 

@@ -139,18 +139,24 @@ class GramSummary:
       accumulated and kept in ``_accumulator_dtype(n, p)``; the dtype of
       ``row_sums`` records which one.
 
-    Derived members, built on first read and then cached; the hot path
-    never reads them, only tests and oracles do:
+    Derived members, built on first read and then cached:
 
+    - ``row_prefix[s, j]``  float64 sum of ``raw[s, :j]``, n x (n + 1)
+      with a zero guard column; by symmetry also a column sum. It does
+      not depend on the separation order, so every separated-sums context
+      of this Gram (the elbow builds one per probed order) shares it.
+      Read-only.
     - ``centered[i, j]``  ``raw`` after subtracting the global mean,
-      exactly symmetric, every row summing to zero up to rounding,
+      exactly symmetric, every row summing to zero up to rounding; only
+      tests and oracles read it,
     - ``raw_prefix``  2-D prefix sums of ``raw`` in the accumulator dtype,
       with a zero guard row/column, so ``raw_prefix[a, b]`` sums the
-      leading a x b block.
+      leading a x b block; only tests and oracles read it.
 
-    At n = 800 above the threshold, a Gram that stored all five held
-    20.5 MB (``raw`` and ``centered`` 5.1 MB each, the longdouble
-    ``raw_prefix`` 10.3 MB); the three fields hold 5.1 MB.
+    At n = 800 the three fields hold 5.1 MB, and 10.3 MB once
+    ``row_prefix`` is built; a Gram that stored every member would hold
+    25.6 MB above the threshold (``raw``, ``centered`` and ``row_prefix``
+    5.1 MB each, the longdouble ``raw_prefix`` 10.3 MB).
     """
 
     raw: np.ndarray
@@ -160,6 +166,14 @@ class GramSummary:
     @property
     def n(self) -> int:
         return self.raw.shape[0]
+
+    @functools.cached_property
+    def row_prefix(self) -> np.ndarray:
+        n = self.n
+        prefix = np.zeros((n, n + 1), dtype=np.float64)
+        np.cumsum(self.raw, axis=1, out=prefix[:, 1:])
+        prefix.flags.writeable = False
+        return prefix
 
     @functools.cached_property
     def centered(self) -> np.ndarray:

@@ -24,6 +24,15 @@ same key gets the same plan. ``l_trace`` and ``aggregate_variance`` read
 it, so the global test of a series of a seen length pays O(M^2) for its
 variance after the trace table.
 
+The separated sums share work the same way. Once per shape,
+``_sums_plan(n, M)`` (same LRU bound) holds the windows and their slice
+runs, the exact tuple counts, the forbidden diagonals of every product
+and the overlap-band offsets: O(n) arrays, O(M) offsets and one int64
+pair per forbidden diagonal, never an n x M or n x n array. Once per
+Gram, ``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that
+every separation order reads. A context per (Gram, M) then pays only for
+its own O(n^2) sums: its window sums, and the products of each term.
+
 Conventions, fixed for the whole package:
 
 - indicator I(a, b) is 1 iff a == b; I(predicate) is 1 iff it holds;
@@ -383,32 +392,182 @@ def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> 
 
 
 def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, i + d) for i < rows and d in offsets, kept inside [0, n)."""
-    i = np.repeat(np.arange(rows), offsets.shape[0])
-    j = i + np.tile(offsets, rows)
-    keep = (j >= 0) & (j < n)
-    return i[keep], j[keep]
+    """Index pairs (i, i + d) for i < rows and d in offsets, kept inside [0, n).
 
-
-def _zero_diagonals(a: np.ndarray, offsets) -> int:
-    """Zero the diagonals a[i, i + k], k in offsets, of a C-contiguous array.
-
-    Each diagonal is one strided slice of the flat view, so the cost is the
-    number of entries zeroed. Returns that number.
+    Ordered by i, then as in ``offsets``.
     """
-    if not a.flags.c_contiguous:
-        raise ValueError("diagonals are zeroed through a flat view; need a C-contiguous array")
-    rows, cols = a.shape
-    flat = a.reshape(-1)
+    j = np.arange(rows)[:, None] + offsets
+    keep = (j >= 0) & (j < n)
+    return np.nonzero(keep)[0], j[keep]
+
+
+def _diagonal_spans(shape: tuple[int, int], offsets) -> tuple[np.ndarray, int]:
+    """Flat spans of the diagonals a[i, i + k], k in offsets, of a C-order array.
+
+    Each diagonal is one strided slice ``flat[start:stop:cols + 1]`` of the
+    flat view. Returns the read-only (start, stop) rows of the nonempty
+    diagonals, one int64 pair each, and their total length.
+    """
+    rows, cols = shape
+    spans = []
     zeroed = 0
     for k in offsets:
         i0, j0 = max(0, -k), max(0, k)
         length = min(rows - i0, cols - j0)
         if length > 0:
             start = i0 * cols + j0
-            flat[start : start + length * (cols + 1) : cols + 1] = 0.0
+            spans.append((start, start + length * (cols + 1)))
             zeroed += length
-    return zeroed
+    out = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    out.flags.writeable = False
+    return out, zeroed
+
+
+def _zero_spans(a: np.ndarray, spans: np.ndarray) -> None:
+    """Zero the diagonals that ``_diagonal_spans(a.shape, ...)`` returned."""
+    if not a.flags.c_contiguous:
+        raise ValueError("diagonals are zeroed through a flat view; need a C-contiguous array")
+    flat = a.reshape(-1)
+    step = a.shape[1] + 1
+    for start, stop in spans.tolist():
+        flat[start:stop:step] = 0.0
+
+
+def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """The windows ``[max(i - m, 0), min(i + m + 1, n))`` of i = 0..n-1 as runs.
+
+    The cuts min(m, n) and max(n - m - 1, 0) split 0..n-1 into at most
+    three runs (clipped low, interior, clipped high; or clipped at both
+    ends when 2m + 1 >= n). Each run is ``(dst, hi, lo)``: over ``dst``,
+    the window end ``hi`` and start ``lo`` either advance with i (a slice
+    as long as ``dst``) or stay at a series end (a 1-long slice that
+    broadcasts).
+    """
+    low, high = min(m, n), max(n - m - 1, 0)
+    cuts = sorted({0, low, high, n})
+    runs = []
+    for start, stop in zip(cuts, cuts[1:]):
+        lo = slice(start - m, stop - m) if start >= m else slice(0, 1)
+        hi = slice(start + m + 1, stop + m + 1) if stop <= high else slice(n, n + 1)
+        runs.append((slice(start, stop), hi, lo))
+    return tuple(runs)
+
+
+def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
+    """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
+
+    Entry i of the result along ``axis`` is the difference of the window
+    ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
+    encode; every entry is the same single subtraction a gather would
+    make. The result is C-contiguous.
+    """
+    shape = list(pre.shape)
+    shape[axis] = runs[-1][0].stop
+    out = np.empty(shape, dtype=pre.dtype)
+    at = (slice(None),) * axis
+    for dst, hi, lo in runs:
+        np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
+    return out
+
+
+class _TriplePlan(NamedTuple):
+    """Shape-only parts of the triple term at one |h|."""
+
+    count: int           # exact number of admissible (r, s, t)
+    offsets: np.ndarray  # t - s on the overlap bands, (2M,)
+    zero: np.ndarray     # spans of the forbidden band -M <= t - s <= h + M
+
+
+class _PairPlan(NamedTuple):
+    """Shape-only parts of the pair term at one (h1, h2)."""
+
+    count: int
+    zero: np.ndarray     # spans of the forbidden diagonals of the product
+
+
+class _SumsPlan:
+    """What the separated sums need that depends on (n, M) alone.
+
+    Built by ``_sums_plan`` once per shape and shared by every context of
+    that shape, so its arrays are read-only. It holds O(n) arrays, O(M)
+    offsets, diagonal spans (one int64 pair per forbidden diagonal) and
+    exact counts: the windows ``lo``/``hi`` and their runs, the quadruple
+    count, forbidden band and overlap offsets, and, filled on first use,
+    the triple term of each |h| and the pair term of each (h1, h2). The
+    O(nM) band index pairs are formed per call from the offsets, which
+    keeps a cached shape small.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.m = m
+        idx = np.arange(n)
+        self.lo = np.maximum(idx - m, 0)
+        self.hi = np.minimum(idx + m + 1, n)
+        self.runs = _window_runs(n, m)
+        k = n - 3 * m
+        self.quad_count = k * (k - 1) * (k - 2) * (k - 3) if k >= 4 else 0
+        self.quad_zero = _diagonal_spans((n, n), range(-m, m + 1))[0]
+        self.quad_offsets = np.arange(m + 1, 2 * m + 1)
+        for a in (self.lo, self.hi, self.quad_offsets):
+            a.flags.writeable = False
+        self._triples: dict[int, _TriplePlan] = {}
+        self._pairs: dict[tuple[int, int], _PairPlan] = {}
+
+    def triple(self, h: int) -> _TriplePlan:
+        """Count, overlap offsets and forbidden band of the triple term at h >= 0."""
+        plan = self._triples.get(h)
+        if plan is None:
+            plan = self._triples[h] = self._triple_plan(h)
+        return plan
+
+    def _triple_plan(self, h: int) -> _TriplePlan:
+        # count: sum over admissible (s, t) of own_cnt[s] - wlen[t], by
+        # rows; t is forbidden on [band_lo[s], band_hi[s]); the overlap
+        # bands -2M <= t - s < -M and h + M < t - s <= h + 2M add back
+        # the indices r that both windows exclude
+        n, m = self.n, self.m
+        lo, hi = self.lo, self.hi
+        ns = n - h
+        offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
+        offsets.flags.writeable = False
+        zero = _diagonal_spans((max(ns, 0), n), range(-m, h + m + 1))[0]
+        if ns <= 0:
+            return _TriplePlan(0, offsets, zero)
+        s = np.arange(ns)
+        own_cnt = n - (hi[h:] - lo[:ns])
+        band_lo, band_hi = np.maximum(s - m, 0), np.minimum(s + h + m + 1, n)
+        wlen_pre = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=wlen_pre[1:])
+        count = int(np.sum(own_cnt * (n - (band_hi - band_lo))))
+        count -= int(np.sum(wlen_pre[n] - (wlen_pre[band_hi] - wlen_pre[band_lo])))
+        sb, tb = _offset_pairs(ns, offsets, n)
+        left = tb < sb
+        count += int(np.sum(hi[np.where(left, tb, sb + h)] - lo[np.where(left, sb, tb)]))
+        return _TriplePlan(count, offsets, zero)
+
+    def pair(self, h1: int, h2: int) -> _PairPlan:
+        """Count and forbidden diagonals of the pair term's product at (h1, h2)."""
+        plan = self._pairs.get((h1, h2))
+        if plan is None:
+            plan = self._pairs[(h1, h2)] = self._pair_plan(h1, h2)
+        return plan
+
+    def _pair_plan(self, h1: int, h2: int) -> _PairPlan:
+        # the product's entry (i, j) has d = s - t = s_lo - t_lo + i - j, so
+        # each forbidden d is one diagonal
+        n, m = self.n, self.m
+        rows = n - abs(h1)
+        cols = n - abs(h2)
+        base = max(0, -h1) - max(0, -h2)
+        forbidden = {base - c - e for c in (0, h2, -h1, h2 - h1) for e in range(-m, m + 1)}
+        zero, zeroed = _diagonal_spans((rows, cols), forbidden)
+        return _PairPlan(rows * cols - zeroed, zero)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _sums_plan(n: int, m: int) -> _SumsPlan:
+    return _SumsPlan(n, m)
 
 
 class _SeparatedSums:
@@ -428,26 +587,26 @@ class _SeparatedSums:
 
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
-    series.
+    series. Because the windows only advance or stay clipped, every window
+    sum of a prefix array (``window_sums`` here, the strip and box of the
+    quadruple term) is at most three contiguous slice subtractions
+    (``_window_diff``), not a gather. The row prefix comes from the Gram,
+    shared across separations; everything that depends on (n, M) alone
+    (windows, counts, forbidden diagonals, band offsets) comes from the
+    cached ``_sums_plan(n, M)``.
     """
 
-    def __init__(self, raw: np.ndarray, m: int):
+    def __init__(self, gram: GramSummary, m: int):
+        raw = gram.raw
         n = raw.shape[0]
         self.n = n
-        self.m = m
         self.raw = raw
-        idx = np.arange(n)
-        self.lo = np.maximum(idx - m, 0)
-        self.hi = np.minimum(idx + m + 1, n)
+        self.plan = _sums_plan(n, m)
         self.row_sums = raw.sum(axis=1)
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
-        self.row_prefix = np.zeros((n, n + 1), dtype=np.float64)
-        np.cumsum(raw, axis=1, out=self.row_prefix[:, 1:])
-        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag;
-        # C order, so the triple products can zero diagonals in place
-        self.window_sums = np.ascontiguousarray(
-            self.row_prefix[:, self.hi] - self.row_prefix[:, self.lo]
-        )
+        self.row_prefix = gram.row_prefix
+        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag
+        self.window_sums = _window_diff(self.row_prefix, self.plan.runs, axis=1)
         self._triples: dict[int, tuple[float, int]] = {}
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
@@ -457,22 +616,19 @@ class _SeparatedSums:
         elementwise; with d = s - t that forbids |d|, |d - h2|, |d + h1|
         and |d + h1 - h2| from being <= M.
         """
-        n, m = self.n, self.m
+        n = self.n
         s_lo, s_hi = max(1, 1 - h1), min(n, n - h1)
         t_lo, t_hi = max(1, 1 - h2), min(n, n - h2)
         if s_lo > s_hi or t_lo > t_hi:
             return 0.0, 0
-        # raw is symmetric, so both factors are plain slices; entry (i, j)
-        # has d = s_lo - t_lo + i - j, so each forbidden d is one diagonal
+        # raw is symmetric, so both factors are plain slices
         prod = (
             self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2]
             * self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi]
         )
-        forbidden = {
-            s_lo - t_lo - c - e for c in (0, h2, -h1, h2 - h1) for e in range(-m, m + 1)
-        }
-        zeroed = _zero_diagonals(prod, forbidden)
-        return float(prod.sum()), prod.size - zeroed
+        plan = self.plan.pair(h1, h2)
+        _zero_spans(prod, plan.zero)
+        return float(prod.sum()), plan.count
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
@@ -493,40 +649,26 @@ class _SeparatedSums:
         # nonempty only on the O(nM) bands -2M <= t - s < -M and
         # h + M < t - s <= h + 2M. The forbidden -M <= t - s <= h + M is
         # one band of diagonals.
-        n, m = self.n, self.m
+        n = self.n
         ns = n - h
-        if ns <= 0:
+        plan = self.plan.triple(h)
+        if plan.count == 0:
             return 0.0, 0
-        lo, hi = self.lo, self.hi
+        lo, hi = self.plan.lo, self.plan.hi
         pre = self.row_prefix
         s = np.arange(ns)
 
-        offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
-        sb, tb = _offset_pairs(ns, offsets, n)
-        left = tb < sb
-        ov_lo = np.where(left, lo[sb], lo[tb])
-        ov_hi = np.where(left, hi[tb], hi[sb + h])
-
-        # count: sum over admissible (s, t) of own_cnt[s] - wlen[t], by
-        # rows; t is forbidden on [band_lo[s], band_hi[s])
-        group_lo, group_hi = lo[s], hi[s + h]
-        own_cnt = n - (group_hi - group_lo)
-        band_lo, band_hi = np.maximum(s - m, 0), np.minimum(s + h + m + 1, n)
-        wlen_pre = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(hi - lo, out=wlen_pre[1:])
-        count = int(np.sum(own_cnt * (n - (band_hi - band_lo))))
-        count -= int(np.sum(wlen_pre[n] - (wlen_pre[band_hi] - wlen_pre[band_lo])))
-        count += int(np.sum(ov_hi - ov_lo))
-        if count == 0:
-            return 0.0, 0
-
-        own = self.row_sums[:ns] - (pre[s, group_hi] - pre[s, group_lo])
+        own = self.row_sums[:ns] - (pre[s, hi[h:]] - pre[s, lo[:ns]])
         outer = self.raw[h:]
         prod = outer * (own[:, None] - self.window_sums[:ns])
-        _zero_diagonals(prod, range(-m, h + m + 1))
+        _zero_spans(prod, plan.zero)
         total = float(prod.sum())
+        sb, tb = _offset_pairs(ns, plan.offsets, n)
+        left = tb < sb
+        ov_lo = lo[np.where(left, sb, tb)]
+        ov_hi = hi[np.where(left, tb, sb + h)]
         total += float(np.sum(outer[sb, tb] * (pre[sb, ov_hi] - pre[sb, ov_lo])))
-        return total, count
+        return total, plan.count
 
     def quad_term(self) -> tuple[float, int]:
         """sum over pairwise-separated (q, r, s, t) of x_q'x_r * x_s'x_t.
@@ -541,32 +683,31 @@ class _SeparatedSums:
         box[q, r]; only the band M < |q - r| <= 2M, where F is a single
         interval, is corrected afterwards.
         """
-        n, m = self.n, self.m
-        k = n - 3 * m
-        if k < 4:
+        plan = self.plan
+        count = plan.quad_count
+        if count == 0:
             return 0.0, 0
-        count = k * (k - 1) * (k - 2) * (k - 3)
 
-        lo, hi = self.lo, self.hi
+        n = self.n
+        lo, hi, runs = plan.lo, plan.hi, plan.runs
         w = self.raw.copy()
-        _zero_diagonals(w, range(-m, m + 1))
+        _zero_spans(w, plan.quad_zero)
         rows = w.sum(axis=1)
         total = rows.sum()
         row_pre = np.zeros(n + 1, dtype=np.float64)
         np.cumsum(rows, out=row_pre[1:])
-        rho = row_pre[hi] - row_pre[lo]
+        rho = _window_diff(row_pre, runs, axis=0)
         pre = np.zeros((n + 1, n + 1), dtype=np.float64)
         np.cumsum(w, axis=0, out=pre[1:, 1:])
         np.cumsum(pre[1:, 1:], axis=1, out=pre[1:, 1:])
-        strip = pre[hi] - pre[lo]
-        box = strip[:, hi]
-        box -= strip[:, lo]
+        strip = _window_diff(pre, runs, axis=0)
+        box = _window_diff(strip, runs, axis=1)
         del strip
         kappa = np.diagonal(box)
         out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * np.vdot(w, box)
 
         # band fix, one side (q < r), doubled by symmetry
-        q, r = _offset_pairs(n, np.arange(m + 1, 2 * m + 1), n)
+        q, r = _offset_pairs(n, plan.quad_offsets, n)
         a, b = lo[q], hi[r]
         merged = -2 * (row_pre[b] - row_pre[a]) + (pre[b, b] - pre[a, b] - pre[b, a] + pre[a, a])
         split = -2 * (rho[q] + rho[r]) + kappa[q] + kappa[r] + 2 * box[q, r]
@@ -607,7 +748,7 @@ def trace_product_estimate(
     m = window.m
     if abs(h1) > m or abs(h2) > m:
         raise IndexOutOfRange(f"lags ({h1}, {h2}) outside window M={m}")
-    ctx = _SeparatedSums(gram.raw, m)
+    ctx = _SeparatedSums(gram, m)
     parts = (
         ctx.pair_term(h1, h2),
         ctx.triple_term(h1),
@@ -625,7 +766,7 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     construction. Shared sums are reused across the grid.
     """
     m = window.m
-    ctx = _SeparatedSums(gram.raw, m)
+    ctx = _SeparatedSums(gram, m)
     quad = ctx.quad_term()
     values = np.full((2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):

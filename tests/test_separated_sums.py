@@ -5,13 +5,26 @@ The grid covers the shortest feasible series 2(M + 2) and one longer, where
 windows are clipped at both ends, and lengths at which the windows of two
 separated indices still overlap (M < |q - r| <= 2M). M = 10, the elbow's
 default depth, runs at its shortest lengths 3M + 4 and 3M + 5.
+
+The shared structures the sums read are checked bitwise: window sums as
+slice runs against the gather they replace, the cached (n, M) plan (cold
+against warm) and the Gram's row prefix.
 """
 
 import numpy as np
 import pytest
 
 from hdcp import as_series, compute_gram
-from hdcp.engine import _SeparatedSums
+from hdcp.core import DependenceWindow, GramSummary
+from hdcp.engine import (
+    _null_plan,
+    _SeparatedSums,
+    _sums_plan,
+    _window_diff,
+    _window_runs,
+    trace_product_estimate,
+)
+from hdcp.selector import default_h_max, lag_energy_curve
 
 ORDERS = (0, 1, 2, 3, 5)
 CASES = [(n, m) for m in ORDERS for n in sorted({2 * (m + 2), 2 * (m + 2) + 1, 17, 30})]
@@ -68,17 +81,17 @@ def brute_quad(g: np.ndarray, m: int) -> tuple[float, int]:
     return total, int(mask.sum())
 
 
-def _gram(n: int, m: int) -> np.ndarray:
+def _gram(n: int, m: int) -> GramSummary:
     rng = np.random.default_rng(1000 * n + m)
     x = rng.standard_normal((n, 3)) + 0.7
-    return compute_gram(as_series(x)).raw
+    return compute_gram(as_series(x))
 
 
 @pytest.mark.parametrize("n,m", CASES)
 def test_quad_term_matches_enumeration(n, m):
-    g = _gram(n, m)
-    value, count = _SeparatedSums(g, m).quad_term()
-    want_value, want_count = brute_quad(g, m)
+    gram = _gram(n, m)
+    value, count = _SeparatedSums(gram, m).quad_term()
+    want_value, want_count = brute_quad(gram.raw, m)
     assert isinstance(count, int)
     assert count == want_count
     np.testing.assert_allclose(value, want_value, rtol=1e-10)
@@ -86,11 +99,11 @@ def test_quad_term_matches_enumeration(n, m):
 
 @pytest.mark.parametrize("n,m", CASES)
 def test_triple_term_matches_enumeration(n, m):
-    g = _gram(n, m)
-    ctx = _SeparatedSums(g, m)
+    gram = _gram(n, m)
+    ctx = _SeparatedSums(gram, m)
     for h in range(-m, m + 1):
         value, count = ctx.triple_term(h)
-        want_value, want_count = brute_triple(g, m, h)
+        want_value, want_count = brute_triple(gram.raw, m, h)
         assert isinstance(count, int)
         assert count == want_count, h
         np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h}")
@@ -99,12 +112,122 @@ def test_triple_term_matches_enumeration(n, m):
 
 @pytest.mark.parametrize("n,m", CASES)
 def test_pair_term_matches_enumeration(n, m):
-    g = _gram(n, m)
-    ctx = _SeparatedSums(g, m)
+    gram = _gram(n, m)
+    ctx = _SeparatedSums(gram, m)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
             value, count = ctx.pair_term(h1, h2)
-            want_value, want_count = brute_pair(g, m, h1, h2)
+            want_value, want_count = brute_pair(gram.raw, m, h1, h2)
             assert isinstance(count, int)
             assert count == want_count, (h1, h2)
             np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h1, h2}")
+
+
+def _bits(terms):
+    return [(np.float64(value).tobytes(), count) for value, count in terms]
+
+
+def _all_terms(gram: GramSummary, m: int):
+    ctx = _SeparatedSums(gram, m)
+    lags = range(-m, m + 1)
+    terms = [ctx.quad_term()] + [ctx.triple_term(h) for h in lags]
+    terms += [ctx.pair_term(h1, h2) for h1 in lags for h2 in lags]
+    return _bits(terms)
+
+
+def test_window_diff_equals_the_gather():
+    # every n in 4..40 and M in 0..n+1: windows clipped at one end, at both
+    # ends, and wider than the series
+    rng = np.random.default_rng(9)
+    for n in range(4, 41):
+        cols = rng.standard_normal((3, n + 1)).cumsum(axis=1)
+        rows = rng.standard_normal((n + 1, 3)).cumsum(axis=0)
+        for m in range(n + 2):
+            idx = np.arange(n)
+            lo, hi = np.maximum(idx - m, 0), np.minimum(idx + m + 1, n)
+            runs = _window_runs(n, m)
+            assert len(runs) <= 3
+            by_cols = _window_diff(cols, runs, axis=1)
+            by_rows = _window_diff(rows, runs, axis=0)
+            assert by_cols.flags.c_contiguous and by_rows.flags.c_contiguous
+            assert by_cols.tobytes() == (cols[:, hi] - cols[:, lo]).tobytes(), (n, m)
+            assert by_rows.tobytes() == (rows[hi] - rows[lo]).tobytes(), (n, m)
+
+
+def _plan_arrays(plan):
+    yield plan.lo
+    yield plan.hi
+    yield plan.quad_zero
+    yield plan.quad_offsets
+    for triple in plan._triples.values():
+        yield triple.offsets
+        yield triple.zero
+    for pair in plan._pairs.values():
+        yield pair.zero
+
+
+@pytest.mark.parametrize("n,m", [(30, 5), (200, 3), (34, 10)])
+def test_sums_plan_is_read_only_and_small(n, m):
+    _all_terms(_gram(n, m), m)
+    plan = _sums_plan(n, m)
+    assert len(plan._triples) == m + 1
+    assert len(plan._pairs) == (2 * m + 1) ** 2
+    for array in _plan_arrays(plan):
+        assert not array.flags.writeable
+        # windows are length n; every other array is O(M): offsets, or one
+        # (start, stop) row per forbidden diagonal, at most 4(2M + 1)
+        if array.ndim == 1:
+            assert array.size <= n
+        else:
+            assert array.shape[1] == 2 and array.shape[0] <= 4 * (2 * m + 1)
+    assert _sums_plan(n, m) is plan
+
+
+def test_sums_plan_cache_is_bounded_like_the_null_plan():
+    size = _null_plan.cache_info().maxsize
+    assert size is not None
+    assert _sums_plan.cache_info().maxsize == size
+    _sums_plan.cache_clear()
+    for n in range(20, 20 + size + 5):
+        _sums_plan(n, 1)
+    assert _sums_plan.cache_info().currsize == size
+
+
+def test_terms_do_not_depend_on_cached_plans():
+    # cold: every shape right after a cache clear; warm: all shapes one
+    # after another, then again in reverse, so each plan is reused after
+    # calls on other shapes
+    grams = {case: _gram(*case) for case in CASES}
+    cold = {}
+    for n, m in CASES:
+        _sums_plan.cache_clear()
+        cold[n, m] = _all_terms(grams[n, m], m)
+    _sums_plan.cache_clear()
+    for n, m in CASES + CASES[::-1]:
+        assert _all_terms(grams[n, m], m) == cold[n, m], (n, m)
+
+
+def test_row_prefix_is_built_once_per_gram():
+    gram = _gram(30, 2)
+    assert "row_prefix" not in gram.__dict__
+    _SeparatedSums(gram, 2)
+    prefix = gram.__dict__["row_prefix"]
+    want = np.concatenate([np.zeros((30, 1)), np.cumsum(gram.raw, axis=1)], axis=1)
+    assert prefix.shape == (30, 31)
+    assert prefix.tobytes() == want.tobytes()
+    assert not prefix.flags.writeable
+    _SeparatedSums(gram, 3)
+    assert gram.row_prefix is prefix
+
+
+def test_lag_energy_curve_equals_fresh_contexts():
+    # the curve shares one row prefix across its orders; a fresh Gram per
+    # order builds its own
+    series = as_series(np.random.default_rng(120).standard_normal((120, 30)) + 0.4)
+    h_max = default_h_max(series.n)
+    curve = lag_energy_curve(series, h_max)
+    fresh = [
+        trace_product_estimate(compute_gram(series), h, -h, DependenceWindow(h))
+        for h in range(h_max + 1)
+    ]
+    assert curve.w_hat.tobytes() == np.array(fresh).tobytes()

@@ -14,8 +14,9 @@ Two subcommands:
 ``detect`` reads its input once: the bytes it hashes into the report are
 the bytes it parses. Input made only of printable ASCII, tabs and line
 ends, with a one-character or whitespace delimiter, is parsed by numpy's C
-reader; any other input, and any the C reader rejects, by a Python row
-loop that reports the offending row and column. Both give bitwise-equal
+reader; any other input, and any the C reader rejects even after lines
+of only spaces and tabs are blanked, by a Python row loop that reports
+the offending row and column. Both give bitwise-equal
 arrays. A leading UTF-8 byte order mark is ignored.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
@@ -105,6 +106,8 @@ _BOM = b"\xef\xbb\xbf"
 _C_READER_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 # blank lines, then the next line (leading whitespace included) and its end
 _NEXT_LINE = re.compile(rb"(?:[ \t]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?")
+# a line end, then a line of only spaces and tabs up to its own end
+_WHITESPACE_LINE = re.compile(rb"\n[ \t]+(?=\r?\n|\Z)")
 
 
 def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
@@ -118,15 +121,29 @@ def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
     delim, header = _layout(line.decode("ascii"), delimiter)
     if delim is not None and (len(delim) != 1 or delim in "\r\n"):
         return None
-    start = first.end() if header else 0
-    if not _NEXT_LINE.match(data, start).group(1).strip():
+    rows = _NEXT_LINE.match(data, first.end() if header else 0)
+    if not rows.group(1).strip():
         return None
-    stream = io.BytesIO(data)
-    stream.seek(start)
+    start = rows.start(1)  # the first data row, blank lines before it skipped
     try:
-        return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
+        return _loadtxt(data, start, delim)
+    except ValueError:
+        pass
+    # with a delimiter, numpy rejects a line of only spaces and tabs that
+    # the row loop skips: blank such lines, keeping their ends, and retry
+    body, blanked = _WHITESPACE_LINE.subn(b"\n", data[start:])
+    if not blanked:
+        return None
+    try:
+        return _loadtxt(body, 0, delim)
     except ValueError:
         return None
+
+
+def _loadtxt(data: bytes, start: int, delim: Optional[str]) -> np.ndarray:
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
 
 
 def _read_rows(path: str, text: str, delimiter: Optional[str]) -> np.ndarray:
@@ -173,10 +190,12 @@ def load_matrix(
 
     Two readers give bitwise-equal arrays. numpy's C reader
     (``np.loadtxt``) parses input made only of printable ASCII, tabs and
-    line ends, with a one-character delimiter or whitespace. Everything
-    else, and any input the C reader rejects with ``ValueError``, goes
-    through a Python row loop, which produces every parse error and
-    reports the offending row and column.
+    line ends, with a one-character delimiter or whitespace; lines of
+    only spaces and tabs, which it rejects where the row loop skips them,
+    are blanked for one retry. Everything else, and any input the C
+    reader still rejects with ``ValueError``, goes through a Python row
+    loop, which produces every parse error and reports the offending row
+    and column.
     """
     if data is None:
         data = Path(path).read_bytes()

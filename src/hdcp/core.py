@@ -49,9 +49,20 @@ class SeriesMatrix:
 
     Entries must be finite and ``n >= 4``. The array is copied and made
     read-only so instances are safe to share across workers.
+
+    A series keeps the Gram that :func:`hdcp.engine.compute_gram` built for
+    it, so the Gram lives as long as the series. A view made by
+    ``segment_view`` records the series it was cut from and its bounds
+    there; its Gram is then a sub-block of the source's Gram when the source
+    has one, and a full-range view shares the source's Gram object.
     """
 
     values: np.ndarray
+    # Not dataclass fields: set through object.__setattr__, never compared.
+    # _source is (source series, lo, hi) of a segment_view; _gram is the
+    # Gram compute_gram keeps.
+    _source = None
+    _gram = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -78,11 +89,16 @@ class SeriesMatrix:
         return self.values.shape[1]
 
     def segment_view(self, lo: int, hi: int) -> "SeriesMatrix":
-        """Sub-series for 1-based inclusive bounds, skipping re-validation."""
+        """Sub-series for 1-based inclusive bounds, skipping re-validation.
+
+        The view records this series and the bounds, so its Gram can be
+        taken from this series' Gram instead of from the p columns.
+        """
         if not (1 <= lo <= hi <= self.n):
             raise IndexOutOfRange(f"segment [{lo}, {hi}] outside [1, {self.n}]")
         sub = object.__new__(SeriesMatrix)
         object.__setattr__(sub, "values", self.values[lo - 1 : hi])
+        object.__setattr__(sub, "_source", (self, lo, hi))
         return sub
 
 
@@ -139,8 +155,12 @@ class GramSummary:
       accumulated and kept in ``_accumulator_dtype(n, p)``; the dtype of
       ``row_sums`` records which one.
 
-    Derived members, built on first read and then cached:
+    ``raw`` and ``row_sums`` are read-only, so nothing cached from them can
+    go stale. Derived members, built on first read and then cached:
 
+    - ``float_row_sums``  ``raw.sum(axis=1)`` in float64 whatever the
+      accumulator, read by every separated-sums context of this Gram and
+      by ``centered``. Read-only.
     - ``row_prefix[s, j]``  float64 sum of ``raw[s, :j]``, n x (n + 1)
       with a zero guard column; by symmetry also a column sum. It does
       not depend on the separation order, so every separated-sums context
@@ -152,20 +172,37 @@ class GramSummary:
     - ``raw_prefix``  2-D prefix sums of ``raw`` in the accumulator dtype,
       with a zero guard row/column, so ``raw_prefix[a, b]`` sums the
       leading a x b block; only tests and oracles read it.
+    - ``results``  what :mod:`hdcp.engine` computed from this Gram, keyed
+      by kind and separation order M: the split curve and the trace table
+      of each M (read-only arrays), and the value and count of each
+      separated-sum term of each M (scalars). A repeated call with the
+      same Gram and M returns the stored result.
 
-    At n = 800 the three fields hold 5.1 MB, and 10.3 MB once
-    ``row_prefix`` is built; a Gram that stored every member would hold
-    25.6 MB above the threshold (``raw``, ``centered`` and ``row_prefix``
-    5.1 MB each, the longdouble ``raw_prefix`` 10.3 MB).
+    A Gram lives as long as the series that holds it (see
+    ``SeriesMatrix``). At n = 800 the three fields hold 5.1 MB, and 10.3 MB
+    once ``row_prefix`` is built; the cached results are O(n) per M. A
+    Gram that stored every member would hold 25.6 MB above the threshold
+    (``raw``, ``centered`` and ``row_prefix`` 5.1 MB each, the longdouble
+    ``raw_prefix`` 10.3 MB).
     """
 
     raw: np.ndarray
     row_sums: np.ndarray
     total_sum: np.floating
 
+    def __post_init__(self) -> None:
+        self.raw.flags.writeable = False
+        self.row_sums.flags.writeable = False
+
     @property
     def n(self) -> int:
         return self.raw.shape[0]
+
+    @functools.cached_property
+    def float_row_sums(self) -> np.ndarray:
+        sums = self.raw.sum(axis=1)
+        sums.flags.writeable = False
+        return sums
 
     @functools.cached_property
     def row_prefix(self) -> np.ndarray:
@@ -176,10 +213,14 @@ class GramSummary:
         return prefix
 
     @functools.cached_property
+    def results(self) -> dict:
+        return {}
+
+    @functools.cached_property
     def centered(self) -> np.ndarray:
         raw = self.raw
         n = self.n
-        row_sums = raw.sum(axis=1)
+        row_sums = self.float_row_sums
         total = float(row_sums.sum())
         # one exactly symmetric mean adjustment keeps the result bitwise symmetric
         scaled = row_sums / n

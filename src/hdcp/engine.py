@@ -33,6 +33,17 @@ Gram, ``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that
 every separation order reads. A context per (Gram, M) then pays only for
 its own O(n^2) sums: its window sums, and the products of each term.
 
+Results live on the object that owns them, with no module-level cache.
+``compute_gram`` keeps the Gram on its series, and a segment's Gram is a
+sub-block of its source's Gram once that exists, so one series costs one
+O(n^2 p) pass however often the elbow, the global test and binary
+segmentation ask for it. Per (Gram, M), ``GramSummary.results`` keeps the
+split curve of ``l_trace``, the table of ``build_trace_table`` (both
+read-only) and the value and count of each separated-sum term; the
+context arrays behind the terms are not kept. So the table at the order
+the elbow chose reuses the elbow's quadruple and triple terms, and a
+repeated test of the same Gram and M returns the stored result.
+
 Conventions, fixed for the whole package:
 
 - indicator I(a, b) is 1 iff a == b; I(predicate) is 1 iff it holds;
@@ -167,13 +178,53 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     Sums are accumulated in ``_accumulator_dtype(n, p)``. A segment's Gram
     holds the segment's own products, so everything derived from it
     (centering included) is segment-local.
+
+    The Gram is built once per series and kept on it: a second call
+    returns the same object. A ``segment_view`` of a series that already
+    has a Gram copies ``raw`` from the segment's sub-block of that Gram
+    and recomputes the row sums in the segment's accumulator dtype, so it
+    never touches the p columns again. A full-range view and its source
+    share one Gram object, whichever of them is reduced first.
     """
-    x = series.values
-    n, p = x.shape
+    return _kept_gram(series)
+
+
+def _kept_gram(series: SeriesMatrix) -> GramSummary:
+    # a full-range view recurses to its source through here, not through
+    # compute_gram, so one public call stays one call to anything wrapping it
+    if series._gram is None:
+        object.__setattr__(series, "_gram", _new_gram(series))
+    return series._gram
+
+
+def _new_gram(series: SeriesMatrix) -> GramSummary:
+    if series._source is not None:
+        parent, lo, hi = series._source
+        if (lo, hi) == (1, parent.n):
+            return _kept_gram(parent)
+        if parent._gram is not None:
+            return _summary(parent._gram.raw[lo - 1 : hi, lo - 1 : hi].copy(), series.p)
+    return _summary(_gram_product(series.values), series.p)
+
+
+def _gram_product(x: np.ndarray) -> np.ndarray:
+    # the one O(n^2 p) pass, made exactly symmetric
     raw = x @ x.T
-    raw = (raw + raw.T) / 2.0
-    row_sums = raw.sum(axis=1, dtype=_accumulator_dtype(n, p))
+    return (raw + raw.T) / 2.0
+
+
+def _summary(raw: np.ndarray, p: int) -> GramSummary:
+    row_sums = raw.sum(axis=1, dtype=_accumulator_dtype(raw.shape[0], p))
     return GramSummary(raw=raw, row_sums=row_sums, total_sum=row_sums.sum())
+
+
+def _stored(gram: GramSummary, key: tuple, compute, *args):
+    """``compute(*args)`` once per Gram and key; later calls return that result."""
+    results = gram.results
+    value = results.get(key)
+    if value is None:
+        value = results[key] = compute(*args)
+    return value
 
 
 def _f_columns(n: int, t: np.ndarray, m: int) -> np.ndarray:
@@ -290,9 +341,14 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     system is solved once. The checked design and the boundary weights of
     all splits come from the (n, M) plan, so only the first call for a
     shape builds them (and the plan's O(n^2 M^2) aggregate cross-products).
+
+    The curve is computed once per (Gram, M) and returned read-only.
     """
+    return _stored(gram, ("l_trace", window.m), _split_curve, gram, window.m)
+
+
+def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     n = gram.n
-    m = window.m
     plan = _null_plan(n, m)
     v = V_vector(gram, m)
     x = plan.design.solve(v.values)
@@ -318,7 +374,9 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     term1 = (nt / (tt * n2)) * within_lo - (2.0 / n2) * cross + (tt / (nt * n2)) * within_hi
 
     correction = plan.weights @ x / n
-    return np.asarray(term1, dtype=np.float64) - correction
+    curve = np.asarray(term1, dtype=np.float64) - correction
+    curve.flags.writeable = False
+    return curve
 
 
 def _contrast_block(n: int, t: int) -> np.ndarray:
@@ -591,23 +649,29 @@ class _SeparatedSums:
     sum of a prefix array (``window_sums`` here, the strip and box of the
     quadruple term) is at most three contiguous slice subtractions
     (``_window_diff``), not a gather. The row prefix comes from the Gram,
-    shared across separations; everything that depends on (n, M) alone
-    (windows, counts, forbidden diagonals, band offsets) comes from the
-    cached ``_sums_plan(n, M)``.
+    shared across separations, and so do its float64 row sums;
+    everything that depends on (n, M) alone (windows, counts, forbidden
+    diagonals, band offsets) comes from the cached ``_sums_plan(n, M)``.
+
+    Each term's value and count is stored on the Gram per M
+    (``GramSummary.results``), so every context of one (Gram, M) computes a
+    term once. The context's own arrays (``window_sums`` is n x n) are not
+    kept beyond the context.
     """
 
     def __init__(self, gram: GramSummary, m: int):
         raw = gram.raw
         n = raw.shape[0]
         self.n = n
+        self.m = m
+        self.gram = gram
         self.raw = raw
         self.plan = _sums_plan(n, m)
-        self.row_sums = raw.sum(axis=1)
+        self.row_sums = gram.float_row_sums
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = gram.row_prefix
         # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag
         self.window_sums = _window_diff(self.row_prefix, self.plan.runs, axis=1)
-        self._triples: dict[int, tuple[float, int]] = {}
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
         """sum of x_{t+h2}'x_s * x_{s+h1}'x_t over separated groups, with count.
@@ -616,6 +680,9 @@ class _SeparatedSums:
         elementwise; with d = s - t that forbids |d|, |d - h2|, |d + h1|
         and |d + h1 - h2| from being <= M.
         """
+        return _stored(self.gram, ("pair", self.m, h1, h2), self._pair, h1, h2)
+
+    def _pair(self, h1: int, h2: int) -> tuple[float, int]:
         n = self.n
         s_lo, s_hi = max(1, 1 - h1), min(n, n - h1)
         t_lo, t_hi = max(1, 1 - h2), min(n, n - h2)
@@ -635,12 +702,10 @@ class _SeparatedSums:
 
         Swapping r <-> t and using the symmetry of the Gram maps the sum at
         -h onto the sum at h, with the same count, so each |h| is computed
-        once per instance.
+        once per (Gram, M).
         """
         h = abs(h)
-        if h not in self._triples:
-            self._triples[h] = self._triple(h)
-        return self._triples[h]
+        return _stored(self.gram, ("triple", self.m, h), self._triple, h)
 
     def _triple(self, h: int) -> tuple[float, int]:
         # For each admissible (s, t) the inner r-sum is the row sum of s
@@ -683,6 +748,9 @@ class _SeparatedSums:
         box[q, r]; only the band M < |q - r| <= 2M, where F is a single
         interval, is corrected afterwards.
         """
+        return _stored(self.gram, ("quad", self.m), self._quad)
+
+    def _quad(self) -> tuple[float, int]:
         plan = self.plan
         count = plan.quad_count
         if count == 0:
@@ -764,8 +832,16 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     Only canonical orbit representatives are computed; the mirrors
     (h2, h1) and (-h1, -h2) are copied, so the table is symmetric by
     construction. Shared sums are reused across the grid.
+
+    The table is built once per (Gram, M), and its values are read-only.
+    Its terms come from the same per-(Gram, M) store as those of
+    ``trace_product_estimate``, so a table at an order the elbow probed
+    reuses that probe's quadruple and triple terms.
     """
-    m = window.m
+    return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
+
+
+def _trace_table(gram: GramSummary, m: int) -> TraceTable:
     ctx = _SeparatedSums(gram, m)
     quad = ctx.quad_term()
     values = np.full((2 * m + 1, 2 * m + 1), np.nan)
@@ -781,6 +857,7 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
             )
             for a, b in orbit:
                 values[a + m, b + m] = est
+    values.flags.writeable = False
     return TraceTable(m=m, values=values)
 
 

@@ -143,14 +143,14 @@ def test_classify_errors_greedy_one_to_one():
 def test_global_outcomes_do_not_depend_on_cached_plans():
     # two lengths and two orders, interleaved so each (n, M) plan is
     # reused after calls on other keys; reversing the order changes which
-    # call builds each plan
-    series = {n: as_series(np.random.default_rng(n).standard_normal((n, 15)) + 0.2)
-              for n in (40, 57)}
+    # call builds each plan. Each call gets a fresh series, because a
+    # series keeps its Gram and the Gram its results.
+    values = {n: np.random.default_rng(n).standard_normal((n, 15)) + 0.2 for n in (40, 57)}
     calls = [(40, 0), (57, 2), (40, 2), (57, 0), (40, 0), (57, 2), (40, 2), (57, 0)]
 
     def outcomes(order):
         _null_plan.cache_clear()
-        return {i: global_test(series[n], DependenceWindow(m), InferenceConfig())
+        return {i: global_test(as_series(values[n]), DependenceWindow(m), InferenceConfig())
                 for i, (n, m) in order}
 
     forward = outcomes(list(enumerate(calls)))

@@ -196,15 +196,15 @@ def test_sums_plan_cache_is_bounded_like_the_null_plan():
 def test_terms_do_not_depend_on_cached_plans():
     # cold: every shape right after a cache clear; warm: all shapes one
     # after another, then again in reverse, so each plan is reused after
-    # calls on other shapes
-    grams = {case: _gram(*case) for case in CASES}
+    # calls on other shapes. Each call gets a fresh Gram, because a Gram
+    # keeps its terms.
     cold = {}
     for n, m in CASES:
         _sums_plan.cache_clear()
-        cold[n, m] = _all_terms(grams[n, m], m)
+        cold[n, m] = _all_terms(_gram(n, m), m)
     _sums_plan.cache_clear()
     for n, m in CASES + CASES[::-1]:
-        assert _all_terms(grams[n, m], m) == cold[n, m], (n, m)
+        assert _all_terms(_gram(n, m), m) == cold[n, m], (n, m)
 
 
 def test_row_prefix_is_built_once_per_gram():
@@ -223,11 +223,12 @@ def test_row_prefix_is_built_once_per_gram():
 def test_lag_energy_curve_equals_fresh_contexts():
     # the curve shares one row prefix across its orders; a fresh Gram per
     # order builds its own
-    series = as_series(np.random.default_rng(120).standard_normal((120, 30)) + 0.4)
+    values = np.random.default_rng(120).standard_normal((120, 30)) + 0.4
+    series = as_series(values)
     h_max = default_h_max(series.n)
     curve = lag_energy_curve(series, h_max)
     fresh = [
-        trace_product_estimate(compute_gram(series), h, -h, DependenceWindow(h))
+        trace_product_estimate(compute_gram(as_series(values)), h, -h, DependenceWindow(h))
         for h in range(h_max + 1)
     ]
     assert curve.w_hat.tobytes() == np.array(fresh).tobytes()

@@ -31,7 +31,12 @@ and the overlap-band offsets: O(n) arrays, O(M) offsets and one int64
 pair per forbidden diagonal, never an n x M or n x n array. Once per
 Gram, ``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that
 every separation order reads. A context per (Gram, M) then pays only for
-its own O(n^2) sums: its window sums, and the products of each term.
+its own O(n^2) sums, and forms every n x n array of them (the triple
+term's window sums, the quadruple term's masked Gram, prefix, strip and
+box, the products of each term) in a workspace of two (n + 1) x (n + 1)
+float64 buffers that its caller owns and reuses from one context to the
+next. So a context holds no n x n array of its own, and the elbow's
+orders can run on two threads with one workspace each.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the Gram on its series, and a segment's Gram is a
@@ -41,8 +46,8 @@ segmentation ask for it. Per (Gram, M), ``GramSummary.results`` keeps the
 split curve of ``l_trace``, the table of ``build_trace_table`` (both
 read-only) and the value and count of each separated-sum term; the
 context arrays behind the terms are not kept. So the table at the order
-the elbow chose reuses the elbow's quadruple and triple terms, and a
-repeated test of the same Gram and M returns the stored result.
+the elbow chose reuses the elbow's quadruple, triple and pair terms, and
+a repeated test of the same Gram and M returns the stored result.
 
 Conventions, fixed for the whole package:
 
@@ -393,13 +398,15 @@ def _contrast_block(n: int, t: int) -> np.ndarray:
 def _apply_lag_terms(B: np.ndarray, coeff: np.ndarray, n: int) -> None:
     # subtracts sum_h coeff[h] * {I(i-j==h) - (I(j>=h+1)+I(j<=n-h))/n + (n-h)/n^2}
     j = np.arange(1, n + 1)
+    columns = np.zeros(n, dtype=np.float64)
     for h in range(coeff.shape[0]):
         c = coeff[h]
         rows = np.arange(h, n)
         B[rows, rows - h] -= c
         col_term = ((j >= h + 1).astype(np.float64) + (j <= n - h)) / n
-        B += c * col_term[None, :]
-        B -= c * (n - h) / n**2
+        columns += c * col_term - c * (n - h) / n**2
+    # every lag's column term in one pass over B
+    B += columns
 
 
 def b_matrix(n: int, t: int, window: DependenceWindow) -> ContrastMatrix:
@@ -437,14 +444,14 @@ def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> 
     g_sum = design.solve_transposed(weights.sum(axis=0))
     harm = np.zeros(n, dtype=np.float64)
     harm[1:] = np.cumsum(1.0 / np.arange(1, n))
-    ii = np.arange(1, n + 1)[:, None]
-    jj = np.arange(1, n + 1)[None, :]
-    m_hi = np.maximum(ii, jj)
-    m_lo = np.minimum(ii, jj)
-    upper = n * (harm[n - 1] - harm[m_hi - 1]) - (n - m_hi)
-    lower = n * (harm[n - 1] - harm[n - m_lo]) - (m_lo - 1)
-    cross = -2.0 * np.maximum(0, jj - ii)
-    B = upper + cross + lower
+    k = np.arange(1, n + 1)
+    # the block terms at max(i, j) = k and at min(i, j) = k
+    upper = n * (harm[n - 1] - harm[k - 1]) - (n - k)
+    lower = n * (harm[n - 1] - harm[n - k]) - (k - 1)
+    # on and below the diagonal max(i, j) = i and the cross term is zero;
+    # above it max(i, j) = j, and -2(j - i) splits between the two
+    B = np.add.outer(upper, lower)
+    np.copyto(B, np.add.outer(lower + 2 * k, upper - 2 * k), where=k[:, None] < k)
     _apply_lag_terms(B, g_sum, n)
     return B
 
@@ -481,6 +488,19 @@ def _diagonal_spans(shape: tuple[int, int], offsets) -> tuple[np.ndarray, int]:
     return out, zeroed
 
 
+_Workspace = tuple[np.ndarray, np.ndarray]
+
+
+def _workspace(n: int) -> _Workspace:
+    """Two (n + 1) x (n + 1) float64 buffers for one separated-sums context at a time."""
+    return np.empty((n + 1, n + 1), dtype=np.float64), np.empty((n + 1, n + 1), dtype=np.float64)
+
+
+def _front(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a C-contiguous buffer as a C-contiguous array."""
+    return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
+
+
 def _zero_spans(a: np.ndarray, spans: np.ndarray) -> None:
     """Zero the diagonals that ``_diagonal_spans(a.shape, ...)`` returned."""
     if not a.flags.c_contiguous:
@@ -511,17 +531,19 @@ def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
     return tuple(runs)
 
 
-def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
+def _window_diff(pre: np.ndarray, runs, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
 
     Entry i of the result along ``axis`` is the difference of the window
     ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
     encode; every entry is the same single subtraction a gather would
-    make. The result is C-contiguous.
+    make. The result is C-contiguous, or written into ``out``, which must
+    not overlap ``pre``.
     """
-    shape = list(pre.shape)
-    shape[axis] = runs[-1][0].stop
-    out = np.empty(shape, dtype=pre.dtype)
+    if out is None:
+        shape = list(pre.shape)
+        shape[axis] = runs[-1][0].stop
+        out = np.empty(shape, dtype=pre.dtype)
     at = (slice(None),) * axis
     for dst, hi, lo in runs:
         np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
@@ -646,22 +668,42 @@ class _SeparatedSums:
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
     series. Because the windows only advance or stay clipped, every window
-    sum of a prefix array (``window_sums`` here, the strip and box of the
-    quadruple term) is at most three contiguous slice subtractions
-    (``_window_diff``), not a gather. The row prefix comes from the Gram,
-    shared across separations, and so do its float64 row sums;
-    everything that depends on (n, M) alone (windows, counts, forbidden
-    diagonals, band offsets) comes from the cached ``_sums_plan(n, M)``.
+    sum of a prefix array (the triple term's window sums, the strip and
+    box of the quadruple term) is at most three contiguous slice
+    subtractions (``_window_diff``), not a gather. The row prefix comes
+    from the Gram, shared across separations, and so do its float64 row
+    sums; everything that depends on (n, M) alone (windows, counts,
+    forbidden diagonals, band offsets) comes from the cached
+    ``_sums_plan(n, M)``.
+
+    Every n x n array a term forms lives in a workspace of two
+    (n + 1) x (n + 1) float64 buffers (``_workspace``) that the caller owns
+    and may pass to one context after another. The window sums every
+    triple term reads stay in the second buffer, and each term forms its
+    product in the first; the quadruple term keeps its masked Gram W, its
+    2-D prefix, strip and box in the two buffers (so a triple term after
+    it rebuilds the window sums), and takes <W, box> as <raw, box> with
+    the band of box zeroed, so it needs no masked copy of its own. A
+    context given no workspace allocates one when it first computes a
+    term. A workspace serves one context at a time; contexts on different
+    threads need one each.
 
     Each term's value and count is stored on the Gram per M
     (``GramSummary.results``), so every context of one (Gram, M) computes a
-    term once. The context's own arrays (``window_sums`` is n x n) are not
-    kept beyond the context.
+    term once.
     """
 
-    def __init__(self, gram: GramSummary, m: int):
+    def __init__(self, gram: GramSummary, m: int, workspace: _Workspace | None = None):
         raw = gram.raw
         n = raw.shape[0]
+        if workspace is not None and not (
+            len(workspace) == 2
+            and all(
+                b.shape == (n + 1, n + 1) and b.dtype == np.float64 and b.flags.c_contiguous
+                for b in workspace
+            )
+        ):
+            raise ValueError(f"workspace does not hold two (n + 1) x (n + 1) float64 buffers, n={n}")
         self.n = n
         self.m = m
         self.gram = gram
@@ -670,8 +712,21 @@ class _SeparatedSums:
         self.row_sums = gram.float_row_sums
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = gram.row_prefix
-        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag
-        self.window_sums = _window_diff(self.row_prefix, self.plan.runs, axis=1)
+        self._workspace = workspace
+        self._window_sum_view: np.ndarray | None = None
+
+    def _buffers(self) -> _Workspace:
+        if self._workspace is None:
+            self._workspace = _workspace(self.n)
+        return self._workspace
+
+    def _window_sums(self) -> np.ndarray:
+        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag; it
+        # stays in the second buffer until the quadruple term takes that over
+        if self._window_sum_view is None:
+            out = _front(self._buffers()[1], self.n, self.n)
+            self._window_sum_view = _window_diff(self.row_prefix, self.plan.runs, axis=1, out=out)
+        return self._window_sum_view
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
         """sum of x_{t+h2}'x_s * x_{s+h1}'x_t over separated groups, with count.
@@ -689,9 +744,11 @@ class _SeparatedSums:
         if s_lo > s_hi or t_lo > t_hi:
             return 0.0, 0
         # raw is symmetric, so both factors are plain slices
-        prod = (
-            self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2]
-            * self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi]
+        prod = _front(self._buffers()[0], s_hi - s_lo + 1, t_hi - t_lo + 1)
+        np.multiply(
+            self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2],
+            self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi],
+            out=prod,
         )
         plan = self.plan.pair(h1, h2)
         _zero_spans(prod, plan.zero)
@@ -709,11 +766,11 @@ class _SeparatedSums:
 
     def _triple(self, h: int) -> tuple[float, int]:
         # For each admissible (s, t) the inner r-sum is the row sum of s
-        # minus the window of the s-group, minus the window of t (one
-        # shared box-filtered matrix), plus their overlap, which is
-        # nonempty only on the O(nM) bands -2M <= t - s < -M and
-        # h + M < t - s <= h + 2M. The forbidden -M <= t - s <= h + M is
-        # one band of diagonals.
+        # minus the window of the s-group, minus the window of t (the
+        # window sums of row s, box-filtered from the row prefix), plus
+        # their overlap, which is nonempty only on the O(nM) bands
+        # -2M <= t - s < -M and h + M < t - s <= h + 2M. The forbidden
+        # -M <= t - s <= h + M is one band of diagonals.
         n = self.n
         ns = n - h
         plan = self.plan.triple(h)
@@ -725,7 +782,9 @@ class _SeparatedSums:
 
         own = self.row_sums[:ns] - (pre[s, hi[h:]] - pre[s, lo[:ns]])
         outer = self.raw[h:]
-        prod = outer * (own[:, None] - self.window_sums[:ns])
+        prod = _front(self._buffers()[0], ns, n)
+        np.subtract(own[:, None], self._window_sums()[:ns], out=prod)
+        np.multiply(outer, prod, out=prod)
         _zero_spans(prod, plan.zero)
         total = float(prod.sum())
         sb, tb = _offset_pairs(ns, plan.offsets, n)
@@ -758,28 +817,41 @@ class _SeparatedSums:
 
         n = self.n
         lo, hi, runs = plan.lo, plan.hi, plan.runs
-        w = self.raw.copy()
+        first, second = self._buffers()
+        self._window_sum_view = None
+        # W in the first buffer, its 2-D prefix (zero guard row and column)
+        # in the second
+        w = _front(first, n, n)
+        np.copyto(w, self.raw)
         _zero_spans(w, plan.quad_zero)
         rows = w.sum(axis=1)
         total = rows.sum()
         row_pre = np.zeros(n + 1, dtype=np.float64)
         np.cumsum(rows, out=row_pre[1:])
         rho = _window_diff(row_pre, runs, axis=0)
-        pre = np.zeros((n + 1, n + 1), dtype=np.float64)
+        pre = second
+        pre[0] = 0.0
+        pre[1:, 0] = 0.0
         np.cumsum(w, axis=0, out=pre[1:, 1:])
         np.cumsum(pre[1:, 1:], axis=1, out=pre[1:, 1:])
-        strip = _window_diff(pre, runs, axis=0)
-        box = _window_diff(strip, runs, axis=1)
-        del strip
-        kappa = np.diagonal(box)
-        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * np.vdot(w, box)
-
-        # band fix, one side (q < r), doubled by symmetry
+        # the strip overwrites W, and the box the prefix once the band fix
+        # has read it
+        strip = _window_diff(pre, runs, axis=0, out=first[:n])
         q, r = _offset_pairs(n, plan.quad_offsets, n)
         a, b = lo[q], hi[r]
         merged = -2 * (row_pre[b] - row_pre[a]) + (pre[b, b] - pre[a, b] - pre[b, a] + pre[a, a])
+        box = _window_diff(strip, runs, axis=1, out=_front(second, n, n))
+        kappa = np.diagonal(box).copy()
         split = -2 * (rho[q] + rho[r]) + kappa[q] + kappa[r] + 2 * box[q, r]
-        out += 2 * np.sum(w[q, r] * (merged - split))
+        # <W, box>: W is raw outside the band, so zero the band of box
+        # instead; not np.vdot, whose BLAS threads would oversubscribe the
+        # cores when contexts run concurrently
+        _zero_spans(box, plan.quad_zero)
+        w_box = np.multiply(box, self.raw, out=box).sum()
+        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * w_box
+
+        # band fix, one side (q < r), doubled by symmetry; W is raw on the band
+        out += 2 * np.sum(self.raw[q, r] * (merged - split))
         return float(out), count
 
 
@@ -801,7 +873,11 @@ def _combine_terms(
 
 
 def trace_product_estimate(
-    gram: GramSummary, h1: int, h2: int, window: DependenceWindow
+    gram: GramSummary,
+    h1: int,
+    h2: int,
+    window: DependenceWindow,
+    workspace: _Workspace | None = None,
 ) -> float:
     """Estimate tr{C(h1) C(h2)} from raw (uncentered) inner products.
 
@@ -811,12 +887,16 @@ def trace_product_estimate(
     The estimate is unbiased for constant means but can be negative in
     finite samples.
 
+    ``workspace`` is the two (n + 1) x (n + 1) float64 buffers the sums
+    work in (``_workspace(n)``); a call without one allocates its own. A
+    workspace serves one call at a time, so concurrent calls need one each.
+
     Raises ``EmptySumRange`` when any term has no admissible tuples.
     """
     m = window.m
     if abs(h1) > m or abs(h2) > m:
         raise IndexOutOfRange(f"lags ({h1}, {h2}) outside window M={m}")
-    ctx = _SeparatedSums(gram, m)
+    ctx = _SeparatedSums(gram, m, workspace)
     parts = (
         ctx.pair_term(h1, h2),
         ctx.triple_term(h1),
@@ -836,7 +916,8 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     The table is built once per (Gram, M), and its values are read-only.
     Its terms come from the same per-(Gram, M) store as those of
     ``trace_product_estimate``, so a table at an order the elbow probed
-    reuses that probe's quadruple and triple terms.
+    reuses that probe's quadruple, triple and pair terms. Every term of
+    the grid is computed in one workspace.
     """
     return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
 
@@ -901,7 +982,8 @@ def _null_plan(n: int, m: int) -> _NullPlan:
     design = F_matrix(n, m)
     weights = _f_columns(n, np.arange(1, n), m)
     B = _aggregate_values(n, design, weights)
-    plan = _NullPlan(design, weights, _contrast_cross_products(B, m), float((B**2).sum()))
+    mass = float(np.einsum("ij,ij->", B, B))
+    plan = _NullPlan(design, weights, _contrast_cross_products(B, m), mass)
     for a in (design.matrix, plan.weights, plan.cross):
         a.flags.writeable = False
     return plan

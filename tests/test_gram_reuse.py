@@ -20,6 +20,7 @@ from hdcp.core import DependenceWindow, _accumulator_dtype
 from hdcp.engine import _SeparatedSums
 from hdcp.inference import InferenceConfig, binary_segmentation
 from hdcp.inference import test_global as global_test
+from hdcp.selector import lag_energy_curve
 
 
 def _values(n, p, seed, shift=0.0):
@@ -152,12 +153,15 @@ def test_stored_results_equal_fresh_grams_bitwise():
 
 
 def test_table_at_a_probed_order_reuses_the_quad_and_triple_terms(monkeypatch):
+    # and the pair term: the elbow probes (-h, h), the orbit member the
+    # table computes
     values = _values(60, 10, 9)
-    gram = compute_gram(as_series(values))
+    series = as_series(values)
+    gram = compute_gram(series)
     window = DependenceWindow(2)
-    trace_product_estimate(gram, 2, -2, window)  # the elbow's probe at h = M = 2
+    lag_energy_curve(series, 2)  # probes h = M = 2 among its orders
     computed = []
-    for name in ("_quad", "_triple"):
+    for name in ("_quad", "_triple", "_pair"):
         original = getattr(_SeparatedSums, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -166,7 +170,11 @@ def test_table_at_a_probed_order_reuses_the_quad_and_triple_terms(monkeypatch):
 
         monkeypatch.setattr(_SeparatedSums, name, counted)
     table = build_trace_table(gram, window)
-    assert sorted(computed) == [("_triple", 0), ("_triple", 1)]
+    pairs = sorted(args for name, *args in computed if name == "_pair")
+    assert sorted(c for c in computed if c[0] == "_triple") == [("_triple", 0), ("_triple", 1)]
+    assert ("_quad",) not in computed
+    # one pair per orbit of the 5 x 5 grid, all but the probed one
+    assert len(pairs) == 8 and [-2, 2] not in pairs
     assert table.values.tobytes() == build_trace_table(
         compute_gram(as_series(values)), window
     ).values.tobytes()

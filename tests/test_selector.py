@@ -54,7 +54,7 @@ def test_curve_matches_per_lag_estimates():
     curve = lag_energy_curve(series, 3)
     gram = compute_gram(series)
     for h in range(4):
-        expected = trace_product_estimate(gram, h, -h, DependenceWindow(h))
+        expected = trace_product_estimate(gram, -h, h, DependenceWindow(h))
         assert curve.w_hat[h] == expected
 
 

@@ -228,7 +228,24 @@ def test_lag_energy_curve_equals_fresh_contexts():
     h_max = default_h_max(series.n)
     curve = lag_energy_curve(series, h_max)
     fresh = [
-        trace_product_estimate(compute_gram(as_series(values)), h, -h, DependenceWindow(h))
+        trace_product_estimate(compute_gram(as_series(values)), -h, h, DependenceWindow(h))
         for h in range(h_max + 1)
     ]
     assert curve.w_hat.tobytes() == np.array(fresh).tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(30, 2), (34, 10), (60, 3)])
+def test_terms_do_not_depend_on_their_order_in_one_workspace(n, m):
+    # the triple terms keep their window sums in the workspace that the
+    # quadruple term overwrites; one context, terms in a mixed order
+    lags = range(-m, m + 1)
+    gram = _gram(n, m)
+    ctx = _SeparatedSums(gram, m)
+    terms = {("triple", h): ctx.triple_term(h) for h in lags if h < 0}
+    terms[("pair", m, -m)] = ctx.pair_term(m, -m)
+    terms["quad"] = ctx.quad_term()
+    terms.update({("triple", h): ctx.triple_term(h) for h in lags if h >= 0})
+    fresh = _SeparatedSums(_gram(n, m), m)
+    want = {"quad": fresh.quad_term(), ("pair", m, -m): fresh.pair_term(m, -m)}
+    want.update({("triple", h): fresh.triple_term(h) for h in lags})
+    assert {k: _bits([v]) for k, v in terms.items()} == {k: _bits([v]) for k, v in want.items()}

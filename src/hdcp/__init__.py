@@ -20,11 +20,8 @@ from .core import (
     validate_input,
 )
 from .engine import (
-    BoundaryWeights,
-    ContrastMatrix,
     DependenceDesign,
     F_matrix,
-    LagTraceVector,
     TraceTable,
     V_vector,
     VarianceResult,

@@ -104,7 +104,7 @@ class SeriesMatrix:
 
 @dataclass(frozen=True)
 class DependenceWindow:
-    """Lag-truncation order M and the symmetric lag set {0, +-1, ..., +-M}."""
+    """Lag-truncation order M: serial dependence is modelled up to lag M."""
 
     m: int
 
@@ -112,10 +112,6 @@ class DependenceWindow:
         if int(self.m) != self.m or self.m < 0:
             raise IndexOutOfRange(f"dependence order must be a nonnegative integer, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-
-    @property
-    def lag_set(self) -> range:
-        return range(-self.m, self.m + 1)
 
     def min_length(self) -> int:
         """Smallest series length this window can be paired with."""
@@ -132,13 +128,12 @@ def _accumulator_dtype(n: int, p: int) -> type:
     """Accumulator of the Gram's row sums and of the prefix sums built on them.
 
     ``np.longdouble`` when n^2 p > 1e7, else float64. The switch governs
-    ``GramSummary.row_sums`` and ``total_sum``, the O(n) cumulative sums
-    that ``l_trace`` and ``V_vector`` build from them, and the derived 2-D
-    ``raw_prefix``. ``l_trace`` reads each split statistic as a difference
-    of block sums that grow like n^2 times the typical inner product, so
-    large inputs would cancel most float64 digits. Nothing else switches:
-    ``raw`` and the separated trace-product sums stay float64, and their
-    tuple counts are exact int64.
+    ``GramSummary.row_sums`` and ``total_sum`` and the O(n) cumulative sums
+    that ``l_trace`` and ``V_vector`` build from them. ``l_trace`` reads
+    each split statistic as a difference of block sums that grow like n^2
+    times the typical inner product, so large inputs would cancel most
+    float64 digits. Nothing else switches: ``raw`` and the separated
+    trace-product sums stay float64, and their tuple counts are exact int64.
     """
     return np.longdouble if n * n * p > _EXTENDED_PRECISION_THRESHOLD else np.float64
 
@@ -159,19 +154,13 @@ class GramSummary:
     go stale. Derived members, built on first read and then cached:
 
     - ``float_row_sums``  ``raw.sum(axis=1)`` in float64 whatever the
-      accumulator, read by every separated-sums context of this Gram and
-      by ``centered``. Read-only.
+      accumulator, read by every separated-sums context of this Gram.
+      Read-only.
     - ``row_prefix[s, j]``  float64 sum of ``raw[s, :j]``, n x (n + 1)
       with a zero guard column; by symmetry also a column sum. It does
       not depend on the separation order, so every separated-sums context
       of this Gram (the elbow builds one per probed order) shares it.
       Read-only.
-    - ``centered[i, j]``  ``raw`` after subtracting the global mean,
-      exactly symmetric, every row summing to zero up to rounding; only
-      tests and oracles read it,
-    - ``raw_prefix``  2-D prefix sums of ``raw`` in the accumulator dtype,
-      with a zero guard row/column, so ``raw_prefix[a, b]`` sums the
-      leading a x b block; only tests and oracles read it.
     - ``results``  what :mod:`hdcp.engine` computed from this Gram, keyed
       by kind and separation order M: the split curve and the trace table
       of each M (read-only arrays), and the value and count of each
@@ -180,10 +169,7 @@ class GramSummary:
 
     A Gram lives as long as the series that holds it (see
     ``SeriesMatrix``). At n = 800 the three fields hold 5.1 MB, and 10.3 MB
-    once ``row_prefix`` is built; the cached results are O(n) per M. A
-    Gram that stored every member would hold 25.6 MB above the threshold
-    (``raw``, ``centered`` and ``row_prefix`` 5.1 MB each, the longdouble
-    ``raw_prefix`` 10.3 MB).
+    once ``row_prefix`` is built; the cached results are O(n) per M.
     """
 
     raw: np.ndarray
@@ -215,25 +201,6 @@ class GramSummary:
     @functools.cached_property
     def results(self) -> dict:
         return {}
-
-    @functools.cached_property
-    def centered(self) -> np.ndarray:
-        raw = self.raw
-        n = self.n
-        row_sums = self.float_row_sums
-        total = float(row_sums.sum())
-        # one exactly symmetric mean adjustment keeps the result bitwise symmetric
-        scaled = row_sums / n
-        adjustment = scaled[:, None] + scaled[None, :]
-        return (raw - adjustment) + total / n**2
-
-    @functools.cached_property
-    def raw_prefix(self) -> np.ndarray:
-        acc = self.row_sums.dtype
-        n = self.n
-        prefix = np.zeros((n + 1, n + 1), dtype=acc)
-        prefix[1:, 1:] = self.raw.astype(acc).cumsum(axis=0).cumsum(axis=1)
-        return prefix
 
 
 @dataclass(frozen=True)

@@ -86,17 +86,6 @@ _PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
-class BoundaryWeights:
-    """Weight vector of length M + 1 pairing each lag with one split t.
-
-    ``values[0]`` is exactly 1; the remaining entries shrink near the series
-    boundary and satisfy the split symmetry t <-> n - t exactly.
-    """
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class DependenceDesign:
     """(M+1) x (M+1) lag design matrix for a series of length n.
 
@@ -120,39 +109,6 @@ class DependenceDesign:
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.matrix.T, np.asarray(rhs, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class LagTraceVector:
-    """Vector of centered lagged inner-product sums, lags 0..M."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ContrastMatrix:
-    """n x n coefficient matrix of a split statistic as a quadratic form.
-
-    Holds either the matrix of one split t or the elementwise sum over all
-    splits. Lookups outside [1, n] are zero by convention.
-    """
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def extended_lookup(self, i, j):
-        """Entry at 1-based (i, j), zero whenever i or j falls outside [1, n]."""
-        i = np.asarray(i)
-        j = np.asarray(j)
-        n = self.n
-        inside = (i >= 1) & (i <= n) & (j >= 1) & (j <= n)
-        ii = np.clip(i, 1, n) - 1
-        jj = np.clip(j, 1, n) - 1
-        out = np.where(inside, self.values[ii, jj], 0.0)
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -248,7 +204,7 @@ def _f_columns(n: int, t: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def f_vector(n: int, t: int, m: int) -> BoundaryWeights:
+def f_vector(n: int, t: int, m: int) -> np.ndarray:
     """Boundary weight vector for split t in a series of length n.
 
     Parameters
@@ -259,13 +215,14 @@ def f_vector(n: int, t: int, m: int) -> BoundaryWeights:
 
     Returns
     -------
-    BoundaryWeights
-        Length m + 1; first entry exactly 1. Satisfies
+    np.ndarray
+        Length m + 1; first entry exactly 1, the others shrink near the
+        series boundary. Satisfies
         ``f_vector(n, t, m) == f_vector(n, n - t, m)`` entrywise.
     """
     if not 1 <= t <= n - 1:
         raise IndexOutOfRange(f"split t={t} outside [1, {n - 1}]")
-    return BoundaryWeights(_f_columns(n, np.array([t]), m)[0])
+    return _f_columns(n, np.array([t]), m)[0]
 
 
 def _count_absdiff(a_max: int, n: int, d: int) -> int:
@@ -313,10 +270,10 @@ def _row_sum_prefix(gram: GramSummary) -> np.ndarray:
     return prefix
 
 
-def V_vector(gram: GramSummary, m: int) -> LagTraceVector:
-    """Centered lag sums: entry k averages products at lag k, k = 0..m.
+def V_vector(gram: GramSummary, m: int) -> np.ndarray:
+    """Demeaned lag sums: entry k averages products at lag k, k = 0..m.
 
-    Entry k is the k-th diagonal sum of the centered Gram over n, taken
+    Entry k is the k-th diagonal sum of the demeaned Gram over n, taken
     from the k-th diagonal of ``raw`` and two partial row-sum totals, in
     O(n M) and in the accumulator dtype.
     """
@@ -328,10 +285,11 @@ def V_vector(gram: GramSummary, m: int) -> LagTraceVector:
     prefix = _row_sum_prefix(gram)
     k = np.arange(m + 1)
     diag = np.array([np.trace(gram.raw, offset=h, dtype=acc) for h in k])
-    # sum over i of centered[i, i + k]: each of rows 0..n-k-1 and columns
-    # k..n-1 loses its mean share once, and n - k entries regain T / n^2
+    # sum over i of the demeaned Gram at (i, i + k): each of rows 0..n-k-1
+    # and columns k..n-1 loses its mean share once, and n - k entries
+    # regain T / n^2
     vals = (diag - (prefix[n - k] + (total - prefix[k])) / n + (n - k) * (total / n**2)) / n
-    return LagTraceVector(vals.astype(np.float64))
+    return vals.astype(np.float64)
 
 
 def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
@@ -355,8 +313,7 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
 def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     n = gram.n
     plan = _null_plan(n, m)
-    v = V_vector(gram, m)
-    x = plan.design.solve(v.values)
+    x = plan.design.solve(V_vector(gram, m))
 
     raw = gram.raw
     acc = gram.row_sums.dtype
@@ -409,7 +366,7 @@ def _apply_lag_terms(B: np.ndarray, coeff: np.ndarray, n: int) -> None:
     B += columns
 
 
-def b_matrix(n: int, t: int, window: DependenceWindow) -> ContrastMatrix:
+def b_matrix(n: int, t: int, window: DependenceWindow) -> np.ndarray:
     """Quadratic-form coefficients of the split-t statistic.
 
     ``l_trace`` at split t equals exactly (1/n^2) * sum_{i,j} B(i, j) x_i'x_j,
@@ -418,15 +375,13 @@ def b_matrix(n: int, t: int, window: DependenceWindow) -> ContrastMatrix:
     """
     if not 1 <= t <= n - 1:
         raise IndexOutOfRange(f"split t={t} outside [1, {n - 1}]")
-    design = F_matrix(n, window.m)
-    f = f_vector(n, t, window.m)
-    g = design.solve_transposed(f.values)
+    g = F_matrix(n, window.m).solve_transposed(f_vector(n, t, window.m))
     B = _contrast_block(n, t)
     _apply_lag_terms(B, g, n)
-    return ContrastMatrix(B)
+    return B
 
 
-def b_aggregate(n: int, window: DependenceWindow) -> ContrastMatrix:
+def b_aggregate(n: int, window: DependenceWindow) -> np.ndarray:
     """Elementwise sum of the split contrast matrices over t = 1..n-1.
 
     Accumulated in closed form: the three block terms reduce to harmonic
@@ -436,7 +391,7 @@ def b_aggregate(n: int, window: DependenceWindow) -> ContrastMatrix:
     """
     m = window.m
     weights = _f_columns(n, np.arange(1, n), m)
-    return ContrastMatrix(_aggregate_values(n, F_matrix(n, m), weights))
+    return _aggregate_values(n, F_matrix(n, m), weights)
 
 
 def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> np.ndarray:
@@ -879,7 +834,7 @@ def trace_product_estimate(
     window: DependenceWindow,
     workspace: _Workspace | None = None,
 ) -> float:
-    """Estimate tr{C(h1) C(h2)} from raw (uncentered) inner products.
+    """Estimate tr{C(h1) C(h2)} from the raw inner products, mean not removed.
 
     Four averaged sums over index tuples more than M apart: the pair term
     carries the signal, the two triple terms remove first-moment
@@ -943,25 +898,26 @@ def _trace_table(gram: GramSummary, m: int) -> TraceTable:
 
 
 def _shift_dot(src: np.ndarray, dst: np.ndarray, dr: int, dc: int) -> float:
-    # sum over i, j of src[i, j] * dst[i + dr, j + dc], zero outside the grid
+    # sum over i, j of src[i, j] * dst[i + dr, j + dc], zero outside the grid;
+    # einsum reads the strided slices in place; np.vdot would copy both and
+    # run threaded BLAS
     n = src.shape[0]
     r0, r1 = max(0, -dr), n - max(0, dr)
     c0, c1 = max(0, -dc), n - max(0, dc)
     if r0 >= r1 or c0 >= c1:
         return 0.0
     return float(
-        np.vdot(src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc])
+        np.einsum("ij,ij->", src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc])
     )
 
 
 def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
     """For each lag pair, sum_{i,j} B(i,j) {B(i+h2, j-h1) + B(j-h1, i+h2)}."""
     out = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.float64)
-    transposed = np.ascontiguousarray(values.T)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
             out[h1 + m, h2 + m] = _shift_dot(values, values, h2, -h1) + _shift_dot(
-                values, transposed, h2, -h1
+                values, values.T, h2, -h1
             )
     return out
 
@@ -999,13 +955,12 @@ def _floored_variance(
     return VarianceResult(value, False)
 
 
-def variance_estimate(
-    B: ContrastMatrix, table: TraceTable, n: int, window: DependenceWindow
-) -> VarianceResult:
+def variance_estimate(B: np.ndarray, table: TraceTable) -> VarianceResult:
     """Plug-in null variance of a split statistic (or of their sum).
 
-    Pass the single-split contrast matrix for a per-split variance, or the
-    aggregated matrix for the variance of the summed statistic. Out-of-grid
+    Pass the n x n contrast of one split (``b_matrix``) for a per-split
+    variance, or the aggregate (``b_aggregate``) for the variance of the
+    summed statistic; n is read from ``B`` and M from ``table``. Out-of-grid
     contrast lookups are zero; cost is O(n^2 M^2).
 
     The trace-product estimates can be negative in finite samples, so the
@@ -1013,16 +968,15 @@ def variance_estimate(
     mass; a floored value is flagged degenerate rather than raised, and
     downstream tests report non-rejection.
     """
-    values = B.values
-    cross = _contrast_cross_products(values, window.m)
-    return _floored_variance(cross, float((values**2).sum()), table, n)
+    cross = _contrast_cross_products(B, table.m)
+    return _floored_variance(cross, float((B**2).sum()), table, B.shape[0])
 
 
-def aggregate_variance(table: TraceTable, n: int, window: DependenceWindow) -> VarianceResult:
-    """``variance_estimate(b_aggregate(n, window), table, n, window)``.
+def aggregate_variance(table: TraceTable, n: int) -> VarianceResult:
+    """``variance_estimate(b_aggregate(n, DependenceWindow(table.m)), table)``.
 
     The contrast cross-products and mass come from the cached (n, M) plan,
     so after the first call per (n, M) this costs O(M^2).
     """
-    plan = _null_plan(n, window.m)
+    plan = _null_plan(n, table.m)
     return _floored_variance(plan.cross, plan.mass, table, n)

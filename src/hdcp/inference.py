@@ -94,7 +94,7 @@ def _global_test_core(
     curve = l_trace(gram, window)
     statistic = math.fsum(curve.tolist())
     table = build_trace_table(gram, window)
-    var = aggregate_variance(table, gram.n, window)
+    var = aggregate_variance(table, gram.n)
     return _outcome_from(statistic, var.value, var.degenerate, alpha), curve
 
 
@@ -128,8 +128,7 @@ def test_at(
     gram = compute_gram(series)
     statistic = float(l_trace(gram, window)[t - 1])
     table = build_trace_table(gram, window)
-    contrast = b_matrix(n, t, window)
-    var = variance_estimate(contrast, table, n, window)
+    var = variance_estimate(b_matrix(n, t, window), table)
     return _outcome_from(statistic, var.value, var.degenerate, cfg.alpha)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DependenceWindow, NonPositiveBaseline, SeriesMatrix, validate_input
+from .core import DependenceWindow, DimensionTooSmall, NonPositiveBaseline, SeriesMatrix
 from .engine import _workspace, compute_gram, trace_product_estimate
 
 
@@ -81,10 +81,18 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
     (n + 1) x (n + 1) float64 buffers; shorter series run them one after
     another in one workspace. Each order is computed the same way on
     either path, so the curve does not depend on the path.
+
+    Raises ``DimensionTooSmall`` before any order is probed when
+    n < 3 h_max + 4, where the deepest order's separated sums are empty.
     """
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
-    validate_input(series, DependenceWindow(h_max))
+    n = series.n
+    if n < 3 * h_max + 4:
+        raise DimensionTooSmall(
+            f"n={n} too small for h_max={h_max} (needs n >= 3 h_max + 4, "
+            f"so h_max <= {(n - 4) // 3})"
+        )
     gram = compute_gram(series)
     workers = _WORKERS if gram.n >= _THREADED_FROM_N else 1
     # the orders share the Gram's lazily built members; build them here,

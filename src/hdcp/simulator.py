@@ -285,7 +285,7 @@ def oracle_mean_l(t: int, model: OracleModel, window: DependenceWindow) -> float
     """Expected split statistic at t under the model, leading terms only.
 
     Evaluates the mean contrast of the two halves minus the lag correction
-    applied to the centered mean products. Zero for all t under a constant
+    applied to the demeaned mean products. Zero for all t under a constant
     mean; under a single change it is maximized exactly at the change point.
     """
     n = model.n
@@ -298,7 +298,7 @@ def oracle_mean_l(t: int, model: OracleModel, window: DependenceWindow) -> float
         [float(np.sum(dev[: n - k] * dev[k:])) / n for k in range(m + 1)]
     )
     design = F_matrix(n, m)
-    term2 = float(f_vector(n, t, m).values @ design.solve(v_b)) / n
+    term2 = float(f_vector(n, t, m) @ design.solve(v_b)) / n
     return term1 - term2
 
 
@@ -313,8 +313,7 @@ def oracle_variance(
     dependence dies inside the window this is the exact variance.
     """
     n, m = model.n, window.m
-    contrast = b_aggregate(n, window) if t == "aggregate" else b_matrix(n, int(t), window)
-    B = contrast.values
+    B = b_aggregate(n, window) if t == "aggregate" else b_matrix(n, int(t), window)
     cross = _contrast_cross_products(B, m)
     trace_term = 0.0
     for h1 in range(-m, m + 1):

@@ -208,12 +208,11 @@ def assert_instance_matches(x: np.ndarray, m: int, rtol: float = 1e-8) -> None:
     gram = compute_gram(series)
     window = DependenceWindow(m)
 
-    raw, cen = naive_gram(x)
+    raw, _ = naive_gram(x)
     np.testing.assert_allclose(gram.raw, raw, rtol=rtol, atol=1e-10)
-    np.testing.assert_allclose(gram.centered, cen, rtol=rtol, atol=1e-8)
 
     np.testing.assert_allclose(
-        V_vector(gram, m).values, naive_v(x, m), rtol=rtol, atol=1e-12
+        V_vector(gram, m), naive_v(x, m), rtol=rtol, atol=1e-12
     )
     fast_l = l_trace(gram, window)
     for t in range(1, n):
@@ -234,13 +233,13 @@ def assert_instance_matches(x: np.ndarray, m: int, rtol: float = 1e-8) -> None:
     mid = max(1, n // 2)
     for t in (1, mid, n - 1):
         contrast = b_matrix(n, t, window)
-        np.testing.assert_allclose(contrast.values, naive_b(n, t, m), rtol=rtol, atol=1e-10)
-        fast = variance_estimate(contrast, table, n, window)
-        slow = naive_variance(contrast.values, table, n, m)
+        np.testing.assert_allclose(contrast, naive_b(n, t, m), rtol=rtol, atol=1e-10)
+        fast = variance_estimate(contrast, table)
+        slow = naive_variance(contrast, table, n, m)
         if not fast.degenerate:
             np.testing.assert_allclose(fast.value, slow, rtol=rtol)
     agg = b_aggregate(n, window)
-    fast = variance_estimate(agg, table, n, window)
-    slow = naive_variance(agg.values, table, n, m)
+    fast = variance_estimate(agg, table)
+    slow = naive_variance(agg, table, n, m)
     if not fast.degenerate:
         np.testing.assert_allclose(fast.value, slow, rtol=rtol)

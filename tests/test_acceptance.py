@@ -51,11 +51,11 @@ def test_ac01_exact_unit_suite():
     start = time.time()
     w0 = DependenceWindow(0)
     checks = [
-        np.allclose(f_vector(10, 5, 1).values, [1.0, 1.4], atol=1e-10),
+        np.allclose(f_vector(10, 5, 1), [1.0, 1.4], atol=1e-10),
         np.allclose(F_matrix(10, 0).matrix, [[0.9]], atol=1e-10),
         abs(F_matrix(10, 1).matrix[0, 1] + 0.18) < 1e-10,
-        abs(b_matrix(4, 2, w0).values[0, 0]) < 1e-10,
-        abs(b_matrix(4, 2, w0).values[0, 2] + 5.0 / 3.0) < 1e-10,
+        abs(b_matrix(4, 2, w0)[0, 0]) < 1e-10,
+        abs(b_matrix(4, 2, w0)[0, 2] + 5.0 / 3.0) < 1e-10,
         np.allclose(
             l_trace(compute_gram(as_series([[0.0], [0.0], [2.0], [2.0]])), w0),
             [0.0, 2.0 / 3.0, 0.0],

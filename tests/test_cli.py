@@ -372,6 +372,15 @@ def test_detect_auto_short_series_clamps_h_max(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_detect_over_deep_h_max_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "forty.csv"
+    np.savetxt(path, np.random.default_rng(4).standard_normal((40, 3)), delimiter=",")
+    code = main(["detect", "--input", str(path), "--m", "auto", "--h-max", "13"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "h_max <= 12" in err
+
+
 def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, monkeypatch):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for an infeasible --min-seg")

@@ -58,9 +58,8 @@ def test_series_values_are_read_only():
         series.values[0, 0] = 5.0
 
 
-def test_window_lag_set_and_bounds():
+def test_window_bounds():
     w = DependenceWindow(2)
-    assert list(w.lag_set) == [-2, -1, 0, 1, 2]
     assert w.min_length() == 8
     with pytest.raises(IndexOutOfRange):
         DependenceWindow(-1)

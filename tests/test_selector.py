@@ -14,6 +14,7 @@ from hdcp import (
     select_m,
     trace_product_estimate,
 )
+from hdcp import selector
 from hdcp.selector import default_h_max
 
 
@@ -62,6 +63,17 @@ def test_curve_requires_enough_data():
     series = as_series(np.random.default_rng(0).standard_normal((10, 2)))
     with pytest.raises(DimensionTooSmall):
         lag_energy_curve(series, 4)
+
+
+def test_curve_rejects_over_deep_probe_before_any_order(monkeypatch):
+    # n = 40 hosts M = 13 (n >= 2(M + 2)), but the quadruple term at order
+    # 13 needs n >= 3 * 13 + 4 = 43, so the probe must stop before order 0
+    calls = []
+    monkeypatch.setattr(selector, "trace_product_estimate", lambda *a: calls.append(a))
+    series = as_series(np.random.default_rng(1).standard_normal((40, 3)))
+    with pytest.raises(DimensionTooSmall, match=r"h_max <= 12\b"):
+        lag_energy_curve(series, 13)
+    assert calls == []
 
 
 def test_default_probe_depth():

@@ -9,10 +9,24 @@ outside ``[1, n]`` are defined to be zero; see the contrast matrices in
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the work one call splits across cores: the elbow's orders run on this
+# many threads, and a large ``hdcp detect`` input is parsed in this many
+# processes; read it as ``core._WORKERS`` at call time
+_WORKERS = min(2, _usable_cpus())
 
 
 class HdcpError(Exception):

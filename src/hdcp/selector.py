@@ -9,28 +9,20 @@ relative-drop rule against the lag-zero energy.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DependenceWindow, DimensionTooSmall, NonPositiveBaseline, SeriesMatrix
 from .engine import _workspace, compute_gram, trace_product_estimate
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# the elbow's orders run on this many threads; numpy releases the GIL in
-# the O(n^2) passes of each order, and each thread holds one workspace
-_WORKERS = min(2, _usable_cpus())
-# below this length an order is too short for threads to pay for their
-# start and their hand-offs of the GIL: on a 2-vCPU host one and two
-# threads tie near n = 350, and two are ~10% faster at n = 400
+# the orders run on core._WORKERS threads, as numpy releases the GIL in
+# the O(n^2) passes of each order; below this length an order is too
+# short for threads to pay for their start and their hand-offs of the
+# GIL: on a 2-vCPU host one and two threads tie near n = 350, and two are
+# ~10% faster at n = 400
 _THREADED_FROM_N = 400
 
 
@@ -76,7 +68,7 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
     using separation order h itself: while h is still a candidate order,
     nearer index pairs cannot be trusted to be independent.
 
-    From n = ``_THREADED_FROM_N`` on, the orders run on ``_WORKERS``
+    From n = ``_THREADED_FROM_N`` on, the orders run on ``core._WORKERS``
     threads (at most two), each with its own workspace of two
     (n + 1) x (n + 1) float64 buffers; shorter series run them one after
     another in one workspace. Each order is computed the same way on
@@ -94,7 +86,7 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
             f"so h_max <= {(n - 4) // 3})"
         )
     gram = compute_gram(series)
-    workers = _WORKERS if gram.n >= _THREADED_FROM_N else 1
+    workers = core._WORKERS if gram.n >= _THREADED_FROM_N else 1
     # the orders share the Gram's lazily built members; build them here,
     # because functools.cached_property has no lock from Python 3.12 on
     gram.results, gram.row_prefix, gram.float_row_sums

@@ -1,7 +1,7 @@
 """The elbow's orders on a thread pool, in lean separated-sums contexts.
 
 From n = ``selector._THREADED_FROM_N`` on, ``lag_energy_curve`` maps its
-orders over ``selector._WORKERS`` threads, each with its own workspace.
+orders over ``core._WORKERS`` threads, each with its own workspace.
 These tests pin that the worker count changes no bit of the curve, of the
 ``hdcp detect --m auto`` report or of what the Gram stores, and bound the
 memory the threaded curve takes above the Gram.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hdcp import as_series, compute_gram
-from hdcp import engine, selector
+from hdcp import core, engine, selector
 from hdcp.cli import main
 from hdcp.selector import default_h_max, lag_energy_curve
 
@@ -27,7 +27,7 @@ def _series(n, p, seed):
 
 
 def _curve_with(monkeypatch, values, workers):
-    monkeypatch.setattr(selector, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_WORKERS", workers)
     series = as_series(values)
     curve = lag_energy_curve(series, default_h_max(series.n))
     return curve, compute_gram(series)
@@ -58,7 +58,7 @@ def test_worker_count_does_not_change_the_auto_report(tmp_path, monkeypatch):
     np.savetxt(path, values, delimiter=",")
     reports = []
     for workers in (1, 2):
-        monkeypatch.setattr(selector, "_WORKERS", workers)
+        monkeypatch.setattr(core, "_WORKERS", workers)
         out = tmp_path / f"report_{workers}.json"
         assert main(["detect", "--input", str(path), "--m", "auto", "--output", str(out)]) == 0
         reports.append(out.read_bytes())
@@ -109,7 +109,7 @@ def test_threaded_contexts_store_what_a_serial_run_stores(monkeypatch):
 def test_threaded_curve_memory_above_the_gram(monkeypatch):
     # two workspaces of 2 (n + 1)^2 float64 each, and little else
     n = 800
-    monkeypatch.setattr(selector, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_WORKERS", 2)
     series = as_series(_series(n, 10, 4))
     compute_gram(series).row_prefix
     tracemalloc.start()

@@ -14,29 +14,31 @@ four-term U-statistic over index tuples forced to be more than M apart
 (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
-shared: ``_null_plan(n, M)`` holds the checked lag design ``F_matrix``,
-the boundary weights of every split, and the cross-product table and
-squared mass of the aggregated contrast ``b_aggregate``. One entry costs
-O(nM + M^2) floats, since the n x n contrast is reduced before it is
+shared: ``_null_plan(n, M)`` holds the checked lag design ``F_matrix`` and
+the boundary weights of every split, which ``l_trace`` reads, and, built
+on the first ``aggregate_variance`` of the shape, the cross-product table
+and squared mass of the aggregated contrast ``b_aggregate``. One entry
+costs O(nM + M^2) floats, since the n x n contrast is reduced before it is
 stored; at most ``_PLAN_CACHE_SIZE`` (32) keys are kept, least recently
 used first out. The arrays are read-only, because every caller with the
-same key gets the same plan. ``l_trace`` and ``aggregate_variance`` read
-it, so the global test of a series of a seen length pays O(M^2) for its
-variance after the trace table.
+same key gets the same plan. So the global test of a series of a seen
+length pays O(M^2) for its variance after the trace table, and a shape
+that only ``l_trace`` sees never pays for the cross-products.
 
 The separated sums share work the same way. Once per shape,
-``_sums_plan(n, M)`` (same LRU bound) holds the windows and their slice
-runs, the exact tuple counts, the forbidden diagonals of every product
-and the overlap-band offsets: O(n) arrays, O(M) offsets and one int64
-pair per forbidden diagonal, never an n x M or n x n array. Once per
-Gram, ``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that
-every separation order reads. A context per (Gram, M) then pays only for
-its own O(n^2) sums, and forms every n x n array of them (the triple
-term's window sums, the quadruple term's masked Gram, prefix, strip and
-box, the products of each term) in a workspace of two (n + 1) x (n + 1)
-float64 buffers that its caller owns and reuses from one context to the
-next. So a context holds no n x n array of its own, and the elbow's
-orders can run on two threads with one workspace each.
+``_sums_plan(n, M)`` (same LRU bound) holds the windows, their slice runs
+and the exact tuple counts: O(n) arrays and integers. Once per Gram,
+``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that every
+separation order reads. A context per (Gram, M) then pays only for its
+own sums: each term takes its whole-grid sum in one n x n pass (the pair
+term over two Gram slices, the triple term over the window sums and the
+Gram, the quadruple term over the window sums and their transpose) and
+corrects the O(nM) entries near the diagonal from the Gram's 6M + 1
+middle diagonals, which the context keeps as rows of one small array. The
+only n x n array a context forms, the window sums, lives in the n x n
+float64 buffer of a workspace that its caller owns and reuses from one
+context to the next. So the elbow's orders can run on two threads with
+one workspace each.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the Gram on its series, and a segment's Gram is a
@@ -303,7 +305,8 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     sums, accumulated in the Gram's accumulator dtype; the lag design
     system is solved once. The checked design and the boundary weights of
     all splits come from the (n, M) plan, so only the first call for a
-    shape builds them (and the plan's O(n^2 M^2) aggregate cross-products).
+    shape builds them; the plan's O(n^2 M^2) aggregate cross-products wait
+    for ``aggregate_variance``.
 
     The curve is computed once per (Gram, M) and returned read-only.
     """
@@ -421,49 +424,16 @@ def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, n
     return np.nonzero(keep)[0], j[keep]
 
 
-def _diagonal_spans(shape: tuple[int, int], offsets) -> tuple[np.ndarray, int]:
-    """Flat spans of the diagonals a[i, i + k], k in offsets, of a C-order array.
-
-    Each diagonal is one strided slice ``flat[start:stop:cols + 1]`` of the
-    flat view. Returns the read-only (start, stop) rows of the nonempty
-    diagonals, one int64 pair each, and their total length.
-    """
-    rows, cols = shape
-    spans = []
-    zeroed = 0
-    for k in offsets:
-        i0, j0 = max(0, -k), max(0, k)
-        length = min(rows - i0, cols - j0)
-        if length > 0:
-            start = i0 * cols + j0
-            spans.append((start, start + length * (cols + 1)))
-            zeroed += length
-    out = np.array(spans, dtype=np.int64).reshape(-1, 2)
-    out.flags.writeable = False
-    return out, zeroed
+def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
+    """Writable view of the diagonal a[i, i + k] of a C-contiguous n x n array."""
+    n = a.shape[0]
+    start = k if k >= 0 else -k * n
+    return a.reshape(-1)[start : start + (n - abs(k)) * (n + 1) : n + 1]
 
 
-_Workspace = tuple[np.ndarray, np.ndarray]
-
-
-def _workspace(n: int) -> _Workspace:
-    """Two (n + 1) x (n + 1) float64 buffers for one separated-sums context at a time."""
-    return np.empty((n + 1, n + 1), dtype=np.float64), np.empty((n + 1, n + 1), dtype=np.float64)
-
-
-def _front(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The first rows * cols entries of a C-contiguous buffer as a C-contiguous array."""
-    return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
-
-
-def _zero_spans(a: np.ndarray, spans: np.ndarray) -> None:
-    """Zero the diagonals that ``_diagonal_spans(a.shape, ...)`` returned."""
-    if not a.flags.c_contiguous:
-        raise ValueError("diagonals are zeroed through a flat view; need a C-contiguous array")
-    flat = a.reshape(-1)
-    step = a.shape[1] + 1
-    for start, stop in spans.tolist():
-        flat[start:stop:step] = 0.0
+def _workspace(n: int) -> np.ndarray:
+    """The n x n float64 buffer that one separated-sums context at a time works in."""
+    return np.empty((n, n), dtype=np.float64)
 
 
 def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
@@ -505,32 +475,29 @@ def _window_diff(pre: np.ndarray, runs, axis: int, out: np.ndarray | None = None
     return out
 
 
-class _TriplePlan(NamedTuple):
-    """Shape-only parts of the triple term at one |h|."""
-
-    count: int           # exact number of admissible (r, s, t)
-    offsets: np.ndarray  # t - s on the overlap bands, (2M,)
-    zero: np.ndarray     # spans of the forbidden band -M <= t - s <= h + M
-
-
 class _PairPlan(NamedTuple):
-    """Shape-only parts of the pair term at one (h1, h2)."""
+    """Shape-only parts of the pair term at one (h1, h2).
+
+    The forbidden differences d = s - t form the one interval
+    ``[top - width + 1, top]``: the four bands |d - c| <= M, c in
+    {0, h2, -h1, h2 - h1}, overlap, as neighbouring centres are at most
+    M apart.
+    """
 
     count: int
-    zero: np.ndarray     # spans of the forbidden diagonals of the product
+    top: int
+    width: int
 
 
 class _SumsPlan:
     """What the separated sums need that depends on (n, M) alone.
 
     Built by ``_sums_plan`` once per shape and shared by every context of
-    that shape, so its arrays are read-only. It holds O(n) arrays, O(M)
-    offsets, diagonal spans (one int64 pair per forbidden diagonal) and
-    exact counts: the windows ``lo``/``hi`` and their runs, the quadruple
-    count, forbidden band and overlap offsets, and, filled on first use,
-    the triple term of each |h| and the pair term of each (h1, h2). The
-    O(nM) band index pairs are formed per call from the offsets, which
-    keeps a cached shape small.
+    that shape, so its arrays are read-only. It holds the windows
+    ``lo``/``hi`` (O(n)) and their runs, and exact counts: the quadruple
+    count, and, filled on first use, the triple count of each |h| and the
+    pair count and forbidden interval of each (h1, h2). No array of it is
+    larger than n.
     """
 
     def __init__(self, n: int, m: int):
@@ -542,33 +509,28 @@ class _SumsPlan:
         self.runs = _window_runs(n, m)
         k = n - 3 * m
         self.quad_count = k * (k - 1) * (k - 2) * (k - 3) if k >= 4 else 0
-        self.quad_zero = _diagonal_spans((n, n), range(-m, m + 1))[0]
-        self.quad_offsets = np.arange(m + 1, 2 * m + 1)
-        for a in (self.lo, self.hi, self.quad_offsets):
+        for a in (self.lo, self.hi):
             a.flags.writeable = False
-        self._triples: dict[int, _TriplePlan] = {}
+        self._triples: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], _PairPlan] = {}
 
-    def triple(self, h: int) -> _TriplePlan:
-        """Count, overlap offsets and forbidden band of the triple term at h >= 0."""
-        plan = self._triples.get(h)
-        if plan is None:
-            plan = self._triples[h] = self._triple_plan(h)
-        return plan
+    def triple_count(self, h: int) -> int:
+        """Exact number of admissible (r, s, t) of the triple term at h >= 0."""
+        count = self._triples.get(h)
+        if count is None:
+            count = self._triples[h] = self._triple_count(h)
+        return count
 
-    def _triple_plan(self, h: int) -> _TriplePlan:
-        # count: sum over admissible (s, t) of own_cnt[s] - wlen[t], by
-        # rows; t is forbidden on [band_lo[s], band_hi[s]); the overlap
-        # bands -2M <= t - s < -M and h + M < t - s <= h + 2M add back
-        # the indices r that both windows exclude
+    def _triple_count(self, h: int) -> int:
+        # sum over admissible (s, t) of own_cnt[s] - wlen[t], by rows; t is
+        # forbidden on [band_lo[s], band_hi[s]); the overlap bands
+        # -2M <= t - s < -M and h + M < t - s <= h + 2M add back the
+        # indices r that both windows exclude
         n, m = self.n, self.m
         lo, hi = self.lo, self.hi
         ns = n - h
-        offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
-        offsets.flags.writeable = False
-        zero = _diagonal_spans((max(ns, 0), n), range(-m, h + m + 1))[0]
         if ns <= 0:
-            return _TriplePlan(0, offsets, zero)
+            return 0
         s = np.arange(ns)
         own_cnt = n - (hi[h:] - lo[:ns])
         band_lo, band_hi = np.maximum(s - m, 0), np.minimum(s + h + m + 1, n)
@@ -576,28 +538,31 @@ class _SumsPlan:
         np.cumsum(hi - lo, out=wlen_pre[1:])
         count = int(np.sum(own_cnt * (n - (band_hi - band_lo))))
         count -= int(np.sum(wlen_pre[n] - (wlen_pre[band_hi] - wlen_pre[band_lo])))
+        offsets = np.concatenate([np.arange(-2 * m, -m), np.arange(h + m + 1, h + 2 * m + 1)])
         sb, tb = _offset_pairs(ns, offsets, n)
         left = tb < sb
         count += int(np.sum(hi[np.where(left, tb, sb + h)] - lo[np.where(left, sb, tb)]))
-        return _TriplePlan(count, offsets, zero)
+        return count
 
     def pair(self, h1: int, h2: int) -> _PairPlan:
-        """Count and forbidden diagonals of the pair term's product at (h1, h2)."""
+        """Count and forbidden interval of the pair term at (h1, h2)."""
         plan = self._pairs.get((h1, h2))
         if plan is None:
             plan = self._pairs[(h1, h2)] = self._pair_plan(h1, h2)
         return plan
 
     def _pair_plan(self, h1: int, h2: int) -> _PairPlan:
-        # the product's entry (i, j) has d = s - t = s_lo - t_lo + i - j, so
-        # each forbidden d is one diagonal
         n, m = self.n, self.m
-        rows = n - abs(h1)
-        cols = n - abs(h2)
-        base = max(0, -h1) - max(0, -h2)
-        forbidden = {base - c - e for c in (0, h2, -h1, h2 - h1) for e in range(-m, m + 1)}
-        zero, zeroed = _diagonal_spans((rows, cols), forbidden)
-        return _PairPlan(rows * cols - zeroed, zero)
+        s0, s1 = max(0, -h1), min(n, n - h1)
+        t0, t1 = max(0, -h2), min(n, n - h2)
+        centres = (0, h2, -h1, h2 - h1)
+        bottom, top = min(centres) - m, max(centres) + m
+        # entries (s, t = s - d) of the rows x cols grid on each forbidden d
+        forbidden = sum(
+            max(0, min(s1, t1 + d) - max(s0, t0 + d)) for d in range(bottom, top + 1)
+        )
+        count = max(0, s1 - s0) * max(0, t1 - t0) - forbidden
+        return _PairPlan(count, top, top - bottom + 1)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -606,59 +571,69 @@ def _sums_plan(n: int, m: int) -> _SumsPlan:
 
 
 class _SeparatedSums:
-    """Shared prefix structures for the separated trace-product sums.
+    """The separated trace-product sums of one Gram at one separation M.
 
     One instance serves every (h1, h2) pair of a lag window, and every sum
     costs O(n^2) whatever M is: the pair term per lag pair, the triple term
     once per distinct |h| (shared by h and -h), and the quadruple term
-    once. No sum builds an n x n mask: the indices a term forbids are
-    whole diagonals of its product array (at most four bands of 2M + 1 for
-    the pair term, one band of |h| + 2M + 1 for the triple term, one of
-    2M + 1 in the quadruple term's masked Gram W), so each term forms its
-    products, zeroes those O(nM) entries in place by strided slices and
-    takes one plain sum. Counts are exact integers: the quadruple count in
-    closed form, the pair count as the array size minus the diagonal
-    lengths, the triple count from O(n) int64 sums (below n^3).
+    once. Counts are exact integers: the quadruple count in closed form,
+    the pair count as the grid size minus the forbidden diagonals, the
+    triple count from O(n) int64 sums (below n^3).
 
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
-    series. Because the windows only advance or stay clipped, every window
-    sum of a prefix array (the triple term's window sums, the strip and
-    box of the quadruple term) is at most three contiguous slice
-    subtractions (``_window_diff``), not a gather. The row prefix comes
-    from the Gram, shared across separations, and so do its float64 row
-    sums; everything that depends on (n, M) alone (windows, counts,
-    forbidden diagonals, band offsets) comes from the cached
-    ``_sums_plan(n, M)``.
+    series. What depends on (n, M) alone (windows, counts, forbidden
+    intervals) comes from the cached ``_sums_plan(n, M)``; the row prefix
+    and the float64 row sums come from the Gram, shared across
+    separations.
 
-    Every n x n array a term forms lives in a workspace of two
-    (n + 1) x (n + 1) float64 buffers (``_workspace``) that the caller owns
-    and may pass to one context after another. The window sums every
-    triple term reads stay in the second buffer, and each term forms its
-    product in the first; the quadruple term keeps its masked Gram W, its
-    2-D prefix, strip and box in the two buffers (so a triple term after
-    it rebuilds the window sums), and takes <W, box> as <raw, box> with
-    the band of box zeroed, so it needs no masked copy of its own. A
-    context given no workspace allocates one when it first computes a
-    term. A workspace serves one context at a time; contexts on different
-    threads need one each.
+    Each term takes its whole-grid sum in one n x n pass and then removes
+    or adds the O(nM) entries near the diagonal that its index rules treat
+    apart. Those entries are read from ``band``: the diagonals
+    ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n array, zero
+    where i + k falls outside the series, with their running sums over k.
+    A sum of row i over any stretch of offsets is then a difference of two
+    of those rows, so clipped windows at the series ends need no case of
+    their own, and no term forms index pairs. The passes are:
+
+    - pair: one ``einsum`` of the two shifted Gram slices, minus the
+      products on the forbidden diagonals, one ``einsum`` over rows of
+      ``band``;
+    - triple: the window sums ``ws[s, t] = sum(raw[s, lo[t]:hi[t]])``,
+      formed once per context by one slice run per window run off the row
+      prefix and shared by every |h|; then one ``einsum`` of them with the
+      Gram, and one ``einsum`` over the band -2M <= t - s <= h + 2M that
+      takes back the forbidden pairs and adds the r both windows exclude;
+    - quadruple: corrects the window sums in place on their 4M + 1
+      middle diagonals, which turns them into the window sums of the
+      masked Gram, then one transposed ``einsum`` of them with themselves
+      (see ``quad_term``).
+
+    The workspace (``_workspace``) is one n x n float64 buffer that the
+    caller owns and may pass to one context after another; it holds the
+    window sums, and after the quadruple term the masked Gram's window
+    sums. So a triple term after the quadruple term forms the window sums
+    again: ``build_trace_table`` takes its triple terms first, and
+    ``trace_product_estimate`` its quadruple term last. A context given no
+    workspace allocates one when it first forms the window sums. A
+    workspace serves one context at a time; contexts on different threads
+    need one each. ``band`` is O(nM) and belongs to the context.
 
     Each term's value and count is stored on the Gram per M
     (``GramSummary.results``), so every context of one (Gram, M) computes a
     term once.
     """
 
-    def __init__(self, gram: GramSummary, m: int, workspace: _Workspace | None = None):
+    def __init__(self, gram: GramSummary, m: int, workspace: np.ndarray | None = None):
         raw = gram.raw
         n = raw.shape[0]
         if workspace is not None and not (
-            len(workspace) == 2
-            and all(
-                b.shape == (n + 1, n + 1) and b.dtype == np.float64 and b.flags.c_contiguous
-                for b in workspace
-            )
+            isinstance(workspace, np.ndarray)
+            and workspace.shape == (n, n)
+            and workspace.dtype == np.float64
+            and workspace.flags.c_contiguous
         ):
-            raise ValueError(f"workspace does not hold two (n + 1) x (n + 1) float64 buffers, n={n}")
+            raise ValueError(f"workspace is not an n x n C-contiguous float64 buffer, n={n}")
         self.n = n
         self.m = m
         self.gram = gram
@@ -669,19 +644,39 @@ class _SeparatedSums:
         self.row_prefix = gram.row_prefix
         self._workspace = workspace
         self._window_sum_view: np.ndarray | None = None
-
-    def _buffers(self) -> _Workspace:
-        if self._workspace is None:
-            self._workspace = _workspace(self.n)
-        return self._workspace
+        self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def _window_sums(self) -> np.ndarray:
-        # window_sums[s, t] sums raw[s, lo[t]:hi[t]], shared by every lag; it
-        # stays in the second buffer until the quadruple term takes that over
+        # ws[s, t] sums raw[s, lo[t]:hi[t]], shared by every triple term and
+        # the quadruple term; it fills the workspace
         if self._window_sum_view is None:
-            out = _front(self._buffers()[1], self.n, self.n)
-            self._window_sum_view = _window_diff(self.row_prefix, self.plan.runs, axis=1, out=out)
+            if self._workspace is None:
+                self._workspace = _workspace(self.n)
+            self._window_sum_view = _window_diff(
+                self.row_prefix, self.plan.runs, axis=1, out=self._workspace
+            )
         return self._window_sum_view
+
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(diag, prefix)``: the Gram's diagonals |k| <= 3M and their running sums.
+
+        ``diag[3M + k, i] = raw[i, i + k]``, zero where i + k is outside
+        [0, n); ``prefix[j]`` sums rows ``diag[:j]``, so
+        ``prefix[3M + b + 1, i] - prefix[3M + a, i]`` sums raw[i, i + a:i + b + 1]
+        clipped to the series. Built on first use, O(nM).
+        """
+        if self._band is None:
+            n, k_max = self.n, 3 * self.m
+            diag = np.zeros((2 * k_max + 1, n), dtype=np.float64)
+            for k in range(min(k_max, n - 1) + 1):
+                # raw is symmetric: diagonal -k is diagonal k moved k columns on
+                values = np.diagonal(self.raw, k)
+                diag[k_max + k, : n - k] = values
+                diag[k_max - k, k:] = values
+            prefix = np.zeros((2 * k_max + 2, n), dtype=np.float64)
+            np.cumsum(diag, axis=0, out=prefix[1:])
+            self._band = diag, prefix
+        return self._band
 
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
         """sum of x_{t+h2}'x_s * x_{s+h1}'x_t over separated groups, with count.
@@ -693,21 +688,30 @@ class _SeparatedSums:
         return _stored(self.gram, ("pair", self.m, h1, h2), self._pair, h1, h2)
 
     def _pair(self, h1: int, h2: int) -> tuple[float, int]:
-        n = self.n
-        s_lo, s_hi = max(1, 1 - h1), min(n, n - h1)
-        t_lo, t_hi = max(1, 1 - h2), min(n, n - h2)
-        if s_lo > s_hi or t_lo > t_hi:
-            return 0.0, 0
-        # raw is symmetric, so both factors are plain slices
-        prod = _front(self._buffers()[0], s_hi - s_lo + 1, t_hi - t_lo + 1)
-        np.multiply(
-            self.raw[s_lo - 1 : s_hi, t_lo - 1 + h2 : t_hi + h2],
-            self.raw[s_lo - 1 + h1 : s_hi + h1, t_lo - 1 : t_hi],
-            out=prod,
-        )
         plan = self.plan.pair(h1, h2)
-        _zero_spans(prod, plan.zero)
-        return float(prod.sum()), plan.count
+        if plan.count == 0:
+            return 0.0, 0
+        n, k_max = self.n, 3 * self.m
+        s0, s1 = max(0, -h1), min(n, n - h1)
+        t0, t1 = max(0, -h2), min(n, n - h2)
+        # raw is symmetric, so both factors are plain slices
+        full = np.einsum(
+            "ij,ij->",
+            self.raw[s0:s1, t0 + h2 : t1 + h2],
+            self.raw[s0 + h1 : s1 + h1, t0:t1],
+        )
+        # on a forbidden d = s - t the factors are raw[s, s - d + h2] and
+        # raw[s + h1, s - d], rows k_max + h2 - d and k_max - h1 - d of diag;
+        # outside the grid one of them is zero
+        diag = self.band()[0]
+        a = k_max + h2 - plan.top
+        b = k_max - h1 - plan.top
+        forbidden = np.einsum(
+            "ij,ij->",
+            diag[a : a + plan.width, s0:s1],
+            diag[b : b + plan.width, s0 + h1 : s1 + h1],
+        )
+        return float(full - forbidden), plan.count
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
@@ -720,34 +724,37 @@ class _SeparatedSums:
         return _stored(self.gram, ("triple", self.m, h), self._triple, h)
 
     def _triple(self, h: int) -> tuple[float, int]:
-        # For each admissible (s, t) the inner r-sum is the row sum of s
-        # minus the window of the s-group, minus the window of t (the
-        # window sums of row s, box-filtered from the row prefix), plus
-        # their overlap, which is nonempty only on the O(nM) bands
+        # For each admissible (s, t) the inner r-sum is own[s], the row sum
+        # of s outside the s-group's windows [lo[s], hi[s + h]), minus the
+        # window sum ws[s, t], plus the part of window t that the s-group's
+        # windows also exclude, which is nonempty only on the bands
         # -2M <= t - s < -M and h + M < t - s <= h + 2M. The forbidden
-        # -M <= t - s <= h + M is one band of diagonals.
-        n = self.n
-        ns = n - h
-        plan = self.plan.triple(h)
-        if plan.count == 0:
+        # -M <= t - s <= h + M is one band of diagonals. So the sum is the
+        # whole grid's, own . rowsum - <raw[h:], ws>, corrected on the band
+        # -2M <= t - s <= h + 2M by one einsum with weights per offset.
+        count = self.plan.triple_count(h)
+        if count == 0:
             return 0.0, 0
-        lo, hi = self.plan.lo, self.plan.hi
-        pre = self.row_prefix
-        s = np.arange(ns)
-
-        own = self.row_sums[:ns] - (pre[s, hi[h:]] - pre[s, lo[:ns]])
-        outer = self.raw[h:]
-        prod = _front(self._buffers()[0], ns, n)
-        np.subtract(own[:, None], self._window_sums()[:ns], out=prod)
-        np.multiply(outer, prod, out=prod)
-        _zero_spans(prod, plan.zero)
-        total = float(prod.sum())
-        sb, tb = _offset_pairs(ns, plan.offsets, n)
-        left = tb < sb
-        ov_lo = lo[np.where(left, sb, tb)]
-        ov_hi = hi[np.where(left, tb, sb + h)]
-        total += float(np.sum(outer[sb, tb] * (pre[sb, ov_hi] - pre[sb, ov_lo])))
-        return total, plan.count
+        n, m, k = self.n, self.m, 3 * self.m
+        ns = n - h
+        diag, prefix = self.band()
+        pre = prefix[:, :ns]
+        own = self.row_sums[:ns] - (pre[k + h + m + 1] - pre[k - m])
+        ws = self._window_sums()[:ns]
+        full = own @ self.row_sums[h:] - np.einsum("ij,ij->", self.raw[h:], ws)
+        # weight[j, s] for t - s = j - 2M; the outer factor raw[s + h, t] is
+        # diag[k + t - s - h, s + h]
+        weight = np.empty((h + 4 * m + 1, ns), dtype=np.float64)
+        # overlap left of the s-group: raw[s, lo[s]:hi[t]]
+        np.subtract(pre[k - m + 1 : k + 1], pre[k - m], out=weight[:m])
+        # forbidden: the pair was counted with own[s] - ws[s, t]; take it back
+        forbidden = weight[m : h + 3 * m + 1]
+        np.subtract(pre[k + 1 : k + h + 2 * m + 2], pre[k - 2 * m : k + h + 1], out=forbidden)
+        forbidden -= own
+        # overlap right of the s-group: raw[s, lo[t]:hi[s + h]]
+        np.subtract(pre[k + h + m + 1], pre[k + h + 1 : k + h + m + 1], out=weight[h + 3 * m + 1 :])
+        band = np.einsum("ij,ij->", diag[k - 2 * m - h : k + 2 * m + 1, h:], weight)
+        return float(full + band), count
 
     def quad_term(self) -> tuple[float, int]:
         """sum over pairwise-separated (q, r, s, t) of x_q'x_r * x_s'x_t.
@@ -756,11 +763,27 @@ class _SeparatedSums:
         spread apart by M each, so there are 24 * C(n - 3M, 4) of them.
 
         With W the Gram masked to pairs more than M apart, each pair (q, r)
-        admits the W mass outside the forbidden set F = win(q) u win(r) on
-        both axes: T - 2 rows(F) + W(F x F). Disjoint windows split that
-        into window row sums rho, window blocks kappa and one cross block
-        box[q, r]; only the band M < |q - r| <= 2M, where F is a single
-        interval, is corrected afterwards.
+        admits the W mass outside F = win(q) u win(r) on both axes. With
+        A = win(q), B = win(r) and O their overlap, 1_F = 1_A + 1_B - 1_O,
+        so that mass is
+
+            T - 2 (rho[q] + rho[r]) + kappa[q] + kappa[r] + 2 box[q, r]
+              + 2 rows(O) - 2 W(A x O) - 2 W(B x O),
+
+        where rows and T are W's row sums and total, rho and kappa its
+        window row sums and window blocks, and box[q, r] = W(A x B); W is
+        zero on O x O, whose indices are at most M apart. Summed against
+        W[q, r], the box term is <W, box> = trace(V V), with
+        V[i, r] = W(i, win(r)) the window sums of W. V is the window sums
+        ``ws`` less the band's share on the 4M + 1 diagonals
+        |i - r| <= 2M (O(nM) entries, read from ``band``), so the term
+        overwrites ``ws`` with V there and takes one transposed ``einsum``
+        of V with itself: no masked copy of the Gram, no 2-D prefix and no
+        box array. kappa sums V's 2M + 1 middle diagonals. O is nonempty
+        only on the band M < |q - r| <= 2M, where W(A x O) and W(B x O)
+        are sums of V's diagonals 1 <= |k| <= M and rows(O) a difference of
+        W's row prefix, each weighted by sums of raw[q, r] over the band
+        read from ``band``: O(nM) work in all.
         """
         return _stored(self.gram, ("quad", self.m), self._quad)
 
@@ -769,44 +792,50 @@ class _SeparatedSums:
         count = plan.quad_count
         if count == 0:
             return 0.0, 0
-
-        n = self.n
-        lo, hi, runs = plan.lo, plan.hi, plan.runs
-        first, second = self._buffers()
-        self._window_sum_view = None
-        # W in the first buffer, its 2-D prefix (zero guard row and column)
-        # in the second
-        w = _front(first, n, n)
-        np.copyto(w, self.raw)
-        _zero_spans(w, plan.quad_zero)
-        rows = w.sum(axis=1)
+        n, m, k = self.n, self.m, 3 * self.m
+        prefix = self.band()[1]
+        rows = self.row_sums - (prefix[k + m + 1] - prefix[k - m])
         total = rows.sum()
         row_pre = np.zeros(n + 1, dtype=np.float64)
         np.cumsum(rows, out=row_pre[1:])
-        rho = _window_diff(row_pre, runs, axis=0)
-        pre = second
-        pre[0] = 0.0
-        pre[1:, 0] = 0.0
-        np.cumsum(w, axis=0, out=pre[1:, 1:])
-        np.cumsum(pre[1:, 1:], axis=1, out=pre[1:, 1:])
-        # the strip overwrites W, and the box the prefix once the band fix
-        # has read it
-        strip = _window_diff(pre, runs, axis=0, out=first[:n])
-        q, r = _offset_pairs(n, plan.quad_offsets, n)
-        a, b = lo[q], hi[r]
-        merged = -2 * (row_pre[b] - row_pre[a]) + (pre[b, b] - pre[a, b] - pre[b, a] + pre[a, a])
-        box = _window_diff(strip, runs, axis=1, out=_front(second, n, n))
-        kappa = np.diagonal(box).copy()
-        split = -2 * (rho[q] + rho[r]) + kappa[q] + kappa[r] + 2 * box[q, r]
-        # <W, box>: W is raw outside the band, so zero the band of box
-        # instead; not np.vdot, whose BLAS threads would oversubscribe the
-        # cores when contexts run concurrently
-        _zero_spans(box, plan.quad_zero)
-        w_box = np.multiply(box, self.raw, out=box).sum()
-        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * w_box
-
-        # band fix, one side (q < r), doubled by symmetry; W is raw on the band
-        out += 2 * np.sum(self.raw[q, r] * (merged - split))
+        rho = _window_diff(row_pre, plan.runs, axis=0)
+        # V = ws - C, where C[i, i + e] = raw[i, win(i) n win(i + e)] is
+        # the band's share of a window sum, offsets max(e, 0) - M to
+        # min(e, 0) + M of row i; nonzero only for |e| <= 2M. Row e of
+        # `above` holds C[i, i + e] at column i, row e of `below` holds
+        # C[j, j - e] at column j.
+        above = prefix[k + m + 1] - prefix[k - m : k + m + 1]
+        below = prefix[k + m + 1 : k - m : -1] - prefix[k - m]
+        # weights of V's diagonals in the overlap terms: left[e - 1, q]
+        # sums raw[q, q + M + 1:q + M + e + 1], right[e - 1, r] sums
+        # raw[r, r - M - e:r - M]
+        left = prefix[k + m + 2 : k + 2 * m + 2] - prefix[k + m + 1]
+        right = prefix[k - m] - prefix[k - m - 1 : k - 2 * m - 1 : -1]
+        # V takes the window sums' place in the workspace, so a triple
+        # term after this one forms them again
+        v = self._window_sums()
+        self._window_sum_view = None
+        kappa = np.zeros(n, dtype=np.float64)
+        # over the band M < r - q <= 2M: raw[q, r] (W(A x O) + W(B x O) - rows(O))
+        overlap = 0.0
+        for e in range(2 * m + 1):
+            upper = _diagonal(v, e)
+            np.subtract(upper, above[e, : n - e], out=upper)
+            if e == 0:
+                kappa += upper
+                continue
+            lower = _diagonal(v, -e)
+            np.subtract(lower, below[e, e:], out=lower)
+            if e <= m:
+                kappa[e:] += upper
+                kappa[: n - e] += lower
+                overlap += left[e - 1, : n - e] @ lower + right[e - 1, e:] @ upper
+        # rows(O) = row_pre[q + M + 1] - row_pre[r - M]
+        reach = prefix[k + 2 * m + 1, : n - m - 1] - prefix[k + m + 1, : n - m - 1]
+        overlap -= reach @ row_pre[m + 1 : n]
+        overlap += (prefix[k - m, m:] - prefix[k - 2 * m, m:]) @ row_pre[: n - m]
+        box = np.einsum("ij,ji->", v, v)
+        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * box - 4 * overlap
         return float(out), count
 
 
@@ -832,7 +861,7 @@ def trace_product_estimate(
     h1: int,
     h2: int,
     window: DependenceWindow,
-    workspace: _Workspace | None = None,
+    workspace: np.ndarray | None = None,
 ) -> float:
     """Estimate tr{C(h1) C(h2)} from the raw inner products, mean not removed.
 
@@ -842,9 +871,9 @@ def trace_product_estimate(
     The estimate is unbiased for constant means but can be negative in
     finite samples.
 
-    ``workspace`` is the two (n + 1) x (n + 1) float64 buffers the sums
-    work in (``_workspace(n)``); a call without one allocates its own. A
-    workspace serves one call at a time, so concurrent calls need one each.
+    ``workspace`` is the n x n float64 buffer the sums work in
+    (``_workspace(n)``); a call without one allocates its own. A workspace
+    serves one call at a time, so concurrent calls need one each.
 
     Raises ``EmptySumRange`` when any term has no admissible tuples.
     """
@@ -879,6 +908,8 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
 
 def _trace_table(gram: GramSummary, m: int) -> TraceTable:
     ctx = _SeparatedSums(gram, m)
+    # the triple terms read the window sums that the quadruple term overwrites
+    triples = [ctx.triple_term(h) for h in range(m + 1)]
     quad = ctx.quad_term()
     values = np.full((2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):
@@ -887,7 +918,7 @@ def _trace_table(gram: GramSummary, m: int) -> TraceTable:
             if (h1, h2) != min(orbit):
                 continue
             est = _combine_terms(
-                (ctx.pair_term(h1, h2), ctx.triple_term(h1), ctx.triple_term(h2), quad),
+                (ctx.pair_term(h1, h2), triples[abs(h1)], triples[abs(h2)], quad),
                 h1,
                 h2,
             )
@@ -922,27 +953,47 @@ def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-class _NullPlan(NamedTuple):
-    """What the global test needs that depends on (n, M) alone."""
+class _NullPlan:
+    """What the global test needs that depends on (n, M) alone.
 
-    design: DependenceDesign  # F_matrix(n, M), condition checked
-    weights: np.ndarray       # _f_columns(n, 1..n-1, M), shape (n - 1, M + 1)
-    cross: np.ndarray         # aggregate contrast cross-products, (2M + 1, 2M + 1)
-    mass: float               # sum of the squared aggregate contrast entries
+    Every caller with the same (n, M) shares one plan, so its arrays are
+    read-only. ``design`` (``F_matrix(n, M)``, condition checked) and
+    ``weights`` (``_f_columns(n, 1..n-1, M)``, shape (n - 1, M + 1)) are
+    built with the plan: ``l_trace`` reads them. ``cross``, the aggregate
+    contrast's (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum
+    of its squared entries, cost O(n^2 M^2) and are built on first read,
+    by ``aggregate_variance``; the n x n aggregate contrast is dropped
+    once reduced.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.m = m
+        self.design = F_matrix(n, m)
+        self.weights = _f_columns(n, np.arange(1, n), m)
+        for a in (self.design.matrix, self.weights):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def _contrast(self) -> tuple[np.ndarray, float]:
+        B = _aggregate_values(self.n, self.design, self.weights)
+        mass = float(np.einsum("ij,ij->", B, B))
+        cross = _contrast_cross_products(B, self.m)
+        cross.flags.writeable = False
+        return cross, mass
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self._contrast[0]
+
+    @property
+    def mass(self) -> float:
+        return self._contrast[1]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _null_plan(n: int, m: int) -> _NullPlan:
-    # every caller with the same (n, M) shares the result, so its arrays
-    # are frozen; the n x n aggregate contrast is dropped once reduced
-    design = F_matrix(n, m)
-    weights = _f_columns(n, np.arange(1, n), m)
-    B = _aggregate_values(n, design, weights)
-    mass = float(np.einsum("ij,ij->", B, B))
-    plan = _NullPlan(design, weights, _contrast_cross_products(B, m), mass)
-    for a in (design.matrix, plan.weights, plan.cross):
-        a.flags.writeable = False
-    return plan
+    return _NullPlan(n, m)
 
 
 def _floored_variance(
@@ -976,7 +1027,8 @@ def aggregate_variance(table: TraceTable, n: int) -> VarianceResult:
     """``variance_estimate(b_aggregate(n, DependenceWindow(table.m)), table)``.
 
     The contrast cross-products and mass come from the cached (n, M) plan,
-    so after the first call per (n, M) this costs O(M^2).
+    which builds them on the first call per (n, M); later calls cost
+    O(M^2).
     """
     plan = _null_plan(n, table.m)
     return _floored_variance(plan.cross, plan.mass, table, n)

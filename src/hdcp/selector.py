@@ -20,10 +20,13 @@ from .engine import _workspace, compute_gram, trace_product_estimate
 
 # the orders run on core._WORKERS threads, as numpy releases the GIL in
 # the O(n^2) passes of each order; below this length an order is too
-# short for threads to pay for their start and their hand-offs of the
-# GIL: on a 2-vCPU host one and two threads tie near n = 350, and two are
-# ~10% faster at n = 400
-_THREADED_FROM_N = 400
+# short for threads to pay for their start, their hand-offs of the GIL and
+# the BLAS thread that still spins after the Gram product. Timed inside
+# `hdcp detect --m auto` (p = 100, h_max = 10, 2-vCPU host, alternating
+# calls, medians of 24-56), the elbow took on one and two threads:
+# 0.020 and 0.023 s at n = 400, 0.040 and 0.041 s at n = 600, 0.056 and
+# 0.053 s at n = 700, 0.067-0.072 and 0.063-0.073 s at n = 800
+_THREADED_FROM_N = 600
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,10 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
     nearer index pairs cannot be trusted to be independent.
 
     From n = ``_THREADED_FROM_N`` on, the orders run on ``core._WORKERS``
-    threads (at most two), each with its own workspace of two
-    (n + 1) x (n + 1) float64 buffers; shorter series run them one after
-    another in one workspace. Each order is computed the same way on
-    either path, so the curve does not depend on the path.
+    threads (at most two), each with its own workspace, an n x n float64
+    buffer; shorter series run them one after another in one workspace.
+    Each order is computed the same way on either path, so the curve does
+    not depend on the path.
 
     Raises ``DimensionTooSmall`` before any order is probed when
     n < 3 h_max + 4, where the deepest order's separated sums are empty.

@@ -18,7 +18,8 @@ from hdcp import (
 )
 from hdcp import test_at as split_test
 from hdcp import test_global as global_test
-from hdcp.engine import _null_plan
+from hdcp import engine
+from hdcp.engine import _null_plan, aggregate_variance, build_trace_table, compute_gram, l_trace
 
 W0 = DependenceWindow(0)
 
@@ -169,3 +170,32 @@ def test_null_plan_is_read_only_and_holds_no_n_by_n_array():
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     assert _null_plan(n, m) is plan
+
+
+def test_cold_l_trace_builds_no_aggregate_cross_products(monkeypatch):
+    # l_trace and estimate_single read only the plan's design and boundary
+    # weights; the O(n^2 M^2) cross-products of the aggregate contrast wait
+    # for the first aggregate variance of the shape
+    calls = []
+    cross_products = engine._contrast_cross_products
+
+    def counted(*args):
+        calls.append(args[1])
+        return cross_products(*args)
+
+    monkeypatch.setattr(engine, "_contrast_cross_products", counted)
+    _null_plan.cache_clear()
+    n, window = 48, DependenceWindow(3)
+    series = as_series(np.random.default_rng(48).standard_normal((n, 6)))
+    gram = compute_gram(series)
+    l_trace(gram, window)
+    estimate_single(as_series(series.values), window)
+    assert calls == []
+    table = build_trace_table(gram, window)
+    first = aggregate_variance(table, n)
+    assert calls == [3]
+    assert aggregate_variance(table, n) == first and calls == [3]
+    plan = _null_plan(n, 3)
+    B = engine._aggregate_values(n, plan.design, plan.weights)
+    assert plan.cross.tobytes() == cross_products(B, 3).tobytes()
+    assert plan.mass == float(np.einsum("ij,ij->", B, B))

@@ -4,7 +4,11 @@ enumeration.
 The grid covers the shortest feasible series 2(M + 2) and one longer, where
 windows are clipped at both ends, and lengths at which the windows of two
 separated indices still overlap (M < |q - r| <= 2M). M = 10, the elbow's
-default depth, runs at its shortest lengths 3M + 4 and 3M + 5.
+default depth, runs at its shortest lengths 3M + 4 and 3M + 5. Each term
+sums its whole grid and then removes the entries its index rules forbid,
+so a series far from mean zero, whose Gram has no small entries, is
+checked at the shortest lengths too, where the forbidden entries are most
+of the grid.
 
 The shared structures the sums read are checked bitwise: window sums as
 slice runs against the gather they replace, the cached (n, M) plan (cold
@@ -22,6 +26,8 @@ from hdcp.engine import (
     _sums_plan,
     _window_diff,
     _window_runs,
+    _workspace,
+    build_trace_table,
     trace_product_estimate,
 )
 from hdcp.selector import default_h_max, lag_energy_curve
@@ -29,6 +35,7 @@ from hdcp.selector import default_h_max, lag_energy_curve
 ORDERS = (0, 1, 2, 3, 5)
 CASES = [(n, m) for m in ORDERS for n in sorted({2 * (m + 2), 2 * (m + 2) + 1, 17, 30})]
 CASES += [(3 * 10 + 4, 10), (3 * 10 + 5, 10)]
+SHIFTED = [(n, m) for m in (0, 2, 10) for n in sorted({2 * (m + 2), 3 * m + 4, 3 * m + 5})]
 
 
 def _far(a, b, m):
@@ -81,9 +88,9 @@ def brute_quad(g: np.ndarray, m: int) -> tuple[float, int]:
     return total, int(mask.sum())
 
 
-def _gram(n: int, m: int) -> GramSummary:
+def _gram(n: int, m: int, shift: float = 0.7) -> GramSummary:
     rng = np.random.default_rng(1000 * n + m)
-    x = rng.standard_normal((n, 3)) + 0.7
+    x = rng.standard_normal((n, 3)) + shift
     return compute_gram(as_series(x))
 
 
@@ -123,6 +130,27 @@ def test_pair_term_matches_enumeration(n, m):
             np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h1, h2}")
 
 
+@pytest.mark.parametrize("n,m", SHIFTED)
+def test_terms_match_enumeration_far_from_mean_zero(n, m):
+    gram = _gram(n, m, shift=50.0)
+    ctx = _SeparatedSums(gram, m)
+    want = brute_quad(gram.raw, m)
+    value, count = ctx.quad_term()
+    assert count == want[1]
+    np.testing.assert_allclose(value, want[0], rtol=1e-10)
+    for h in range(-m, m + 1):
+        want = brute_triple(gram.raw, m, h)
+        value, count = ctx.triple_term(h)
+        assert count == want[1], h
+        np.testing.assert_allclose(value, want[0], rtol=1e-10, err_msg=f"h={h}")
+    for h1 in range(-m, m + 1):
+        for h2 in range(-m, m + 1):
+            want = brute_pair(gram.raw, m, h1, h2)
+            value, count = ctx.pair_term(h1, h2)
+            assert count == want[1], (h1, h2)
+            np.testing.assert_allclose(value, want[0], rtol=1e-10, err_msg=f"h={h1, h2}")
+
+
 def _bits(terms):
     return [(np.float64(value).tobytes(), count) for value, count in terms]
 
@@ -154,32 +182,21 @@ def test_window_diff_equals_the_gather():
             assert by_rows.tobytes() == (rows[hi] - rows[lo]).tobytes(), (n, m)
 
 
-def _plan_arrays(plan):
-    yield plan.lo
-    yield plan.hi
-    yield plan.quad_zero
-    yield plan.quad_offsets
-    for triple in plan._triples.values():
-        yield triple.offsets
-        yield triple.zero
-    for pair in plan._pairs.values():
-        yield pair.zero
-
-
 @pytest.mark.parametrize("n,m", [(30, 5), (200, 3), (34, 10)])
 def test_sums_plan_is_read_only_and_small(n, m):
     _all_terms(_gram(n, m), m)
     plan = _sums_plan(n, m)
     assert len(plan._triples) == m + 1
     assert len(plan._pairs) == (2 * m + 1) ** 2
-    for array in _plan_arrays(plan):
+    # the windows are the only arrays, length n; every term keeps integers
+    for array in (plan.lo, plan.hi):
         assert not array.flags.writeable
-        # windows are length n; every other array is O(M): offsets, or one
-        # (start, stop) row per forbidden diagonal, at most 4(2M + 1)
-        if array.ndim == 1:
-            assert array.size <= n
-        else:
-            assert array.shape[1] == 2 and array.shape[0] <= 4 * (2 * m + 1)
+        assert array.shape == (n,)
+    assert all(type(count) is int for count in plan._triples.values())
+    for pair in plan._pairs.values():
+        assert all(type(field) is int for field in pair)
+        # one forbidden interval of at most 4M + 1 differences
+        assert 2 * m + 1 <= pair.width <= 4 * m + 1
     assert _sums_plan(n, m) is plan
 
 
@@ -249,3 +266,33 @@ def test_terms_do_not_depend_on_their_order_in_one_workspace(n, m):
     want = {"quad": fresh.quad_term(), ("pair", m, -m): fresh.pair_term(m, -m)}
     want.update({("triple", h): fresh.triple_term(h) for h in lags})
     assert {k: _bits([v]) for k, v in terms.items()} == {k: _bits([v]) for k, v in want.items()}
+
+
+def _term_bits(gram: GramSummary) -> dict:
+    return {
+        key: (np.float64(term[0]).tobytes(), term[1])
+        for key, term in gram.results.items()
+        if key[0] in ("pair", "triple", "quad")
+    }
+
+
+@pytest.mark.parametrize("n,m", [(30, 2), (60, 3)])
+def test_table_stores_the_terms_it_would_find_stored(n, m):
+    # a table built first, then single estimates; and single estimates in
+    # one reused workspace first, as the elbow runs them, then the table
+    values = np.random.default_rng(n + m).standard_normal((n, 4)) + 50.0
+    window = DependenceWindow(m)
+    lags = [(h1, h2) for h1 in range(-m, m + 1) for h2 in range(-m, m + 1)]
+    table_first = compute_gram(as_series(values))
+    build_trace_table(table_first, window)
+    before = _term_bits(table_first)
+    for h1, h2 in lags:
+        trace_product_estimate(table_first, h1, h2, window)
+    table_last = compute_gram(as_series(values))
+    workspace = _workspace(n)
+    for h1, h2 in lags[::-1]:
+        trace_product_estimate(table_last, h1, h2, window, workspace)
+    build_trace_table(table_last, window)
+    stored = _term_bits(table_first)
+    assert {key: stored[key] for key in before} == before
+    assert _term_bits(table_last) == stored

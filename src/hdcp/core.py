@@ -23,9 +23,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# the work one call splits across cores: the elbow's orders run on this
-# many threads, and a large ``hdcp detect`` input is parsed in this many
-# processes; read it as ``core._WORKERS`` at call time
+# a large ``hdcp detect`` input is parsed in this many processes; read it
+# as ``core._WORKERS`` at call time
 _WORKERS = min(2, _usable_cpus())
 
 
@@ -38,7 +37,7 @@ class DimensionTooSmall(HdcpError):
 
 
 class NonFiniteEntry(HdcpError):
-    """Input matrix contains NaN or infinite entries."""
+    """Input matrix contains NaN or infinite entries, or its float64 sums overflow."""
 
 
 class IndexOutOfRange(HdcpError):

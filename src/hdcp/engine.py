@@ -35,10 +35,8 @@ term over two Gram slices, the triple term over the window sums and the
 Gram, the quadruple term over the window sums and their transpose) and
 corrects the O(nM) entries near the diagonal from the Gram's 6M + 1
 middle diagonals, which the context keeps as rows of one small array. The
-only n x n array a context forms, the window sums, lives in the n x n
-float64 buffer of a workspace that its caller owns and reuses from one
-context to the next. So the elbow's orders can run on two threads with
-one workspace each.
+only n x n array a context forms is its window sums, one float64 array
+allocated on first use and freed with the context.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the Gram on its series, and a segment's Gram is a
@@ -76,6 +74,7 @@ from .core import (
     EmptySumRange,
     GramSummary,
     IndexOutOfRange,
+    NonFiniteEntry,
     SeriesMatrix,
     SingularDesign,
     _accumulator_dtype,
@@ -148,6 +147,8 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     and recomputes the row sums in the segment's accumulator dtype, so it
     never touches the p columns again. A full-range view and its source
     share one Gram object, whichever of them is reduced first.
+
+    Raises ``NonFiniteEntry`` when the inner products overflow float64.
     """
     return _kept_gram(series)
 
@@ -167,7 +168,12 @@ def _new_gram(series: SeriesMatrix) -> GramSummary:
             return _kept_gram(parent)
         if parent._gram is not None:
             return _summary(parent._gram.raw[lo - 1 : hi, lo - 1 : hi].copy(), series.p)
-    return _summary(_gram_product(series.values), series.p)
+    gram = _summary(_gram_product(series.values), series.p)
+    # an inf or NaN anywhere in raw reaches the grand sum; a sub-block of a
+    # finite Gram is finite
+    if not np.isfinite(gram.total_sum):
+        raise NonFiniteEntry("the inner products overflow float64; rescale the series")
+    return gram
 
 
 def _gram_product(x: np.ndarray) -> np.ndarray:
@@ -431,11 +437,6 @@ def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
     return a.reshape(-1)[start : start + (n - abs(k)) * (n + 1) : n + 1]
 
 
-def _workspace(n: int) -> np.ndarray:
-    """The n x n float64 buffer that one separated-sums context at a time works in."""
-    return np.empty((n, n), dtype=np.float64)
-
-
 def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
     """The windows ``[max(i - m, 0), min(i + m + 1, n))`` of i = 0..n-1 as runs.
 
@@ -456,19 +457,17 @@ def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
     return tuple(runs)
 
 
-def _window_diff(pre: np.ndarray, runs, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
     """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
 
     Entry i of the result along ``axis`` is the difference of the window
     ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
     encode; every entry is the same single subtraction a gather would
-    make. The result is C-contiguous, or written into ``out``, which must
-    not overlap ``pre``.
+    make. The result is a new C-contiguous array.
     """
-    if out is None:
-        shape = list(pre.shape)
-        shape[axis] = runs[-1][0].stop
-        out = np.empty(shape, dtype=pre.dtype)
+    shape = list(pre.shape)
+    shape[axis] = runs[-1][0].stop
+    out = np.empty(shape, dtype=pre.dtype)
     at = (slice(None),) * axis
     for dst, hi, lo in runs:
         np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
@@ -609,53 +608,35 @@ class _SeparatedSums:
       masked Gram, then one transposed ``einsum`` of them with themselves
       (see ``quad_term``).
 
-    The workspace (``_workspace``) is one n x n float64 buffer that the
-    caller owns and may pass to one context after another; it holds the
-    window sums, and after the quadruple term the masked Gram's window
-    sums. So a triple term after the quadruple term forms the window sums
-    again: ``build_trace_table`` takes its triple terms first, and
-    ``trace_product_estimate`` its quadruple term last. A context given no
-    workspace allocates one when it first forms the window sums. A
-    workspace serves one context at a time; contexts on different threads
-    need one each. ``band`` is O(nM) and belongs to the context.
+    The window sums are the context's one n x n float64 array, allocated
+    when a term first needs them. The quadruple term turns them into the
+    masked Gram's window sums in place, so a triple term after it forms
+    them again: ``build_trace_table`` takes its triple terms first, and
+    ``trace_product_estimate`` its quadruple term last. ``band`` is O(nM).
 
     Each term's value and count is stored on the Gram per M
     (``GramSummary.results``), so every context of one (Gram, M) computes a
     term once.
     """
 
-    def __init__(self, gram: GramSummary, m: int, workspace: np.ndarray | None = None):
-        raw = gram.raw
-        n = raw.shape[0]
-        if workspace is not None and not (
-            isinstance(workspace, np.ndarray)
-            and workspace.shape == (n, n)
-            and workspace.dtype == np.float64
-            and workspace.flags.c_contiguous
-        ):
-            raise ValueError(f"workspace is not an n x n C-contiguous float64 buffer, n={n}")
-        self.n = n
+    def __init__(self, gram: GramSummary, m: int):
+        self.n = n = gram.n
         self.m = m
         self.gram = gram
-        self.raw = raw
+        self.raw = gram.raw
         self.plan = _sums_plan(n, m)
         self.row_sums = gram.float_row_sums
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = gram.row_prefix
-        self._workspace = workspace
-        self._window_sum_view: np.ndarray | None = None
+        self._ws: np.ndarray | None = None
         self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def _window_sums(self) -> np.ndarray:
         # ws[s, t] sums raw[s, lo[t]:hi[t]], shared by every triple term and
-        # the quadruple term; it fills the workspace
-        if self._window_sum_view is None:
-            if self._workspace is None:
-                self._workspace = _workspace(self.n)
-            self._window_sum_view = _window_diff(
-                self.row_prefix, self.plan.runs, axis=1, out=self._workspace
-            )
-        return self._window_sum_view
+        # the quadruple term
+        if self._ws is None:
+            self._ws = _window_diff(self.row_prefix, self.plan.runs, axis=1)
+        return self._ws
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, prefix)``: the Gram's diagonals |k| <= 3M and their running sums.
@@ -811,10 +792,10 @@ class _SeparatedSums:
         # raw[r, r - M - e:r - M]
         left = prefix[k + m + 2 : k + 2 * m + 2] - prefix[k + m + 1]
         right = prefix[k - m] - prefix[k - m - 1 : k - 2 * m - 1 : -1]
-        # V takes the window sums' place in the workspace, so a triple
-        # term after this one forms them again
+        # V overwrites the window sums, so a triple term after this one
+        # forms them again
         v = self._window_sums()
-        self._window_sum_view = None
+        self._ws = None
         kappa = np.zeros(n, dtype=np.float64)
         # over the band M < r - q <= 2M: raw[q, r] (W(A x O) + W(B x O) - rows(O))
         overlap = 0.0
@@ -857,11 +838,7 @@ def _combine_terms(
 
 
 def trace_product_estimate(
-    gram: GramSummary,
-    h1: int,
-    h2: int,
-    window: DependenceWindow,
-    workspace: np.ndarray | None = None,
+    gram: GramSummary, h1: int, h2: int, window: DependenceWindow
 ) -> float:
     """Estimate tr{C(h1) C(h2)} from the raw inner products, mean not removed.
 
@@ -871,16 +848,12 @@ def trace_product_estimate(
     The estimate is unbiased for constant means but can be negative in
     finite samples.
 
-    ``workspace`` is the n x n float64 buffer the sums work in
-    (``_workspace(n)``); a call without one allocates its own. A workspace
-    serves one call at a time, so concurrent calls need one each.
-
     Raises ``EmptySumRange`` when any term has no admissible tuples.
     """
     m = window.m
     if abs(h1) > m or abs(h2) > m:
         raise IndexOutOfRange(f"lags ({h1}, {h2}) outside window M={m}")
-    ctx = _SeparatedSums(gram, m, workspace)
+    ctx = _SeparatedSums(gram, m)
     parts = (
         ctx.pair_term(h1, h2),
         ctx.triple_term(h1),
@@ -901,7 +874,8 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     Its terms come from the same per-(Gram, M) store as those of
     ``trace_product_estimate``, so a table at an order the elbow probed
     reuses that probe's quadruple, triple and pair terms. Every term of
-    the grid is computed in one workspace.
+    the grid is computed in one separated-sums context, so the window sums
+    are formed once.
     """
     return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
 

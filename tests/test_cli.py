@@ -381,6 +381,26 @@ def test_detect_over_deep_h_max_is_a_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and "h_max <= 12" in err
 
 
+@pytest.mark.parametrize("scale,m", [
+    # a finite Gram whose separated sums overflow in the elbow
+    (1e80, "auto"),
+    (1e100, "auto"),
+    (1e140, "auto"),
+    # a Gram that overflows, with the order given or chosen
+    (1e200, "1"),
+    (1e200, "auto"),
+])
+def test_detect_overflow_is_a_data_error(tmp_path, capsys, scale, m):
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, np.random.default_rng(5).standard_normal((60, 5)) * scale, delimiter=",")
+    out = tmp_path / "rep.json"
+    assert main(["detect", "--input", str(path), "--m", m, "--output", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "overflow float64" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, monkeypatch):
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for an infeasible --min-seg")

@@ -1,5 +1,7 @@
 """Elbow-based choice of the dependence order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,17 @@ def test_default_probe_depth():
     assert default_h_max(150) == 10
     assert default_h_max(64) == 8
     assert default_h_max(26) == 5
+
+
+def test_curve_memory_above_the_gram():
+    # one order at a time: its n x n window sums and the O(nM) band arrays
+    n = 800
+    series = as_series(np.random.default_rng(4).standard_normal((n, 10)) + 0.2)
+    compute_gram(series).row_prefix
+    tracemalloc.start()
+    try:
+        lag_energy_curve(series, default_h_max(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"

@@ -26,7 +26,6 @@ from hdcp.engine import (
     _sums_plan,
     _window_diff,
     _window_runs,
-    _workspace,
     build_trace_table,
     trace_product_estimate,
 )
@@ -253,8 +252,8 @@ def test_lag_energy_curve_equals_fresh_contexts():
 
 @pytest.mark.parametrize("n,m", [(30, 2), (34, 10), (60, 3)])
 def test_terms_do_not_depend_on_their_order_in_one_workspace(n, m):
-    # the triple terms keep their window sums in the workspace that the
-    # quadruple term overwrites; one context, terms in a mixed order
+    # the quadruple term overwrites the window sums that the triple terms
+    # read; one context, terms in a mixed order
     lags = range(-m, m + 1)
     gram = _gram(n, m)
     ctx = _SeparatedSums(gram, m)
@@ -278,8 +277,8 @@ def _term_bits(gram: GramSummary) -> dict:
 
 @pytest.mark.parametrize("n,m", [(30, 2), (60, 3)])
 def test_table_stores_the_terms_it_would_find_stored(n, m):
-    # a table built first, then single estimates; and single estimates in
-    # one reused workspace first, as the elbow runs them, then the table
+    # a table built first, then single estimates; and single estimates
+    # first, as the elbow runs them, then the table
     values = np.random.default_rng(n + m).standard_normal((n, 4)) + 50.0
     window = DependenceWindow(m)
     lags = [(h1, h2) for h1 in range(-m, m + 1) for h2 in range(-m, m + 1)]
@@ -289,9 +288,8 @@ def test_table_stores_the_terms_it_would_find_stored(n, m):
     for h1, h2 in lags:
         trace_product_estimate(table_first, h1, h2, window)
     table_last = compute_gram(as_series(values))
-    workspace = _workspace(n)
     for h1, h2 in lags[::-1]:
-        trace_product_estimate(table_last, h1, h2, window, workspace)
+        trace_product_estimate(table_last, h1, h2, window)
     build_trace_table(table_last, window)
     stored = _term_bits(table_first)
     assert {key: stored[key] for key in before} == before

@@ -131,44 +131,21 @@ class DependenceWindow:
         return 2 * (self.m + 2)
 
 
-# Prefix sums switch to extended precision once the work behind one Gram
-# matrix exceeds this many scalar products; cancellation between the two
-# halves of the split statistic is the main numerical hazard.
-_EXTENDED_PRECISION_THRESHOLD = 10**7
-
-
-def _accumulator_dtype(n: int, p: int) -> type:
-    """Accumulator of the Gram's row sums and of the prefix sums built on them.
-
-    ``np.longdouble`` when n^2 p > 1e7, else float64. The switch governs
-    ``GramSummary.row_sums`` and ``total_sum`` and the O(n) cumulative sums
-    that ``l_trace`` and ``V_vector`` build from them. ``l_trace`` reads
-    each split statistic as a difference of block sums that grow like n^2
-    times the typical inner product, so large inputs would cancel most
-    float64 digits. Nothing else switches: ``raw`` and the separated
-    trace-product sums stay float64, and their tuple counts are exact int64.
-    """
-    return np.longdouble if n * n * p > _EXTENDED_PRECISION_THRESHOLD else np.float64
-
-
 @dataclass(frozen=True)
 class GramSummary:
-    """All inner products of a series, with their row sums and grand sum.
+    """All inner products of a series, with their row sums.
 
     Every statistic downstream is a function of this reduction. Fields:
 
     - ``raw[i, j]``  inner product of observations i and j, float64 and
       exactly symmetric,
-    - ``row_sums`` / ``total_sum``  row sums and grand sum of ``raw``,
-      accumulated and kept in ``_accumulator_dtype(n, p)``; the dtype of
-      ``row_sums`` records which one.
+    - ``row_sums``  ``raw.sum(axis=1)``, float64; divided by n they are the
+      inner products of each observation with the series mean, which is
+      what centering the Gram subtracts.
 
     ``raw`` and ``row_sums`` are read-only, so nothing cached from them can
     go stale. Derived members, built on first read and then cached:
 
-    - ``float_row_sums``  ``raw.sum(axis=1)`` in float64 whatever the
-      accumulator, read by every separated-sums context of this Gram.
-      Read-only.
     - ``row_prefix[s, j]``  float64 sum of ``raw[s, :j]``, n x (n + 1)
       with a zero guard column; by symmetry also a column sum. It does
       not depend on the separation order, so every separated-sums context
@@ -181,13 +158,12 @@ class GramSummary:
       same Gram and M returns the stored result.
 
     A Gram lives as long as the series that holds it (see
-    ``SeriesMatrix``). At n = 800 the three fields hold 5.1 MB, and 10.3 MB
+    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and 10.3 MB
     once ``row_prefix`` is built; the cached results are O(n) per M.
     """
 
     raw: np.ndarray
     row_sums: np.ndarray
-    total_sum: np.floating
 
     def __post_init__(self) -> None:
         self.raw.flags.writeable = False
@@ -196,12 +172,6 @@ class GramSummary:
     @property
     def n(self) -> int:
         return self.raw.shape[0]
-
-    @functools.cached_property
-    def float_row_sums(self) -> np.ndarray:
-        sums = self.raw.sum(axis=1)
-        sums.flags.writeable = False
-        return sums
 
     @functools.cached_property
     def row_prefix(self) -> np.ndarray:

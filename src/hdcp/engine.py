@@ -8,10 +8,12 @@ of p.
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
-serial correlation up to lag M. Its null variance involves the unknown
-trace products tr{C(h1) C(h2)} of the lag-h autocovariances, estimated by a
-four-term U-statistic over index tuples forced to be more than M apart
-(``trace_product_estimate``).
+serial correlation up to lag M. Both parts are invariant to a constant
+offset of the series, so both are read from the centered Gram, in float64
+and in one transient n x n array per curve. Its null variance involves the
+unknown trace products tr{C(h1) C(h2)} of the lag-h autocovariances,
+estimated by a four-term U-statistic over index tuples forced to be more
+than M apart (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
 shared: ``_null_plan(n, M)`` holds the checked lag design ``F_matrix`` and
@@ -77,7 +79,6 @@ from .core import (
     NonFiniteEntry,
     SeriesMatrix,
     SingularDesign,
-    _accumulator_dtype,
 )
 
 _COND_LIMIT = 1e12
@@ -135,20 +136,20 @@ class VarianceResult(NamedTuple):
 
 
 def compute_gram(series: SeriesMatrix) -> GramSummary:
-    """Reduce a series to its inner products, their row sums and grand sum.
+    """Reduce a series to its inner products and their row sums, in float64.
 
-    Sums are accumulated in ``_accumulator_dtype(n, p)``. A segment's Gram
-    holds the segment's own products, so everything derived from it
-    (centering included) is segment-local.
+    A segment's Gram holds the segment's own products, so everything
+    derived from it (centering included) is segment-local.
 
     The Gram is built once per series and kept on it: a second call
     returns the same object. A ``segment_view`` of a series that already
     has a Gram copies ``raw`` from the segment's sub-block of that Gram
-    and recomputes the row sums in the segment's accumulator dtype, so it
-    never touches the p columns again. A full-range view and its source
-    share one Gram object, whichever of them is reduced first.
+    and sums its rows again, so it never touches the p columns again. A
+    full-range view and its source share one Gram object, whichever of
+    them is reduced first.
 
-    Raises ``NonFiniteEntry`` when the inner products overflow float64.
+    Raises ``NonFiniteEntry`` when the inner products or their row sums
+    overflow float64.
     """
     return _kept_gram(series)
 
@@ -167,11 +168,13 @@ def _new_gram(series: SeriesMatrix) -> GramSummary:
         if (lo, hi) == (1, parent.n):
             return _kept_gram(parent)
         if parent._gram is not None:
-            return _summary(parent._gram.raw[lo - 1 : hi, lo - 1 : hi].copy(), series.p)
-    gram = _summary(_gram_product(series.values), series.p)
-    # an inf or NaN anywhere in raw reaches the grand sum; a sub-block of a
-    # finite Gram is finite
-    if not np.isfinite(gram.total_sum):
+            return _summary(parent._gram.raw[lo - 1 : hi, lo - 1 : hi].copy())
+    # an overflow is raised below as NonFiniteEntry, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _summary(_gram_product(series.values))
+    # an inf or NaN anywhere in raw reaches its row's sum; a sub-block of a
+    # finite Gram has finite row sums
+    if not np.isfinite(gram.row_sums).all():
         raise NonFiniteEntry("the inner products overflow float64; rescale the series")
     return gram
 
@@ -182,17 +185,21 @@ def _gram_product(x: np.ndarray) -> np.ndarray:
     return (raw + raw.T) / 2.0
 
 
-def _summary(raw: np.ndarray, p: int) -> GramSummary:
-    row_sums = raw.sum(axis=1, dtype=_accumulator_dtype(raw.shape[0], p))
-    return GramSummary(raw=raw, row_sums=row_sums, total_sum=row_sums.sum())
+def _summary(raw: np.ndarray) -> GramSummary:
+    return GramSummary(raw=raw, row_sums=raw.sum(axis=1))
 
 
 def _stored(gram: GramSummary, key: tuple, compute, *args):
-    """``compute(*args)`` once per Gram and key; later calls return that result."""
+    """``compute(*args)`` once per Gram and key; later calls return that result.
+
+    Floating-point overflow inside ``compute`` is not warned about: a
+    non-finite result is raised as ``NonFiniteEntry`` where it is read.
+    """
     results = gram.results
     value = results.get(key)
     if value is None:
-        value = results[key] = compute(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = results[key] = compute(*args)
     return value
 
 
@@ -271,48 +278,43 @@ def F_matrix(n: int, m: int) -> DependenceDesign:
     return DependenceDesign(F)
 
 
-def _row_sum_prefix(gram: GramSummary) -> np.ndarray:
-    # prefix[t] sums rows 0..t-1 of raw, in the accumulator dtype
-    prefix = np.zeros(gram.n + 1, dtype=gram.row_sums.dtype)
-    np.cumsum(gram.row_sums, out=prefix[1:])
-    return prefix
-
-
 def V_vector(gram: GramSummary, m: int) -> np.ndarray:
-    """Demeaned lag sums: entry k averages products at lag k, k = 0..m.
+    """Centered lag sums: entry k averages products at lag k, k = 0..m.
 
-    Entry k is the k-th diagonal sum of the demeaned Gram over n, taken
-    from the k-th diagonal of ``raw`` and two partial row-sum totals, in
-    O(n M) and in the accumulator dtype.
+    Entry k is the k-th diagonal sum of the centered Gram over n. The
+    centered Gram gc[i, j] = raw[i, j] - a_i - a_j + sum(a) / n, with
+    a = row_sums / n, holds the inner products of the observations less
+    the series mean. Its entries are taken one by one, so the m + 1
+    diagonals cost O(n M) and a constant offset of the series cancels
+    entry by entry.
     """
     n = gram.n
     if m >= n:
         raise DimensionTooSmall(f"lag order M={m} needs n > M, got n={n}")
-    acc = gram.row_sums.dtype
-    total = gram.total_sum
-    prefix = _row_sum_prefix(gram)
-    k = np.arange(m + 1)
-    diag = np.array([np.trace(gram.raw, offset=h, dtype=acc) for h in k])
-    # sum over i of the demeaned Gram at (i, i + k): each of rows 0..n-k-1
-    # and columns k..n-1 loses its mean share once, and n - k entries
-    # regain T / n^2
-    vals = (diag - (prefix[n - k] + (total - prefix[k])) / n + (n - k) * (total / n**2)) / n
-    return vals.astype(np.float64)
+    a = gram.row_sums / n
+    mean_sq = a.sum() / n
+    vals = [
+        (np.diagonal(gram.raw, k) - a[: n - k] - a[k:] + mean_sq).sum() / n
+        for k in range(m + 1)
+    ]
+    return np.array(vals)
 
 
 def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     """Dependence-corrected split statistics for every t in 1..n-1.
 
     Entry t - 1 contrasts the means of the first t and last n - t
-    observations and subtracts the serial-correlation correction. The
-    statistic needs three block sums of ``raw`` per split: the leading
-    t x t block, the first t rows, and the whole matrix. They come from
-    O(n) cumulative sums of the row sums and of the lower-triangle row
-    sums, accumulated in the Gram's accumulator dtype; the lag design
-    system is solved once. The checked design and the boundary weights of
-    all splits come from the (n, M) plan, so only the first call for a
-    shape builds them; the plan's O(n^2 M^2) aggregate cross-products wait
-    for ``aggregate_variance``.
+    observations and subtracts the serial-correlation correction. A
+    constant offset of the series leaves both unchanged, so the statistic
+    is read from the centered Gram (see ``V_vector``), whose entries
+    carry no offset to cancel. It needs three block sums per split: the
+    leading t x t block, the first t rows, and the whole matrix. They come
+    from O(n) cumulative sums of the centered row sums and lower-triangle
+    row sums, all float64; the lag design system is solved once. The
+    checked design and the boundary weights of all splits come from the
+    (n, M) plan, so only the first call for a shape builds them; the
+    plan's O(n^2 M^2) aggregate cross-products wait for
+    ``aggregate_variance``.
 
     The curve is computed once per (Gram, M) and returned read-only.
     """
@@ -324,28 +326,33 @@ def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     plan = _null_plan(n, m)
     x = plan.design.solve(V_vector(gram, m))
 
-    raw = gram.raw
-    acc = gram.row_sums.dtype
-    # the leading block grows by row t's lower part twice plus raw[t, t]
-    lower = np.tril(raw, -1).sum(axis=1, dtype=acc)
-    block = np.cumsum(2 * lower + np.diagonal(raw), dtype=acc)
-    prefix = _row_sum_prefix(gram)
+    # the centered Gram is this call's one n x n array; its upper triangle
+    # is zeroed in place once the full row sums and the diagonal are read
+    a = gram.row_sums / n
+    gc = gram.raw - a[:, None]
+    gc -= a
+    gc += a.sum() / n
+    prefix = np.zeros(n + 1, dtype=np.float64)
+    np.cumsum(gc.sum(axis=1), out=prefix[1:])
+    diagonal = np.diagonal(gc).copy()
+    gc *= np.tri(n, n, -1, dtype=bool)
+    # the leading block grows by row t's lower part twice plus gc[t, t]
+    block = np.cumsum(2 * gc.sum(axis=1) + diagonal)
     ptt = block[:-1]
     ptn = prefix[1:n]
     # P[n, n] from the same running sum as P[t, n], so that their rounding
-    # cancels in P[n, n] - 2 P[t, n] + P[t, t]
+    # cancels in P[n, n] - 2 P[t, n] + P[t, t]; the centered rows sum to
+    # zero only up to rounding, so all three blocks are kept
     pnn = prefix[n]
     within_lo = ptt
     cross = ptn - ptt
     within_hi = pnn - 2 * ptn + ptt
-    t = np.arange(1, n)
-    nt = (n - t).astype(acc)
-    tt = t.astype(acc)
+    t = np.arange(1, n, dtype=np.float64)
+    nt = n - t
     n2 = float(n) ** 2
-    term1 = (nt / (tt * n2)) * within_lo - (2.0 / n2) * cross + (tt / (nt * n2)) * within_hi
+    term1 = (nt / (t * n2)) * within_lo - (2.0 / n2) * cross + (t / (nt * n2)) * within_hi
 
-    correction = plan.weights @ x / n
-    curve = np.asarray(term1, dtype=np.float64) - correction
+    curve = term1 - plan.weights @ x / n
     curve.flags.writeable = False
     return curve
 
@@ -625,7 +632,7 @@ class _SeparatedSums:
         self.gram = gram
         self.raw = gram.raw
         self.plan = _sums_plan(n, m)
-        self.row_sums = gram.float_row_sums
+        self.row_sums = gram.row_sums
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = gram.row_prefix
         self._ws: np.ndarray | None = None
@@ -974,8 +981,12 @@ def _floored_variance(
     cross: np.ndarray, mass: float, table: TraceTable, n: int
 ) -> VarianceResult:
     value = float((cross * table.values).sum()) / float(n) ** 4
+    if not np.isfinite(value):
+        raise NonFiniteEntry(
+            "the trace-product estimates overflow float64; rescale the series"
+        )
     floor = 1e-12 * (mass / float(n) ** 4 + 1.0)
-    if not np.isfinite(value) or value <= floor:
+    if value <= floor:
         return VarianceResult(floor, True)
     return VarianceResult(value, False)
 

@@ -382,14 +382,18 @@ def test_detect_over_deep_h_max_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale,m", [
-    # a finite Gram whose separated sums overflow in the elbow
+    # a finite Gram whose separated sums overflow, in the elbow or in the
+    # trace table of the order given
     (1e80, "auto"),
     (1e100, "auto"),
     (1e140, "auto"),
+    (1e80, "1"),
+    (1e100, "1"),
     # a Gram that overflows, with the order given or chosen
     (1e200, "1"),
     (1e200, "auto"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_detect_overflow_is_a_data_error(tmp_path, capsys, scale, m):
     path = tmp_path / "huge.csv"
     np.savetxt(path, np.random.default_rng(5).standard_normal((60, 5)) * scale, delimiter=",")
@@ -397,6 +401,7 @@ def test_detect_overflow_is_a_data_error(tmp_path, capsys, scale, m):
     assert main(["detect", "--input", str(path), "--m", m, "--output", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "overflow float64" in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Quantified invariants, via hypothesis where generation helps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,17 +113,32 @@ def test_classify_errors_count_identities(est, truth, tol):
     assert min(fp, fn, tp) >= 0
 
 
-def test_l_trace_offset_invariant_above_extended_precision_threshold():
-    # n^2 p = 1.12e7 just crosses the longdouble switch of the prefix sums.
-    # A common offset of 1e3 leaves the split statistic unchanged in exact
-    # arithmetic but inflates the prefix entries by ~1e6, so float64
-    # prefixes miss the tolerance by about 10x.
-    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
-        pytest.skip("longdouble is no wider than float64 on this platform")
-    x = np.random.default_rng(400).standard_normal((400, 70))
+@pytest.mark.parametrize("n,p,shift,rtol", [
+    (200, 100, 50.0, 1e-10),
+    (800, 100, 50.0, 1e-10),
+    # the Gram's entries grow ~1e6-fold, so the lag sums, whose
+    # centered entries cancel them, keep fewer digits
+    (400, 70, 1e3, 1e-5),
+])
+def test_l_trace_offset_invariant(n, p, shift, rtol):
+    # a common offset leaves the split statistic unchanged in exact
+    # arithmetic; the curve reads it from the centered Gram
+    x = np.random.default_rng(n).standard_normal((n, p))
     window = DependenceWindow(2)
-    shifted = compute_gram(as_series(x + 1e3))
-    assert shifted.row_sums.dtype == np.longdouble
     ref = l_trace(compute_gram(as_series(x)), window)
-    got = l_trace(shifted, window)
-    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+    got = l_trace(compute_gram(as_series(x + shift)), window)
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+def test_l_trace_memory_above_the_gram():
+    # the centered Gram is the curve's one n x n array; its upper triangle
+    # is zeroed through a bool mask of n^2 bytes
+    n = 800
+    gram = compute_gram(as_series(np.random.default_rng(6).standard_normal((n, 10)) + 0.2))
+    tracemalloc.start()
+    try:
+        l_trace(gram, DependenceWindow(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"

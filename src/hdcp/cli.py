@@ -21,6 +21,10 @@ arrays. A leading UTF-8 byte order mark is ignored. On POSIX hosts with
 two or more usable CPUs, the C reader parses inputs of at least 3 MB
 (``_SPLIT_FROM_BYTES``) in two processes, each taking about half of the
 rows; there is no setting for this, and the array is the same either way.
+The C reader reads each part through a window over the bytes, never a
+copy of them. ``detect`` releases the bytes once they are parsed, and the
+parsed array once the series holds its copy, so the statistics run beside
+one copy of the input.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 3 numerical failure (``SingularDesign``), 2 data error: any other
@@ -123,16 +127,20 @@ _SPLIT_FROM_BYTES = 3_000_000
 
 def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
     """The matrix by numpy's C reader, or None where only the row loop applies."""
-    if data.translate(None, _C_READER_BYTES):
-        return None
-    first = _NEXT_LINE.match(data)
+    begin = len(_BOM) if data.startswith(_BOM) else 0
+    # a slice and bytes.translate each allocate as much as they read, so
+    # read 64 KiB at a time (as fast as the whole input at once)
+    for i in range(begin, len(data), 1 << 16):
+        if data[i : i + (1 << 16)].translate(None, _C_READER_BYTES):
+            return None
+    first = _NEXT_LINE.match(data, begin)
     line = first.group(1)
     if not line.strip():
         return None  # no data rows: the row loop reports it
     delim, header = _layout(line.decode("ascii"), delimiter)
     if delim is not None and (len(delim) != 1 or delim in "\r\n"):
         return None
-    rows = _NEXT_LINE.match(data, first.end() if header else 0)
+    rows = _NEXT_LINE.match(data, first.end() if header else begin)
     if not rows.group(1).strip():
         return None
     start = rows.start(1)  # the first data row, blank lines before it skipped
@@ -177,9 +185,26 @@ def _read_part(data: bytes, start: int, end: int, delim: Optional[str]) -> np.nd
     return _loadtxt(body, 0, len(body), delim)
 
 
+class _Window(io.RawIOBase):
+    """A read-only file over a memoryview: reads copy no more than they return."""
+
+    def __init__(self, view: memoryview):
+        self._view = view
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = min(len(buf), len(self._view))
+        buf[:got] = self._view[:got]
+        self._view = self._view[got:]
+        return got
+
+
 def _loadtxt(data: bytes, start: int, end: int, delim: Optional[str]) -> np.ndarray:
-    stream = io.BytesIO(data if end == len(data) else data[:end])
-    stream.seek(start)
+    # np.loadtxt iterates the lines of a file object, read here through a
+    # window over data[start:end] rather than a copy of it
+    stream = io.BufferedReader(_Window(memoryview(data)[start:end]))
     return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
 
 
@@ -309,10 +334,9 @@ def load_matrix(
     """
     if data is None:
         data = Path(path).read_bytes()
-    data = data.removeprefix(_BOM)
     matrix = _read_fast(data, delimiter)
     if matrix is None:
-        matrix = _read_rows(path, data.decode("utf-8"), delimiter)
+        matrix = _read_rows(path, data.decode("utf-8-sig"), delimiter)
     return matrix
 
 
@@ -331,10 +355,13 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 
 
 def cmd_detect(args) -> int:
+    # each form of the input is released once the next one exists
     raw = Path(args.input).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     matrix = load_matrix(args.input, args.delimiter, data=raw)
+    del raw
     series = SeriesMatrix(matrix)
+    del matrix
 
     warnings: list[str] = []
     elbow_report = None

@@ -85,6 +85,11 @@ _COND_LIMIT = 1e12
 # distinct (n, M) null-variance plans kept per process; one entry is
 # O(nM + M^2) floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
+# rows per band of the Gram's in-place symmetrization: the add's copy of an
+# overlapping operand is at most this many rows of n floats. Against the
+# out-of-place (r + r.T) / 2 (median of 7, 2 vCPUs): 800 x 100 5.6 -> 5.2 ms,
+# 100 x 200 0.113 -> 0.147 ms
+_SYMMETRIZE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,18 @@ def _new_gram(series: SeriesMatrix) -> GramSummary:
 
 
 def _gram_product(x: np.ndarray) -> np.ndarray:
-    # the one O(n^2 p) pass, made exactly symmetric
+    # The one O(n^2 p) pass, made exactly symmetric, (r + r.T) / 2 entry by
+    # entry, in place. A band of rows from the diagonal on takes its mirror
+    # columns, then is copied below the diagonal. numpy copies the overlapping
+    # operand of the add, so the one n x n array beyond the input is the product.
     raw = x @ x.T
-    return (raw + raw.T) / 2.0
+    for a in range(0, raw.shape[0], _SYMMETRIZE_ROWS):
+        b = a + _SYMMETRIZE_ROWS
+        band = raw[a:b, a:]
+        np.add(band, raw[a:, a:b].T, out=band)
+        band /= 2.0
+        raw[b:, a:b] = band[:, _SYMMETRIZE_ROWS:].T
+    return raw
 
 
 def _summary(raw: np.ndarray) -> GramSummary:
@@ -420,9 +434,12 @@ def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> 
     upper = n * (harm[n - 1] - harm[k - 1]) - (n - k)
     lower = n * (harm[n - 1] - harm[n - k]) - (k - 1)
     # on and below the diagonal max(i, j) = i and the cross term is zero;
-    # above it max(i, j) = j, and -2(j - i) splits between the two
+    # above it max(i, j) = j, and -2(j - i) splits between the two. The
+    # upper triangle is written over row by row: B is the one n x n array.
     B = np.add.outer(upper, lower)
-    np.copyto(B, np.add.outer(lower + 2 * k, upper - 2 * k), where=k[:, None] < k)
+    above, below = lower + 2 * k, upper - 2 * k
+    for i in range(n - 1):
+        np.add(above[i], below[i + 1 :], out=B[i, i + 1 :])
     _apply_lag_terms(B, g_sum, n)
     return B
 
@@ -943,8 +960,9 @@ class _NullPlan:
     built with the plan: ``l_trace`` reads them. ``cross``, the aggregate
     contrast's (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum
     of its squared entries, cost O(n^2 M^2) and are built on first read,
-    by ``aggregate_variance``; the n x n aggregate contrast is dropped
-    once reduced.
+    by ``aggregate_variance``. The n x n aggregate contrast is the one
+    n x n array of that build (its upper triangle is written over in
+    place) and is dropped once reduced.
     """
 
     def __init__(self, n: int, m: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hdcp import DependenceWindow, as_series, compute_gram
+from hdcp import DependenceWindow, as_series, compute_gram, engine
 from hdcp import (
     V_vector,
     b_aggregate,
@@ -103,6 +103,26 @@ def naive_b(n: int, t: int, m: int) -> np.ndarray:
                 cols = (1.0 if j >= h + 1 else 0.0) + (1.0 if j <= n - h else 0.0)
                 val -= g[h] * (ind - cols / n + (n - h) / n**2)
             B[i - 1, j - 1] = val
+    return B
+
+
+def outer_aggregate_values(n: int, design, weights: np.ndarray) -> np.ndarray:
+    """``engine._aggregate_values`` from two whole outer sums and a mask.
+
+    The triangle below and on the diagonal, and the one above it, are each
+    formed as a full n x n outer sum; the upper one is copied in through an
+    n x n bool mask. The lag terms are the engine's own. The engine must
+    match this bitwise.
+    """
+    g_sum = design.solve_transposed(weights.sum(axis=0))
+    harm = np.zeros(n, dtype=np.float64)
+    harm[1:] = np.cumsum(1.0 / np.arange(1, n))
+    k = np.arange(1, n + 1)
+    upper = n * (harm[n - 1] - harm[k - 1]) - (n - k)
+    lower = n * (harm[n - 1] - harm[n - k]) - (k - 1)
+    B = np.add.outer(upper, lower)
+    np.copyto(B, np.add.outer(lower + 2 * k, upper - 2 * k), where=k[:, None] < k)
+    engine._apply_lag_terms(B, g_sum, n)
     return B
 
 

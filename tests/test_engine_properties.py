@@ -20,6 +20,9 @@ from hdcp import (
     select_m,
     variance_estimate,
 )
+from hdcp import engine
+from hdcp.engine import _null_plan
+from oracles import outer_aggregate_values
 
 
 def _window_for(n):
@@ -142,3 +145,45 @@ def test_l_trace_memory_above_the_gram():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+def _traced_peak(compute, *args):
+    tracemalloc.start()
+    try:
+        compute(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130, 800])
+def test_gram_product_is_bitwise_the_symmetrized_product(n):
+    x = np.random.default_rng(n).standard_normal((n, 30))
+    r = x @ x.T
+    assert engine._gram_product(x).tobytes() == ((r + r.T) / 2.0).tobytes()
+
+
+def test_gram_product_memory_above_its_input():
+    # symmetrized in place, band by band: 1.10 x n^2 float64 here; the
+    # out-of-place (r + r.T) / 2 peaked at 2.01
+    n = 800
+    x = np.random.default_rng(8).standard_normal((n, 50))
+    peak = _traced_peak(engine._gram_product, x)
+    assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+@pytest.mark.parametrize("n, m", [(6, 1), (100, 2), (101, 3), (800, 2), (800, 10)])
+def test_aggregate_values_is_bitwise_the_outer_formula(n, m):
+    plan = _null_plan(n, m)
+    got = engine._aggregate_values(n, plan.design, plan.weights)
+    want = outer_aggregate_values(n, plan.design, plan.weights)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_aggregate_values_memory():
+    # the upper triangle is written over in place: 1.03 x n^2 float64
+    # here; a second outer sum and an n^2 bool mask peaked at 2.16
+    n = 800
+    plan = _null_plan(n, 2)
+    peak = _traced_peak(engine._aggregate_values, n, plan.design, plan.weights)
+    assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"

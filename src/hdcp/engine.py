@@ -51,6 +51,18 @@ context arrays behind the terms are not kept. So the table at the order
 the elbow chose reuses the elbow's quadruple, triple and pair terms, and
 a repeated test of the same Gram and M returns the stored result.
 
+Series of one shape can share a pass. ``prepare_global`` builds the Grams
+of R series into the slices of one (R, n, n) stack, then runs the split
+curve and the separated sums once over the stack: these kernels take a
+leading batch axis, and a single Gram is the case without one, so each
+kernel has one copy. The stack holds one more (R, n, n) array, which the
+centered Grams and then the window sums take in turn. Each Gram's curve
+and trace table are stored under the keys ``l_trace`` and
+``build_trace_table`` read, so a later ``test_global`` of the series
+finds them. They equal the single-series results bit for bit: each
+whole-grid sum is taken one Gram at a time, because ``einsum`` would
+round a stacked grid in other pieces.
+
 Conventions, fixed for the whole package:
 
 - indicator I(a, b) is 1 iff a == b; I(predicate) is 1 iff it holds;
@@ -66,7 +78,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +91,7 @@ from .core import (
     NonFiniteEntry,
     SeriesMatrix,
     SingularDesign,
+    validate_input,
 )
 
 _COND_LIMIT = 1e12
@@ -112,7 +125,9 @@ class DependenceDesign:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, np.asarray(rhs, dtype=np.float64))
+        """Solve for one right-hand side, or for each of a stack (..., M + 1)."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        return np.linalg.solve(self.matrix, rhs[..., None])[..., 0]
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.matrix.T, np.asarray(rhs, dtype=np.float64))
@@ -177,25 +192,34 @@ def _new_gram(series: SeriesMatrix) -> GramSummary:
     # an overflow is raised below as NonFiniteEntry, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _summary(_gram_product(series.values))
-    # an inf or NaN anywhere in raw reaches its row's sum; a sub-block of a
-    # finite Gram has finite row sums
-    if not np.isfinite(gram.row_sums).all():
-        raise NonFiniteEntry("the inner products overflow float64; rescale the series")
+    # a sub-block of a finite Gram has finite row sums
+    _check_row_sums(gram.row_sums)
     return gram
 
 
+def _check_row_sums(row_sums: np.ndarray) -> None:
+    # an inf or NaN anywhere in a Gram reaches its row's sum
+    if not np.isfinite(row_sums).all():
+        raise NonFiniteEntry("the inner products overflow float64; rescale the series")
+
+
 def _gram_product(x: np.ndarray) -> np.ndarray:
-    # The one O(n^2 p) pass, made exactly symmetric, (r + r.T) / 2 entry by
-    # entry, in place. A band of rows from the diagonal on takes its mirror
-    # columns, then is copied below the diagonal. numpy copies the overlapping
-    # operand of the add, so the one n x n array beyond the input is the product.
-    raw = x @ x.T
-    for a in range(0, raw.shape[0], _SYMMETRIZE_ROWS):
+    # The one O(n^2 p) pass, made exactly symmetric. The one n x n array
+    # beyond the input is the product.
+    return _symmetrize(x @ x.T)
+
+
+def _symmetrize(raw: np.ndarray) -> np.ndarray:
+    # (r + r.T) / 2 entry by entry, in place, in each n x n array of raw. A
+    # band of rows from the diagonal on takes its mirror columns, then is
+    # copied below the diagonal; numpy copies the overlapping operand of the
+    # add, at most a band
+    for a in range(0, raw.shape[-1], _SYMMETRIZE_ROWS):
         b = a + _SYMMETRIZE_ROWS
-        band = raw[a:b, a:]
-        np.add(band, raw[a:, a:b].T, out=band)
+        band = raw[..., a:b, a:]
+        np.add(band, np.swapaxes(raw[..., a:, a:b], -1, -2), out=band)
         band /= 2.0
-        raw[b:, a:b] = band[:, _SYMMETRIZE_ROWS:].T
+        raw[..., b:, a:b] = np.swapaxes(band[..., _SYMMETRIZE_ROWS:], -1, -2)
     return raw
 
 
@@ -300,18 +324,20 @@ def V_vector(gram: GramSummary, m: int) -> np.ndarray:
     a = row_sums / n, holds the inner products of the observations less
     the series mean. Its entries are taken one by one, so the m + 1
     diagonals cost O(n M) and a constant offset of the series cancels
-    entry by entry.
+    entry by entry. A stack of Grams (see ``prepare_global``) gives one
+    row of sums per Gram.
     """
     n = gram.n
     if m >= n:
         raise DimensionTooSmall(f"lag order M={m} needs n > M, got n={n}")
     a = gram.row_sums / n
-    mean_sq = a.sum() / n
+    mean_sq = (a.sum(axis=-1) / n)[..., None]
     vals = [
-        (np.diagonal(gram.raw, k) - a[: n - k] - a[k:] + mean_sq).sum() / n
+        (np.diagonal(gram.raw, k, -2, -1) - a[..., : n - k] - a[..., k:] + mean_sq).sum(axis=-1)
+        / n
         for k in range(m + 1)
     ]
-    return np.array(vals)
+    return np.stack(vals, axis=-1)
 
 
 def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
@@ -335,29 +361,32 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     return _stored(gram, ("l_trace", window.m), _split_curve, gram, window.m)
 
 
-def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
+def _split_curve(gram, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    # ``gram`` is a GramSummary or a _GramStack: every array below has the
+    # stack's leading axis, or none
     n = gram.n
     plan = _null_plan(n, m)
     x = plan.design.solve(V_vector(gram, m))
 
-    # the centered Gram is this call's one n x n array; its upper triangle
-    # is zeroed in place once the full row sums and the diagonal are read
+    # the centered Gram is this call's one n x n array per Gram (written
+    # into ``out`` when given); its upper triangle is zeroed in place once
+    # the full row sums and the diagonal are read
     a = gram.row_sums / n
-    gc = gram.raw - a[:, None]
-    gc -= a
-    gc += a.sum() / n
-    prefix = np.zeros(n + 1, dtype=np.float64)
-    np.cumsum(gc.sum(axis=1), out=prefix[1:])
-    diagonal = np.diagonal(gc).copy()
+    gc = np.subtract(gram.raw, a[..., None], out=out)
+    gc -= a[..., None, :]
+    gc += (a.sum(axis=-1) / n)[..., None, None]
+    prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
+    np.cumsum(gc.sum(axis=-1), axis=-1, out=prefix[..., 1:])
+    diagonal = np.diagonal(gc, 0, -2, -1).copy()
     gc *= np.tri(n, n, -1, dtype=bool)
     # the leading block grows by row t's lower part twice plus gc[t, t]
-    block = np.cumsum(2 * gc.sum(axis=1) + diagonal)
-    ptt = block[:-1]
-    ptn = prefix[1:n]
+    block = np.cumsum(2 * gc.sum(axis=-1) + diagonal, axis=-1)
+    ptt = block[..., :-1]
+    ptn = prefix[..., 1:n]
     # P[n, n] from the same running sum as P[t, n], so that their rounding
     # cancels in P[n, n] - 2 P[t, n] + P[t, t]; the centered rows sum to
     # zero only up to rounding, so all three blocks are kept
-    pnn = prefix[n]
+    pnn = prefix[..., n:]
     within_lo = ptt
     cross = ptn - ptt
     within_hi = pnn - 2 * ptn + ptt
@@ -366,7 +395,7 @@ def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     n2 = float(n) ** 2
     term1 = (nt / (t * n2)) * within_lo - (2.0 / n2) * cross + (t / (nt * n2)) * within_hi
 
-    curve = term1 - plan.weights @ x / n
+    curve = term1 - (plan.weights @ x[..., None])[..., 0] / n
     curve.flags.writeable = False
     return curve
 
@@ -455,10 +484,36 @@ def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, n
 
 
 def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
-    """Writable view of the diagonal a[i, i + k] of a C-contiguous n x n array."""
-    n = a.shape[0]
+    """Writable view of the diagonal a[..., i, i + k] of C-contiguous n x n arrays."""
+    n = a.shape[-1]
     start = k if k >= 0 else -k * n
-    return a.reshape(-1)[start : start + (n - abs(k)) * (n + 1) : n + 1]
+    flat = a.reshape(a.shape[:-2] + (n * n,))
+    return flat[..., start : start + (n - abs(k)) * (n + 1) : n + 1]
+
+
+def _grid_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of ``a * b`` over the last two axes, for each leading index.
+
+    One ``einsum`` per grid: over a stack, ``einsum`` cuts a grid of
+    contiguous rows into 8192-entry buffers and rounds differently from
+    the same grid alone, so a Gram's sums would depend on its stack.
+    """
+    if a.ndim == 2:
+        return np.einsum("ij,ij->", a, b)
+    lead = a.shape[:-2]
+    a = a.reshape((-1,) + a.shape[-2:])
+    b = b.reshape((-1,) + b.shape[-2:])
+    return np.array([np.einsum("ij,ij->", x, y) for x, y in zip(a, b)]).reshape(lead)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of vectors along the last axis, for each leading index.
+
+    Each product is the one ``a @ b`` makes for a single pair of vectors.
+    """
+    if a.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
@@ -481,17 +536,19 @@ def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
     return tuple(runs)
 
 
-def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
+def _window_diff(pre: np.ndarray, runs, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
 
     Entry i of the result along ``axis`` is the difference of the window
     ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
     encode; every entry is the same single subtraction a gather would
-    make. The result is a new C-contiguous array.
+    make. The result is ``out``, or else a new C-contiguous array.
     """
-    shape = list(pre.shape)
-    shape[axis] = runs[-1][0].stop
-    out = np.empty(shape, dtype=pre.dtype)
+    axis %= pre.ndim
+    if out is None:
+        shape = list(pre.shape)
+        shape[axis] = runs[-1][0].stop
+        out = np.empty(shape, dtype=pre.dtype)
     at = (slice(None),) * axis
     for dst, hi, lo in runs:
         np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
@@ -641,9 +698,15 @@ class _SeparatedSums:
     Each term's value and count is stored on the Gram per M
     (``GramSummary.results``), so every context of one (Gram, M) computes a
     term once.
+
+    ``gram`` may also be a ``_GramStack``: every array then has the stack's
+    leading axis, each value is an array with one entry per Gram, and the
+    values are stored on the stack. A stack keeps no row prefix; each
+    Gram's is formed in turn into one n x (n + 1) array, and the window
+    sums are written into the stack's scratch buffer.
     """
 
-    def __init__(self, gram: GramSummary, m: int):
+    def __init__(self, gram, m: int):
         self.n = n = gram.n
         self.m = m
         self.gram = gram
@@ -656,10 +719,18 @@ class _SeparatedSums:
         self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def _window_sums(self) -> np.ndarray:
-        # ws[s, t] sums raw[s, lo[t]:hi[t]], shared by every triple term and
-        # the quadruple term
+        # ws[..., s, t] sums raw[..., s, lo[t]:hi[t]], shared by every triple
+        # term and the quadruple term
         if self._ws is None:
-            self._ws = _window_diff(self.row_prefix, self.plan.runs, axis=1)
+            runs = self.plan.runs
+            if self.row_prefix is not None:
+                self._ws = _window_diff(self.row_prefix, runs, axis=1)
+            else:
+                pre = np.zeros((self.n, self.n + 1), dtype=np.float64)
+                for raw, ws in zip(self.raw, self.gram.scratch):
+                    np.cumsum(raw, axis=1, out=pre[:, 1:])
+                    _window_diff(pre, runs, axis=1, out=ws)
+                self._ws = self.gram.scratch
         return self._ws
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -672,14 +743,15 @@ class _SeparatedSums:
         """
         if self._band is None:
             n, k_max = self.n, 3 * self.m
-            diag = np.zeros((2 * k_max + 1, n), dtype=np.float64)
+            lead = self.raw.shape[:-2]
+            diag = np.zeros(lead + (2 * k_max + 1, n), dtype=np.float64)
             for k in range(min(k_max, n - 1) + 1):
                 # raw is symmetric: diagonal -k is diagonal k moved k columns on
-                values = np.diagonal(self.raw, k)
-                diag[k_max + k, : n - k] = values
-                diag[k_max - k, k:] = values
-            prefix = np.zeros((2 * k_max + 2, n), dtype=np.float64)
-            np.cumsum(diag, axis=0, out=prefix[1:])
+                values = np.diagonal(self.raw, k, -2, -1)
+                diag[..., k_max + k, : n - k] = values
+                diag[..., k_max - k, k:] = values
+            prefix = np.zeros(lead + (2 * k_max + 2, n), dtype=np.float64)
+            np.cumsum(diag, axis=-2, out=prefix[..., 1:, :])
             self._band = diag, prefix
         return self._band
 
@@ -700,10 +772,8 @@ class _SeparatedSums:
         s0, s1 = max(0, -h1), min(n, n - h1)
         t0, t1 = max(0, -h2), min(n, n - h2)
         # raw is symmetric, so both factors are plain slices
-        full = np.einsum(
-            "ij,ij->",
-            self.raw[s0:s1, t0 + h2 : t1 + h2],
-            self.raw[s0 + h1 : s1 + h1, t0:t1],
+        full = _grid_dot(
+            self.raw[..., s0:s1, t0 + h2 : t1 + h2], self.raw[..., s0 + h1 : s1 + h1, t0:t1]
         )
         # on a forbidden d = s - t the factors are raw[s, s - d + h2] and
         # raw[s + h1, s - d], rows k_max + h2 - d and k_max - h1 - d of diag;
@@ -712,11 +782,11 @@ class _SeparatedSums:
         a = k_max + h2 - plan.top
         b = k_max - h1 - plan.top
         forbidden = np.einsum(
-            "ij,ij->",
-            diag[a : a + plan.width, s0:s1],
-            diag[b : b + plan.width, s0 + h1 : s1 + h1],
+            "...ij,...ij->...",
+            diag[..., a : a + plan.width, s0:s1],
+            diag[..., b : b + plan.width, s0 + h1 : s1 + h1],
         )
-        return float(full - forbidden), plan.count
+        return full - forbidden, plan.count
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
@@ -743,23 +813,29 @@ class _SeparatedSums:
         n, m, k = self.n, self.m, 3 * self.m
         ns = n - h
         diag, prefix = self.band()
-        pre = prefix[:, :ns]
-        own = self.row_sums[:ns] - (pre[k + h + m + 1] - pre[k - m])
-        ws = self._window_sums()[:ns]
-        full = own @ self.row_sums[h:] - np.einsum("ij,ij->", self.raw[h:], ws)
+        pre = prefix[..., :ns]
+        own = self.row_sums[..., :ns] - (pre[..., k + h + m + 1, :] - pre[..., k - m, :])
+        ws = self._window_sums()[..., :ns, :]
+        full = _dot(own, self.row_sums[..., h:]) - _grid_dot(self.raw[..., h:, :], ws)
         # weight[j, s] for t - s = j - 2M; the outer factor raw[s + h, t] is
         # diag[k + t - s - h, s + h]
-        weight = np.empty((h + 4 * m + 1, ns), dtype=np.float64)
+        weight = np.empty(own.shape[:-1] + (h + 4 * m + 1, ns), dtype=np.float64)
         # overlap left of the s-group: raw[s, lo[s]:hi[t]]
-        np.subtract(pre[k - m + 1 : k + 1], pre[k - m], out=weight[:m])
+        np.subtract(pre[..., k - m + 1 : k + 1, :], pre[..., k - m, None, :], out=weight[..., :m, :])
         # forbidden: the pair was counted with own[s] - ws[s, t]; take it back
-        forbidden = weight[m : h + 3 * m + 1]
-        np.subtract(pre[k + 1 : k + h + 2 * m + 2], pre[k - 2 * m : k + h + 1], out=forbidden)
-        forbidden -= own
+        forbidden = weight[..., m : h + 3 * m + 1, :]
+        np.subtract(
+            pre[..., k + 1 : k + h + 2 * m + 2, :], pre[..., k - 2 * m : k + h + 1, :], out=forbidden
+        )
+        forbidden -= own[..., None, :]
         # overlap right of the s-group: raw[s, lo[t]:hi[s + h]]
-        np.subtract(pre[k + h + m + 1], pre[k + h + 1 : k + h + m + 1], out=weight[h + 3 * m + 1 :])
-        band = np.einsum("ij,ij->", diag[k - 2 * m - h : k + 2 * m + 1, h:], weight)
-        return float(full + band), count
+        np.subtract(
+            pre[..., k + h + m + 1, None, :],
+            pre[..., k + h + 1 : k + h + m + 1, :],
+            out=weight[..., h + 3 * m + 1 :, :],
+        )
+        band = np.einsum("...ij,...ij->...", diag[..., k - 2 * m - h : k + 2 * m + 1, h:], weight)
+        return full + band, count
 
     def quad_term(self) -> tuple[float, int]:
         """sum over pairwise-separated (q, r, s, t) of x_q'x_r * x_s'x_t.
@@ -799,49 +875,49 @@ class _SeparatedSums:
             return 0.0, 0
         n, m, k = self.n, self.m, 3 * self.m
         prefix = self.band()[1]
-        rows = self.row_sums - (prefix[k + m + 1] - prefix[k - m])
-        total = rows.sum()
-        row_pre = np.zeros(n + 1, dtype=np.float64)
-        np.cumsum(rows, out=row_pre[1:])
-        rho = _window_diff(row_pre, plan.runs, axis=0)
+        rows = self.row_sums - (prefix[..., k + m + 1, :] - prefix[..., k - m, :])
+        total = rows.sum(axis=-1)
+        row_pre = np.zeros(rows.shape[:-1] + (n + 1,), dtype=np.float64)
+        np.cumsum(rows, axis=-1, out=row_pre[..., 1:])
+        rho = _window_diff(row_pre, plan.runs, axis=-1)
         # V = ws - C, where C[i, i + e] = raw[i, win(i) n win(i + e)] is
         # the band's share of a window sum, offsets max(e, 0) - M to
         # min(e, 0) + M of row i; nonzero only for |e| <= 2M. Row e of
         # `above` holds C[i, i + e] at column i, row e of `below` holds
         # C[j, j - e] at column j.
-        above = prefix[k + m + 1] - prefix[k - m : k + m + 1]
-        below = prefix[k + m + 1 : k - m : -1] - prefix[k - m]
+        above = prefix[..., k + m + 1, None, :] - prefix[..., k - m : k + m + 1, :]
+        below = prefix[..., k + m + 1 : k - m : -1, :] - prefix[..., k - m, None, :]
         # weights of V's diagonals in the overlap terms: left[e - 1, q]
         # sums raw[q, q + M + 1:q + M + e + 1], right[e - 1, r] sums
         # raw[r, r - M - e:r - M]
-        left = prefix[k + m + 2 : k + 2 * m + 2] - prefix[k + m + 1]
-        right = prefix[k - m] - prefix[k - m - 1 : k - 2 * m - 1 : -1]
+        left = prefix[..., k + m + 2 : k + 2 * m + 2, :] - prefix[..., k + m + 1, None, :]
+        right = prefix[..., k - m, None, :] - prefix[..., k - m - 1 : k - 2 * m - 1 : -1, :]
         # V overwrites the window sums, so a triple term after this one
         # forms them again
         v = self._window_sums()
         self._ws = None
-        kappa = np.zeros(n, dtype=np.float64)
+        kappa = np.zeros(rows.shape, dtype=np.float64)
         # over the band M < r - q <= 2M: raw[q, r] (W(A x O) + W(B x O) - rows(O))
         overlap = 0.0
         for e in range(2 * m + 1):
             upper = _diagonal(v, e)
-            np.subtract(upper, above[e, : n - e], out=upper)
+            np.subtract(upper, above[..., e, : n - e], out=upper)
             if e == 0:
                 kappa += upper
                 continue
             lower = _diagonal(v, -e)
-            np.subtract(lower, below[e, e:], out=lower)
+            np.subtract(lower, below[..., e, e:], out=lower)
             if e <= m:
-                kappa[e:] += upper
-                kappa[: n - e] += lower
-                overlap += left[e - 1, : n - e] @ lower + right[e - 1, e:] @ upper
+                kappa[..., e:] += upper
+                kappa[..., : n - e] += lower
+                overlap += _dot(left[..., e - 1, : n - e], lower) + _dot(right[..., e - 1, e:], upper)
         # rows(O) = row_pre[q + M + 1] - row_pre[r - M]
-        reach = prefix[k + 2 * m + 1, : n - m - 1] - prefix[k + m + 1, : n - m - 1]
-        overlap -= reach @ row_pre[m + 1 : n]
-        overlap += (prefix[k - m, m:] - prefix[k - 2 * m, m:]) @ row_pre[: n - m]
-        box = np.einsum("ij,ji->", v, v)
-        out = total * total - 4 * (rows @ rho) + 2 * (rows @ kappa) + 2 * box - 4 * overlap
-        return float(out), count
+        reach = prefix[..., k + 2 * m + 1, : n - m - 1] - prefix[..., k + m + 1, : n - m - 1]
+        overlap -= _dot(reach, row_pre[..., m + 1 : n])
+        overlap += _dot(prefix[..., k - m, m:] - prefix[..., k - 2 * m, m:], row_pre[..., : n - m])
+        box = np.einsum("...ij,...ji->...", v, v)
+        out = total * total - 4 * _dot(rows, rho) + 2 * _dot(rows, kappa) + 2 * box - 4 * overlap
+        return out, count
 
 
 def _combine_terms(
@@ -884,7 +960,7 @@ def trace_product_estimate(
         ctx.triple_term(h2),
         ctx.quad_term(),
     )
-    return _combine_terms(parts, h1, h2)
+    return float(_combine_terms(parts, h1, h2))
 
 
 def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable:
@@ -905,11 +981,17 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
 
 
 def _trace_table(gram: GramSummary, m: int) -> TraceTable:
+    return TraceTable(m=m, values=_table_values(gram, m))
+
+
+def _table_values(gram, m: int) -> np.ndarray:
+    # the (2M + 1) x (2M + 1) grid of a GramSummary, or one per Gram of a
+    # _GramStack
     ctx = _SeparatedSums(gram, m)
     # the triple terms read the window sums that the quadruple term overwrites
     triples = [ctx.triple_term(h) for h in range(m + 1)]
     quad = ctx.quad_term()
-    values = np.full((2 * m + 1, 2 * m + 1), np.nan)
+    values = np.full(gram.raw.shape[:-2] + (2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
             orbit = ((h1, h2), (h2, h1), (-h1, -h2), (-h2, -h1))
@@ -921,9 +1003,67 @@ def _trace_table(gram: GramSummary, m: int) -> TraceTable:
                 h2,
             )
             for a, b in orbit:
-                values[a + m, b + m] = est
+                values[..., a + m, b + m] = est
     values.flags.writeable = False
-    return TraceTable(m=m, values=values)
+    return values
+
+
+class _GramStack:
+    """The Grams of several series of one length, stacked for one pass.
+
+    ``raw`` (R, n, n) and ``row_sums`` (R, n) stand where a GramSummary's
+    fields stand, so ``_split_curve`` and ``_SeparatedSums`` read either;
+    the pass's terms are stored in ``results``, one entry per Gram in each
+    value. ``scratch`` is the one other (R, n, n) array: the centered Grams
+    of the split curves take it first, then the window sums.
+    """
+
+    row_prefix = None
+
+    def __init__(self, count: int, n: int):
+        self.n = n
+        self.raw = np.empty((count, n, n), dtype=np.float64)
+        self.row_sums = np.empty((count, n), dtype=np.float64)
+        self.scratch = np.empty_like(self.raw)
+        self.results: dict = {}
+
+
+def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> None:
+    """Reduce series of one shape and take what their global tests read, in
+    one stacked pass.
+
+    Each series gets the Gram that ``compute_gram`` would keep on it, and
+    each Gram the split curve and trace table at ``window`` that ``l_trace``
+    and ``build_trace_table`` would store on it; a later ``test_global`` of
+    the series reads them. The R Grams are built into the slices of one
+    (R, n, n) stack, so each ``GramSummary.raw`` is a view of it, and the
+    curves and tables are computed over the whole stack. Every Gram's
+    results are those of the single-series calls, bit for bit.
+
+    Raises ``ValueError`` unless the series share one shape and none holds
+    a Gram yet, ``DimensionTooSmall`` as ``validate_input`` does,
+    ``NonFiniteEntry`` when a Gram overflows float64 and ``EmptySumRange``
+    when a separated sum has no admissible tuples.
+    """
+    shape = series[0].values.shape
+    if any(s.values.shape != shape or s._gram is not None for s in series):
+        raise ValueError("prepare_global takes series of one shape that hold no Gram yet")
+    validate_input(series[0], window)
+    m = window.m
+    stack = _GramStack(len(series), shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, raw in zip(series, stack.raw):
+            np.matmul(s.values, s.values.T, out=raw)
+        _symmetrize(stack.raw)
+        stack.raw.sum(axis=2, out=stack.row_sums)
+        _check_row_sums(stack.row_sums)
+        curves = _split_curve(stack, m, out=stack.scratch)
+        tables = _table_values(stack, m)
+    for s, raw, row_sums, curve, table in zip(series, stack.raw, stack.row_sums, curves, tables):
+        gram = GramSummary(raw=raw, row_sums=row_sums)
+        gram.results[("l_trace", m)] = curve
+        gram.results[("table", m)] = TraceTable(m=m, values=table)
+        object.__setattr__(s, "_gram", gram)
 
 
 def _shift_dot(src: np.ndarray, dst: np.ndarray, dr: int, dc: int) -> float:

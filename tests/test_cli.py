@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from hdcp.cli import (
     main,
     parse_config,
 )
-from hdcp.simulator import DESIGNS
+from hdcp.simulator import _CHUNK, DESIGNS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -403,6 +406,32 @@ def test_detect_overflow_is_a_data_error(tmp_path, capsys, scale, m):
     assert err.startswith("data error:") and "overflow float64" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("delta", [
+    1e80,   # the Gram is finite, the trace table's separated sums overflow
+    1e200,  # the Gram overflows
+])
+def test_simulate_overflow_is_one_data_error_line(tmp_path, delta, workers):
+    # every replication overflows, the first inside a whole chunk; a fresh
+    # process, so that the forked workers' stderr is the one read here
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "design = size_power\nn = 40\np = 10\nm_true = 0\nm_used = 0\n"
+        f"reps = {2 * _CHUNK + 1}\ndelta = {delta}\ntau = 20\nseed = 1\n"
+    )
+    out = tmp_path / "rep.json"
+    env = dict(os.environ, HDCP_WORKERS=workers, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hdcp", "simulate", "--config", str(cfg), "--output", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_DATA
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:"), run.stderr
+    assert "overflow float64" in lines[0]
     assert not out.exists()
 
 

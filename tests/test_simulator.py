@@ -1,6 +1,9 @@
 """Generator correctness, oracle formulas, and runner reproducibility."""
 
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hdcp import (
     LinearProcessSpec,
     MeanProfile,
     OracleModel,
+    SeriesMatrix,
     SizePowerDesign,
     as_series,
     build_coefficients,
@@ -22,6 +26,18 @@ from hdcp import (
     oracle_variance,
     run_size_power,
     single_change_profile,
+    simulator,
+)
+from hdcp import test_global as global_test
+from hdcp.cli import build_design, parse_config
+from hdcp.engine import prepare_global
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SIZE_POWER_CONFIGS = (
+    "table1_size_m2",
+    "table1_size_m0",
+    "table1_size_m2_misused",
+    "table1_power_m0",
 )
 
 
@@ -195,8 +211,77 @@ def test_oracle_variance_small_case_matches_monte_carlo():
     assert abs(vals.var(ddof=1) - target) <= 0.10 * target
 
 
+def _shipped_design(name: str, reps: int) -> SizePowerDesign:
+    _, design = build_design(parse_config(str(CONFIGS / f"{name}.cfg")))
+    return dataclasses.replace(design, reps=reps)
+
+
+def _assert_same_outcome(got, want):
+    assert abs(got.zscore - want.zscore) <= 1e-12 * abs(want.zscore)
+    assert (got.reject, got.degenerate) == (want.reject, want.degenerate)
+
+
+@pytest.mark.parametrize("name", SIZE_POWER_CONFIGS)
+def test_chunked_replications_match_single_series_tests(name):
+    # 2R + 1 replications: two whole chunks and a last chunk of one
+    design = _shipped_design(name, 2 * simulator._CHUNK + 1)
+    outcomes = simulator._size_power_outcomes(design)
+    assert len(outcomes) == design.reps
+    model = build_coefficients(design, design.profile())
+    window = DependenceWindow(design.m_used)
+    for rep, got in enumerate(outcomes):
+        x = generate_series(design, model=model, seed=[design.seed, rep]).values
+        _assert_same_outcome(got, global_test(SeriesMatrix(x), window, design.inference_config()))
+
+
+def test_outcome_does_not_depend_on_position_in_a_chunk():
+    # every replication alone, and in chunks whose cuts move by one place
+    # at a time, so that it takes each position of a whole chunk
+    chunk = simulator._CHUNK
+    design = _shipped_design("table1_size_m2", 2 * chunk + 1)
+    model = build_coefficients(design, design.profile())
+    window = DependenceWindow(design.m_used)
+    cfg = design.inference_config()
+    values = [
+        generate_series(design, model=model, seed=[design.seed, rep]).values
+        for rep in range(design.reps)
+    ]
+
+    def run(reps):
+        series = [SeriesMatrix(values[rep]) for rep in reps]
+        prepare_global(series, window)
+        return [global_test(s, window, cfg) for s in series]
+
+    alone = [run([rep])[0] for rep in range(design.reps)]
+    for offset in range(chunk):
+        cuts = [0] + list(range(offset or chunk, design.reps, chunk)) + [design.reps]
+        chunked = [o for lo, hi in zip(cuts, cuts[1:]) for o in run(range(lo, hi))]
+        for got, want in zip(chunked, alone):
+            _assert_same_outcome(got, want)
+
+
+def test_run_size_power_memory_per_chunk():
+    # a chunk holds R series, their R Grams and one (R, n, n) scratch. The
+    # traced peak at n = 100, p = 200, M = 2 was 2,075,838 bytes when the
+    # replications ran one at a time (the generator's model alone is four
+    # p x p matrices) and is 3,105,666 bytes in chunks of R = 4
+    n, p, chunk = 100, 200, simulator._CHUNK
+    design = SizePowerDesign(n=n, p=p, m_true=2, m_used=2, reps=2 * chunk, seed=20240812)
+    run_size_power(design)  # the (n, M) plans are built once per process
+    tracemalloc.start()
+    try:
+        run_size_power(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_075_838 + chunk * (n * p + 2 * n * n) * 8, peak
+
+
 def test_run_size_power_reproducible_across_workers(monkeypatch):
-    design = SizePowerDesign(n=40, p=20, m_true=0, m_used=0, reps=12, seed=99)
+    # whole chunks and a short last one, mapped over three workers
+    design = SizePowerDesign(
+        n=40, p=20, m_true=0, m_used=0, reps=2 * simulator._CHUNK + 3, seed=99
+    )
     base = run_size_power(design)
     monkeypatch.setenv("HDCP_WORKERS", "3")
     parallel = run_size_power(design)

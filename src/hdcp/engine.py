@@ -203,28 +203,24 @@ def _check_row_sums(row_sums: np.ndarray) -> None:
         raise NonFiniteEntry("the inner products overflow float64; rescale the series")
 
 
-def _gram_product(x: np.ndarray) -> np.ndarray:
-    # The one O(n^2 p) pass, made exactly symmetric. The one n x n array
-    # beyond the input is the product.
-    return _symmetrize(x @ x.T)
-
-
-def _symmetrize(raw: np.ndarray) -> np.ndarray:
-    # (r + r.T) / 2 entry by entry, in place, in each n x n array of raw. A
-    # band of rows from the diagonal on takes its mirror columns, then is
-    # copied below the diagonal; numpy copies the overlapping operand of the
-    # add, at most a band
-    for a in range(0, raw.shape[-1], _SYMMETRIZE_ROWS):
+def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # The one O(n^2 p) pass (into ``out`` when given), made exactly
+    # symmetric, (r + r.T) / 2 entry by entry, in place. A band of rows from
+    # the diagonal on takes its mirror columns, then is copied below the
+    # diagonal. numpy copies the overlapping operand of the add, so the one
+    # n x n array beyond the input is the product.
+    raw = np.matmul(x, x.T, out=out)
+    for a in range(0, raw.shape[0], _SYMMETRIZE_ROWS):
         b = a + _SYMMETRIZE_ROWS
-        band = raw[..., a:b, a:]
-        np.add(band, np.swapaxes(raw[..., a:, a:b], -1, -2), out=band)
+        band = raw[a:b, a:]
+        np.add(band, raw[a:, a:b].T, out=band)
         band /= 2.0
-        raw[..., b:, a:b] = np.swapaxes(band[..., _SYMMETRIZE_ROWS:], -1, -2)
+        raw[b:, a:b] = band[:, _SYMMETRIZE_ROWS:].T
     return raw
 
 
-def _summary(raw: np.ndarray) -> GramSummary:
-    return GramSummary(raw=raw, row_sums=raw.sum(axis=1))
+def _summary(raw: np.ndarray, row_sums: np.ndarray | None = None) -> GramSummary:
+    return GramSummary(raw=raw, row_sums=raw.sum(axis=1, out=row_sums))
 
 
 def _stored(gram: GramSummary, key: tuple, compute, *args):
@@ -498,8 +494,6 @@ def _grid_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     contiguous rows into 8192-entry buffers and rounds differently from
     the same grid alone, so a Gram's sums would depend on its stack.
     """
-    if a.ndim == 2:
-        return np.einsum("ij,ij->", a, b)
     lead = a.shape[:-2]
     a = a.reshape((-1,) + a.shape[-2:])
     b = b.reshape((-1,) + b.shape[-2:])
@@ -511,8 +505,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each product is the one ``a @ b`` makes for a single pair of vectors.
     """
-    if a.ndim == 1:
-        return a @ b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -1052,15 +1044,14 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     m = window.m
     stack = _GramStack(len(series), shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, raw in zip(series, stack.raw):
-            np.matmul(s.values, s.values.T, out=raw)
-        _symmetrize(stack.raw)
-        stack.raw.sum(axis=2, out=stack.row_sums)
+        grams = [
+            _summary(_gram_product(s.values, out=raw), row_sums)
+            for s, raw, row_sums in zip(series, stack.raw, stack.row_sums)
+        ]
         _check_row_sums(stack.row_sums)
         curves = _split_curve(stack, m, out=stack.scratch)
         tables = _table_values(stack, m)
-    for s, raw, row_sums, curve, table in zip(series, stack.raw, stack.row_sums, curves, tables):
-        gram = GramSummary(raw=raw, row_sums=row_sums)
+    for s, gram, curve, table in zip(series, grams, curves, tables):
         gram.results[("l_trace", m)] = curve
         gram.results[("table", m)] = TraceTable(m=m, values=table)
         object.__setattr__(s, "_gram", gram)

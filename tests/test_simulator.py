@@ -260,21 +260,28 @@ def test_outcome_does_not_depend_on_position_in_a_chunk():
             _assert_same_outcome(got, want)
 
 
-def test_run_size_power_memory_per_chunk():
-    # a chunk holds R series, their R Grams and one (R, n, n) scratch. The
-    # traced peak at n = 100, p = 200, M = 2 was 2,075,838 bytes when the
-    # replications ran one at a time (the generator's model alone is four
-    # p x p matrices) and is 3,105,666 bytes in chunks of R = 4
-    n, p, chunk = 100, 200, simulator._CHUNK
-    design = SizePowerDesign(n=n, p=p, m_true=2, m_used=2, reps=2 * chunk, seed=20240812)
+def _traced_peak(design: SizePowerDesign) -> int:
     run_size_power(design)  # the (n, M) plans are built once per process
     tracemalloc.start()
     try:
         run_size_power(design)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2_075_838 + chunk * (n * p + 2 * n * n) * 8, peak
+
+
+def test_run_size_power_memory_per_chunk(monkeypatch):
+    # a chunk holds R series, their R Grams and one (R, n, n) scratch: at
+    # most R (n p + 2 n^2) float64 above the peak of one replication per
+    # chunk, which stands for the one-at-a-time run (n = 100, p = 200,
+    # M = 2: 2,078,578 bytes per chunk of one against 2,075,366 one at a
+    # time; 3,104,090 bytes in chunks of R = 4)
+    n, p, chunk = 100, 200, simulator._CHUNK
+    design = SizePowerDesign(n=n, p=p, m_true=2, m_used=2, reps=2 * chunk, seed=20240812)
+    peak = _traced_peak(design)
+    monkeypatch.setattr(simulator, "_CHUNK", 1)
+    single = _traced_peak(design)
+    assert peak <= single + chunk * (n * p + 2 * n * n) * 8, (peak, single)
 
 
 def test_run_size_power_reproducible_across_workers(monkeypatch):

@@ -54,7 +54,7 @@ from typing import Literal, NoReturn, Optional, Union, get_args, get_origin, get
 
 import numpy as np
 
-from . import __version__, core
+from . import __version__
 from .core import DependenceWindow, HdcpError, SeriesMatrix, SingularDesign, validate_input
 from .inference import InferenceConfig, binary_segmentation, test_global
 from .selector import default_h_max, lag_energy_curve, select_m
@@ -125,6 +125,18 @@ _WHITESPACE_LINE = re.compile(rb"\n[ \t]+(?=\r?\n|\Z)")
 _SPLIT_FROM_BYTES = 3_000_000
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# an input from _SPLIT_FROM_BYTES on is parsed in this many processes;
+# read at call time
+_WORKERS = min(2, _usable_cpus())
+
+
 def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
     """The matrix by numpy's C reader, or None where only the row loop applies."""
     begin = len(_BOM) if data.startswith(_BOM) else 0
@@ -157,10 +169,10 @@ def _split_point(data: bytes, start: int) -> Optional[int]:
     """The first data row after the middle of a large input, or None.
 
     None keeps the parse in one process: the input is below
-    ``_SPLIT_FROM_BYTES``, ``core._WORKERS`` is 1, there is no
+    ``_SPLIT_FROM_BYTES``, ``_WORKERS`` is 1, there is no
     ``os.fork``, or no data row follows the middle.
     """
-    if len(data) < _SPLIT_FROM_BYTES or core._WORKERS < 2 or not hasattr(os, "fork"):
+    if len(data) < _SPLIT_FROM_BYTES or _WORKERS < 2 or not hasattr(os, "fork"):
         return None
     end = data.find(b"\n", start + (len(data) - start) // 2) + 1
     if not end:

@@ -9,23 +9,10 @@ outside ``[1, n]`` are defined to be zero; see the contrast matrices in
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# a large ``hdcp detect`` input is parsed in this many processes; read it
-# as ``core._WORKERS`` at call time
-_WORKERS = min(2, _usable_cpus())
 
 
 class HdcpError(Exception):
@@ -139,23 +126,29 @@ class GramSummary:
 
     - ``raw[i, j]``  inner product of observations i and j, float64 and
       exactly symmetric,
-    - ``row_sums``  ``raw.sum(axis=1)``, float64; divided by n they are the
+    - ``row_sums``  ``raw.sum(axis=-1)``, float64; divided by n they are the
       inner products of each observation with the series mean, which is
       what centering the Gram subtracts.
+
+    The fields may carry leading axes: ``raw`` (R, n, n) and ``row_sums``
+    (R, n) hold the Grams of R series of one length, which
+    :func:`hdcp.engine.prepare_global` reduces in one pass. Every member
+    below then has the same leading axes, and each Gram's slice of it is
+    bitwise what that Gram alone would hold.
 
     ``raw`` and ``row_sums`` are read-only, so nothing cached from them can
     go stale. Derived members, built on first read and then cached:
 
-    - ``row_prefix[s, j]``  float64 sum of ``raw[s, :j]``, n x (n + 1)
-      with a zero guard column; by symmetry also a column sum. It does
-      not depend on the separation order, so every separated-sums context
-      of this Gram (the elbow builds one per probed order) shares it.
-      Read-only.
+    - ``row_prefix[..., s, j]``  float64 sum of ``raw[..., s, :j]``,
+      n x (n + 1) per Gram with a zero guard column; by symmetry also a
+      column sum. It does not depend on the separation order, so every
+      separated-sums context of this Gram (the elbow builds one per probed
+      order) shares it. Read-only.
     - ``results``  what :mod:`hdcp.engine` computed from this Gram, keyed
       by kind and separation order M: the split curve and the trace table
       of each M (read-only arrays), and the value and count of each
-      separated-sum term of each M (scalars). A repeated call with the
-      same Gram and M returns the stored result.
+      separated-sum term of each M (scalars, or one entry per Gram). A
+      repeated call with the same Gram and M returns the stored result.
 
     A Gram lives as long as the series that holds it (see
     ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and 10.3 MB
@@ -171,13 +164,12 @@ class GramSummary:
 
     @property
     def n(self) -> int:
-        return self.raw.shape[0]
+        return self.raw.shape[-1]
 
     @functools.cached_property
     def row_prefix(self) -> np.ndarray:
-        n = self.n
-        prefix = np.zeros((n, n + 1), dtype=np.float64)
-        np.cumsum(self.raw, axis=1, out=prefix[:, 1:])
+        prefix = np.zeros(self.raw.shape[:-1] + (self.n + 1,), dtype=np.float64)
+        np.cumsum(self.raw, axis=-1, out=prefix[..., 1:])
         prefix.flags.writeable = False
         return prefix
 

@@ -16,20 +16,20 @@ estimated by a four-term U-statistic over index tuples forced to be more
 than M apart (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
-shared: ``_null_plan(n, M)`` holds the checked lag design ``F_matrix`` and
-the boundary weights of every split, which ``l_trace`` reads, and, built
-on the first ``aggregate_variance`` of the shape, the cross-product table
-and squared mass of the aggregated contrast ``b_aggregate``. One entry
-costs O(nM + M^2) floats, since the n x n contrast is reduced before it is
-stored; at most ``_PLAN_CACHE_SIZE`` (32) keys are kept, least recently
-used first out. The arrays are read-only, because every caller with the
-same key gets the same plan. So the global test of a series of a seen
-length pays O(M^2) for its variance after the trace table, and a shape
-that only ``l_trace`` sees never pays for the cross-products.
+shared: ``_plan(n, M)`` holds it, with at most ``_PLAN_CACHE_SIZE`` (32)
+keys kept, least recently used first out. Its arrays are read-only,
+because every caller with the same key gets the same plan. The windows
+and slice runs of the separated sums come with the plan (O(n)); every
+other part is built on its first read: the exact tuple counts of the
+separated sums (integers); the checked lag design ``F_matrix`` and the
+boundary weights of every split, which ``l_trace`` reads; and the
+cross-product table and squared mass of the aggregated contrast
+``b_aggregate``, which ``aggregate_variance`` reads. No part is n x n,
+since the n x n contrast is reduced before it is stored. So the global
+test of a series of a seen length pays O(M^2) for its variance after the
+trace table, and the elbow's orders never build a lag design.
 
-The separated sums share work the same way. Once per shape,
-``_sums_plan(n, M)`` (same LRU bound) holds the windows, their slice runs
-and the exact tuple counts: O(n) arrays and integers. Once per Gram,
+The separated sums share work the same way. Once per Gram,
 ``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that every
 separation order reads. A context per (Gram, M) then pays only for its
 own sums: each term takes its whole-grid sum in one n x n pass (the pair
@@ -52,12 +52,11 @@ the elbow chose reuses the elbow's quadruple, triple and pair terms, and
 a repeated test of the same Gram and M returns the stored result.
 
 Series of one shape can share a pass. ``prepare_global`` builds the Grams
-of R series into the slices of one (R, n, n) stack, then runs the split
-curve and the separated sums once over the stack: these kernels take a
-leading batch axis, and a single Gram is the case without one, so each
-kernel has one copy. The stack holds one more (R, n, n) array, which the
-centered Grams and then the window sums take in turn. Each Gram's curve
-and trace table are stored under the keys ``l_trace`` and
+of R series into the slices of one (R, n, n) stack and wraps it in one
+``GramSummary`` with a leading axis, then runs the split curve and the
+separated sums once over the stack. Every kernel takes leading axes, and
+a single Gram is the case without any, so each kernel has one copy. Each
+Gram's curve and trace table are stored under the keys ``l_trace`` and
 ``build_trace_table`` read, so a later ``test_global`` of the series
 finds them. They equal the single-series results bit for bit: each
 whole-grid sum is taken one Gram at a time, because ``einsum`` would
@@ -95,14 +94,9 @@ from .core import (
 )
 
 _COND_LIMIT = 1e12
-# distinct (n, M) null-variance plans kept per process; one entry is
-# O(nM + M^2) floats, so even the full cache is small next to one Gram
+# distinct (n, M) shape plans kept per process; one entry is O(nM + M^2)
+# floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
-# rows per band of the Gram's in-place symmetrization: the add's copy of an
-# overlapping operand is at most this many rows of n floats. Against the
-# out-of-place (r + r.T) / 2 (median of 7, 2 vCPUs): 800 x 100 5.6 -> 5.2 ms,
-# 100 x 200 0.113 -> 0.147 ms
-_SYMMETRIZE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -204,23 +198,14 @@ def _check_row_sums(row_sums: np.ndarray) -> None:
 
 
 def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # The one O(n^2 p) pass (into ``out`` when given), made exactly
-    # symmetric, (r + r.T) / 2 entry by entry, in place. A band of rows from
-    # the diagonal on takes its mirror columns, then is copied below the
-    # diagonal. numpy copies the overlapping operand of the add, so the one
-    # n x n array beyond the input is the product.
-    raw = np.matmul(x, x.T, out=out)
-    for a in range(0, raw.shape[0], _SYMMETRIZE_ROWS):
-        b = a + _SYMMETRIZE_ROWS
-        band = raw[a:b, a:]
-        np.add(band, raw[a:, a:b].T, out=band)
-        band /= 2.0
-        raw[b:, a:b] = band[:, _SYMMETRIZE_ROWS:].T
-    return raw
+    # The one O(n^2 p) pass, into ``out`` when given. For ``x @ x.T`` numpy
+    # calls BLAS syrk, which computes one triangle and mirrors it, so the
+    # product is exactly symmetric as it comes.
+    return np.matmul(x, x.T, out=out)
 
 
-def _summary(raw: np.ndarray, row_sums: np.ndarray | None = None) -> GramSummary:
-    return GramSummary(raw=raw, row_sums=raw.sum(axis=1, out=row_sums))
+def _summary(raw: np.ndarray) -> GramSummary:
+    return GramSummary(raw=raw, row_sums=raw.sum(axis=-1))
 
 
 def _stored(gram: GramSummary, key: tuple, compute, *args):
@@ -357,18 +342,17 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     return _stored(gram, ("l_trace", window.m), _split_curve, gram, window.m)
 
 
-def _split_curve(gram, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    # ``gram`` is a GramSummary or a _GramStack: every array below has the
-    # stack's leading axis, or none
+def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
+    # every array below has the Gram's leading axes, if it has any
     n = gram.n
-    plan = _null_plan(n, m)
+    plan = _plan(n, m)
     x = plan.design.solve(V_vector(gram, m))
 
-    # the centered Gram is this call's one n x n array per Gram (written
-    # into ``out`` when given); its upper triangle is zeroed in place once
-    # the full row sums and the diagonal are read
+    # the centered Gram is this call's one n x n array per Gram; its upper
+    # triangle is zeroed in place once the full row sums and the diagonal
+    # are read
     a = gram.row_sums / n
-    gc = np.subtract(gram.raw, a[..., None], out=out)
+    gc = gram.raw - a[..., None]
     gc -= a[..., None, :]
     gc += (a.sum(axis=-1) / n)[..., None, None]
     prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
@@ -528,19 +512,18 @@ def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
     return tuple(runs)
 
 
-def _window_diff(pre: np.ndarray, runs, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
     """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
 
     Entry i of the result along ``axis`` is the difference of the window
     ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
     encode; every entry is the same single subtraction a gather would
-    make. The result is ``out``, or else a new C-contiguous array.
+    make. The result is a new C-contiguous array.
     """
     axis %= pre.ndim
-    if out is None:
-        shape = list(pre.shape)
-        shape[axis] = runs[-1][0].stop
-        out = np.empty(shape, dtype=pre.dtype)
+    shape = list(pre.shape)
+    shape[axis] = runs[-1][0].stop
+    out = np.empty(shape, dtype=pre.dtype)
     at = (slice(None),) * axis
     for dst, hi, lo in runs:
         np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
@@ -561,15 +544,28 @@ class _PairPlan(NamedTuple):
     width: int
 
 
-class _SumsPlan:
-    """What the separated sums need that depends on (n, M) alone.
+class _ShapePlan:
+    """What the statistics need that depends on the shape (n, M) alone.
 
-    Built by ``_sums_plan`` once per shape and shared by every context of
-    that shape, so its arrays are read-only. It holds the windows
-    ``lo``/``hi`` (O(n)) and their runs, and exact counts: the quadruple
-    count, and, filled on first use, the triple count of each |h| and the
-    pair count and forbidden interval of each (h1, h2). No array of it is
-    larger than n.
+    Built by ``_plan(n, M)`` once per shape and shared by every caller of
+    that shape, so its arrays are read-only. No array of it is larger than
+    n x (M + 1) or (2M + 1) x (2M + 1). With the plan come the windows
+    ``lo``/``hi`` of the separated sums (O(n)), their runs and the
+    quadruple count. The rest is built on first read, so a caller pays
+    only for what it reads:
+
+    - for the separated sums, the triple count of each |h| and the pair
+      count and forbidden interval of each (h1, h2);
+    - for ``l_trace``, ``design`` (``F_matrix(n, M)``, condition checked)
+      and ``weights`` (``_f_columns(n, 1..n-1, M)``, shape (n - 1, M + 1));
+    - for ``aggregate_variance``, ``cross``, the aggregate contrast's
+      (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum of its
+      squared entries. They cost O(n^2 M^2); the n x n aggregate contrast
+      is the one n x n array of that build (its upper triangle is written
+      over in place) and is dropped once reduced.
+
+    So the elbow's orders, which read only the separated sums, never
+    build a lag design.
     """
 
     def __init__(self, n: int, m: int):
@@ -636,10 +632,38 @@ class _SumsPlan:
         count = max(0, s1 - s0) * max(0, t1 - t0) - forbidden
         return _PairPlan(count, top, top - bottom + 1)
 
+    @functools.cached_property
+    def design(self) -> DependenceDesign:
+        design = F_matrix(self.n, self.m)
+        design.matrix.flags.writeable = False
+        return design
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        weights = _f_columns(self.n, np.arange(1, self.n), self.m)
+        weights.flags.writeable = False
+        return weights
+
+    @functools.cached_property
+    def _contrast(self) -> tuple[np.ndarray, float]:
+        B = _aggregate_values(self.n, self.design, self.weights)
+        mass = float(np.einsum("ij,ij->", B, B))
+        cross = _contrast_cross_products(B, self.m)
+        cross.flags.writeable = False
+        return cross, mass
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self._contrast[0]
+
+    @property
+    def mass(self) -> float:
+        return self._contrast[1]
+
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _sums_plan(n: int, m: int) -> _SumsPlan:
-    return _SumsPlan(n, m)
+def _plan(n: int, m: int) -> _ShapePlan:
+    return _ShapePlan(n, m)
 
 
 class _SeparatedSums:
@@ -655,9 +679,8 @@ class _SeparatedSums:
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
     series. What depends on (n, M) alone (windows, counts, forbidden
-    intervals) comes from the cached ``_sums_plan(n, M)``; the row prefix
-    and the float64 row sums come from the Gram, shared across
-    separations.
+    intervals) comes from the cached ``_plan(n, M)``; the row prefix and
+    the float64 row sums come from the Gram, shared across separations.
 
     Each term takes its whole-grid sum in one n x n pass and then removes
     or adds the O(nM) entries near the diagonal that its index rules treat
@@ -691,19 +714,17 @@ class _SeparatedSums:
     (``GramSummary.results``), so every context of one (Gram, M) computes a
     term once.
 
-    ``gram`` may also be a ``_GramStack``: every array then has the stack's
-    leading axis, each value is an array with one entry per Gram, and the
-    values are stored on the stack. A stack keeps no row prefix; each
-    Gram's is formed in turn into one n x (n + 1) array, and the window
-    sums are written into the stack's scratch buffer.
+    A Gram with leading axes (see ``prepare_global``) gives every array
+    those axes too, and each term's value is then an array with one entry
+    per Gram.
     """
 
-    def __init__(self, gram, m: int):
+    def __init__(self, gram: GramSummary, m: int):
         self.n = n = gram.n
         self.m = m
         self.gram = gram
         self.raw = gram.raw
-        self.plan = _sums_plan(n, m)
+        self.plan = _plan(n, m)
         self.row_sums = gram.row_sums
         # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
         self.row_prefix = gram.row_prefix
@@ -714,15 +735,7 @@ class _SeparatedSums:
         # ws[..., s, t] sums raw[..., s, lo[t]:hi[t]], shared by every triple
         # term and the quadruple term
         if self._ws is None:
-            runs = self.plan.runs
-            if self.row_prefix is not None:
-                self._ws = _window_diff(self.row_prefix, runs, axis=1)
-            else:
-                pre = np.zeros((self.n, self.n + 1), dtype=np.float64)
-                for raw, ws in zip(self.raw, self.gram.scratch):
-                    np.cumsum(raw, axis=1, out=pre[:, 1:])
-                    _window_diff(pre, runs, axis=1, out=ws)
-                self._ws = self.gram.scratch
+            self._ws = _window_diff(self.row_prefix, self.plan.runs, axis=-1)
         return self._ws
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -976,9 +989,8 @@ def _trace_table(gram: GramSummary, m: int) -> TraceTable:
     return TraceTable(m=m, values=_table_values(gram, m))
 
 
-def _table_values(gram, m: int) -> np.ndarray:
-    # the (2M + 1) x (2M + 1) grid of a GramSummary, or one per Gram of a
-    # _GramStack
+def _table_values(gram: GramSummary, m: int) -> np.ndarray:
+    # the (2M + 1) x (2M + 1) grid, with the Gram's leading axes
     ctx = _SeparatedSums(gram, m)
     # the triple terms read the window sums that the quadruple term overwrites
     triples = [ctx.triple_term(h) for h in range(m + 1)]
@@ -1000,26 +1012,6 @@ def _table_values(gram, m: int) -> np.ndarray:
     return values
 
 
-class _GramStack:
-    """The Grams of several series of one length, stacked for one pass.
-
-    ``raw`` (R, n, n) and ``row_sums`` (R, n) stand where a GramSummary's
-    fields stand, so ``_split_curve`` and ``_SeparatedSums`` read either;
-    the pass's terms are stored in ``results``, one entry per Gram in each
-    value. ``scratch`` is the one other (R, n, n) array: the centered Grams
-    of the split curves take it first, then the window sums.
-    """
-
-    row_prefix = None
-
-    def __init__(self, count: int, n: int):
-        self.n = n
-        self.raw = np.empty((count, n, n), dtype=np.float64)
-        self.row_sums = np.empty((count, n), dtype=np.float64)
-        self.scratch = np.empty_like(self.raw)
-        self.results: dict = {}
-
-
 def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> None:
     """Reduce series of one shape and take what their global tests read, in
     one stacked pass.
@@ -1028,9 +1020,10 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     each Gram the split curve and trace table at ``window`` that ``l_trace``
     and ``build_trace_table`` would store on it; a later ``test_global`` of
     the series reads them. The R Grams are built into the slices of one
-    (R, n, n) stack, so each ``GramSummary.raw`` is a view of it, and the
-    curves and tables are computed over the whole stack. Every Gram's
-    results are those of the single-series calls, bit for bit.
+    (R, n, n) stack, which one ``GramSummary`` with a leading axis holds,
+    and each series' ``GramSummary`` is a view of its slice. The curves
+    and tables are computed over the whole stack; every Gram's results
+    are those of the single-series calls, bit for bit.
 
     Raises ``ValueError`` unless the series share one shape and none holds
     a Gram yet, ``DimensionTooSmall`` as ``validate_input`` does,
@@ -1042,16 +1035,16 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
         raise ValueError("prepare_global takes series of one shape that hold no Gram yet")
     validate_input(series[0], window)
     m = window.m
-    stack = _GramStack(len(series), shape[0])
+    raw = np.empty((len(series), shape[0], shape[0]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = [
-            _summary(_gram_product(s.values, out=raw), row_sums)
-            for s, raw, row_sums in zip(series, stack.raw, stack.row_sums)
-        ]
+        for s, out in zip(series, raw):
+            _gram_product(s.values, out=out)
+        stack = _summary(raw)
         _check_row_sums(stack.row_sums)
-        curves = _split_curve(stack, m, out=stack.scratch)
+        curves = _split_curve(stack, m)
         tables = _table_values(stack, m)
-    for s, gram, curve, table in zip(series, grams, curves, tables):
+    for s, view, sums, curve, table in zip(series, stack.raw, stack.row_sums, curves, tables):
+        gram = GramSummary(raw=view, row_sums=sums)
         gram.results[("l_trace", m)] = curve
         gram.results[("table", m)] = TraceTable(m=m, values=table)
         object.__setattr__(s, "_gram", gram)
@@ -1080,50 +1073,6 @@ def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
                 values, values.T, h2, -h1
             )
     return out
-
-
-class _NullPlan:
-    """What the global test needs that depends on (n, M) alone.
-
-    Every caller with the same (n, M) shares one plan, so its arrays are
-    read-only. ``design`` (``F_matrix(n, M)``, condition checked) and
-    ``weights`` (``_f_columns(n, 1..n-1, M)``, shape (n - 1, M + 1)) are
-    built with the plan: ``l_trace`` reads them. ``cross``, the aggregate
-    contrast's (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum
-    of its squared entries, cost O(n^2 M^2) and are built on first read,
-    by ``aggregate_variance``. The n x n aggregate contrast is the one
-    n x n array of that build (its upper triangle is written over in
-    place) and is dropped once reduced.
-    """
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self.design = F_matrix(n, m)
-        self.weights = _f_columns(n, np.arange(1, n), m)
-        for a in (self.design.matrix, self.weights):
-            a.flags.writeable = False
-
-    @functools.cached_property
-    def _contrast(self) -> tuple[np.ndarray, float]:
-        B = _aggregate_values(self.n, self.design, self.weights)
-        mass = float(np.einsum("ij,ij->", B, B))
-        cross = _contrast_cross_products(B, self.m)
-        cross.flags.writeable = False
-        return cross, mass
-
-    @property
-    def cross(self) -> np.ndarray:
-        return self._contrast[0]
-
-    @property
-    def mass(self) -> float:
-        return self._contrast[1]
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _null_plan(n: int, m: int) -> _NullPlan:
-    return _NullPlan(n, m)
 
 
 def _floored_variance(
@@ -1164,5 +1113,5 @@ def aggregate_variance(table: TraceTable, n: int) -> VarianceResult:
     which builds them on the first call per (n, M); later calls cost
     O(M^2).
     """
-    plan = _null_plan(n, table.m)
+    plan = _plan(n, table.m)
     return _floored_variance(plan.cross, plan.mass, table, n)

@@ -354,7 +354,7 @@ _PAYLOAD = None
 # tables take one stacked pass (engine.prepare_global). At Table 1's shape
 # (n = 100, p = 200, M = 2) the rate levels off from 4: 328, 408, 438, 453
 # and 457 reps/s at 1, 2, 3, 4 and 8 (medians of 8 interleaved rounds), and
-# each replication of a chunk adds 0.34 MB to the traced peak
+# each replication of a chunk adds 0.42 MB to the traced peak
 _CHUNK = 4
 
 

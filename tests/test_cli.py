@@ -409,6 +409,24 @@ def test_detect_overflow_is_a_data_error(tmp_path, capsys, scale, m):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", ["1", "auto"])
+@pytest.mark.filterwarnings("error")
+def test_detect_near_overflow_gram_is_a_data_error(tmp_path, capsys, m):
+    # one entry 1.2e154: its row's inner product with itself, about
+    # 1.44e308, is finite, but twice it is not; the run fails in whichever
+    # stage first sums it twice
+    values = np.random.default_rng(6).standard_normal((60, 3))
+    values[29, 1] = 1.2e154
+    path = tmp_path / "near.csv"
+    np.savetxt(path, values, delimiter=",")
+    out = tmp_path / "rep.json"
+    assert main(["detect", "--input", str(path), "--m", m, "--output", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "overflow float64" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("delta", [
     1e80,   # the Gram is finite, the trace table's separated sums overflow

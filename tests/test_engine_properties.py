@@ -21,7 +21,7 @@ from hdcp import (
     variance_estimate,
 )
 from hdcp import engine
-from hdcp.engine import _null_plan
+from hdcp.engine import _plan
 from oracles import outer_aggregate_values
 
 
@@ -156,15 +156,34 @@ def _traced_peak(compute, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [5, 64, 65, 130, 800])
-def test_gram_product_is_bitwise_the_symmetrized_product(n):
-    x = np.random.default_rng(n).standard_normal((n, 30))
+@pytest.mark.parametrize("n, p, first, stacked", [
+    pytest.param(5, 30, 0, False, id="5"),
+    pytest.param(64, 30, 0, False, id="64"),
+    pytest.param(65, 30, 0, False, id="65"),
+    pytest.param(130, 30, 0, False, id="130"),
+    pytest.param(800, 30, 0, False, id="800"),
+    pytest.param(60, 1, 0, False, id="p1"),
+    pytest.param(40, 200, 0, False, id="p-above-n"),
+    # a segment: rows of a longer series, as segment_view cuts them
+    pytest.param(50, 30, 17, False, id="segment"),
+    # a slice of an (R, n, n) stack, as prepare_global fills it
+    pytest.param(100, 200, 0, True, id="stack-slice"),
+    pytest.param(50, 30, 17, True, id="segment-stack-slice"),
+])
+def test_gram_product_is_bitwise_the_symmetrized_product(n, p, first, stacked):
+    # numpy computes x @ x.T by one triangle and its mirror, so the product
+    # is exactly symmetric as it comes and needs no symmetrization
+    values = np.random.default_rng(n + p).standard_normal((first + n + 9, p))
+    x = values[first : first + n]
+    out = np.full((3, n, n), np.nan)[1] if stacked else None
+    got = engine._gram_product(x, out=out)
     r = x @ x.T
-    assert engine._gram_product(x).tobytes() == ((r + r.T) / 2.0).tobytes()
+    assert got.tobytes() == ((r + r.T) / 2.0).tobytes()
+    assert out is None or got is out
 
 
 def test_gram_product_memory_above_its_input():
-    # symmetrized in place, band by band: 1.10 x n^2 float64 here; the
+    # the product is the one n x n array: 1.00 x n^2 float64 here; the
     # out-of-place (r + r.T) / 2 peaked at 2.01
     n = 800
     x = np.random.default_rng(8).standard_normal((n, 50))
@@ -174,7 +193,7 @@ def test_gram_product_memory_above_its_input():
 
 @pytest.mark.parametrize("n, m", [(6, 1), (100, 2), (101, 3), (800, 2), (800, 10)])
 def test_aggregate_values_is_bitwise_the_outer_formula(n, m):
-    plan = _null_plan(n, m)
+    plan = _plan(n, m)
     got = engine._aggregate_values(n, plan.design, plan.weights)
     want = outer_aggregate_values(n, plan.design, plan.weights)
     assert got.tobytes() == want.tobytes()
@@ -184,6 +203,6 @@ def test_aggregate_values_memory():
     # the upper triangle is written over in place: 1.03 x n^2 float64
     # here; a second outer sum and an n^2 bool mask peaked at 2.16
     n = 800
-    plan = _null_plan(n, 2)
+    plan = _plan(n, 2)
     peak = _traced_peak(engine._aggregate_values, n, plan.design, plan.weights)
     assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"

@@ -19,7 +19,7 @@ from hdcp import (
 from hdcp import test_at as split_test
 from hdcp import test_global as global_test
 from hdcp import engine
-from hdcp.engine import _null_plan, aggregate_variance, build_trace_table, compute_gram, l_trace
+from hdcp.engine import _plan, aggregate_variance, build_trace_table, compute_gram, l_trace
 
 W0 = DependenceWindow(0)
 
@@ -150,7 +150,7 @@ def test_global_outcomes_do_not_depend_on_cached_plans():
     calls = [(40, 0), (57, 2), (40, 2), (57, 0), (40, 0), (57, 2), (40, 2), (57, 0)]
 
     def outcomes(order):
-        _null_plan.cache_clear()
+        _plan.cache_clear()
         return {i: global_test(as_series(values[n]), DependenceWindow(m), InferenceConfig())
                 for i, (n, m) in order}
 
@@ -163,13 +163,13 @@ def test_global_outcomes_do_not_depend_on_cached_plans():
 
 def test_null_plan_is_read_only_and_holds_no_n_by_n_array():
     n, m = 40, 2
-    plan = _null_plan(n, m)
+    plan = _plan(n, m)
     assert plan.weights.shape == (n - 1, m + 1)
     assert plan.cross.shape == (2 * m + 1, 2 * m + 1)
     for array in (plan.weights, plan.cross, plan.design.matrix):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    assert _null_plan(n, m) is plan
+    assert _plan(n, m) is plan
 
 
 def test_cold_l_trace_builds_no_aggregate_cross_products(monkeypatch):
@@ -184,7 +184,7 @@ def test_cold_l_trace_builds_no_aggregate_cross_products(monkeypatch):
         return cross_products(*args)
 
     monkeypatch.setattr(engine, "_contrast_cross_products", counted)
-    _null_plan.cache_clear()
+    _plan.cache_clear()
     n, window = 48, DependenceWindow(3)
     series = as_series(np.random.default_rng(48).standard_normal((n, 6)))
     gram = compute_gram(series)
@@ -195,7 +195,7 @@ def test_cold_l_trace_builds_no_aggregate_cross_products(monkeypatch):
     first = aggregate_variance(table, n)
     assert calls == [3]
     assert aggregate_variance(table, n) == first and calls == [3]
-    plan = _null_plan(n, 3)
+    plan = _plan(n, 3)
     B = engine._aggregate_values(n, plan.design, plan.weights)
     assert plan.cross.tobytes() == cross_products(B, 3).tobytes()
     assert plan.mass == float(np.einsum("ij,ij->", B, B))

@@ -21,9 +21,8 @@ import pytest
 from hdcp import as_series, compute_gram
 from hdcp.core import DependenceWindow, GramSummary
 from hdcp.engine import (
-    _null_plan,
+    _plan,
     _SeparatedSums,
-    _sums_plan,
     _window_diff,
     _window_runs,
     build_trace_table,
@@ -184,7 +183,7 @@ def test_window_diff_equals_the_gather():
 @pytest.mark.parametrize("n,m", [(30, 5), (200, 3), (34, 10)])
 def test_sums_plan_is_read_only_and_small(n, m):
     _all_terms(_gram(n, m), m)
-    plan = _sums_plan(n, m)
+    plan = _plan(n, m)
     assert len(plan._triples) == m + 1
     assert len(plan._pairs) == (2 * m + 1) ** 2
     # the windows are the only arrays, length n; every term keeps integers
@@ -196,17 +195,35 @@ def test_sums_plan_is_read_only_and_small(n, m):
         assert all(type(field) is int for field in pair)
         # one forbidden interval of at most 4M + 1 differences
         assert 2 * m + 1 <= pair.width <= 4 * m + 1
-    assert _sums_plan(n, m) is plan
+    assert _plan(n, m) is plan
 
 
-def test_sums_plan_cache_is_bounded_like_the_null_plan():
-    size = _null_plan.cache_info().maxsize
+def test_plan_cache_is_bounded_and_drops_the_least_recent():
+    size = _plan.cache_info().maxsize
     assert size is not None
-    assert _sums_plan.cache_info().maxsize == size
-    _sums_plan.cache_clear()
-    for n in range(20, 20 + size + 5):
-        _sums_plan(n, 1)
-    assert _sums_plan.cache_info().currsize == size
+    _plan.cache_clear()
+    first = _plan(20, 1)
+    kept = _plan(21, 1)
+    for n in range(22, 20 + size):
+        _plan(n, 1)
+    _plan(21, 1)  # now the most recent; (20, 1) is the least
+    _plan(20 + size, 1)  # one key too many
+    assert _plan.cache_info().currsize == size
+    assert _plan(21, 1) is kept
+    assert _plan(20, 1) is not first
+
+
+def test_elbow_builds_no_lag_design():
+    # the elbow's orders read only the separated sums of their plans
+    _plan.cache_clear()
+    series = as_series(np.random.default_rng(90).standard_normal((90, 8)))
+    h_max = default_h_max(series.n)
+    lag_energy_curve(series, h_max)
+    for h in range(h_max + 1):
+        plan = _plan(series.n, h)
+        assert "design" not in plan.__dict__ and "weights" not in plan.__dict__, h
+    # every plan read above is one the curve built
+    assert _plan.cache_info().currsize == h_max + 1
 
 
 def test_terms_do_not_depend_on_cached_plans():
@@ -216,9 +233,9 @@ def test_terms_do_not_depend_on_cached_plans():
     # keeps its terms.
     cold = {}
     for n, m in CASES:
-        _sums_plan.cache_clear()
+        _plan.cache_clear()
         cold[n, m] = _all_terms(_gram(n, m), m)
-    _sums_plan.cache_clear()
+    _plan.cache_clear()
     for n, m in CASES + CASES[::-1]:
         assert _all_terms(_gram(n, m), m) == cold[n, m], (n, m)
 

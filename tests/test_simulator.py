@@ -271,11 +271,12 @@ def _traced_peak(design: SizePowerDesign) -> int:
 
 
 def test_run_size_power_memory_per_chunk(monkeypatch):
-    # a chunk holds R series, their R Grams and one (R, n, n) scratch: at
-    # most R (n p + 2 n^2) float64 above the peak of one replication per
-    # chunk, which stands for the one-at-a-time run (n = 100, p = 200,
-    # M = 2: 2,078,578 bytes per chunk of one against 2,075,366 one at a
-    # time; 3,104,090 bytes in chunks of R = 4)
+    # a chunk holds R series, their R Grams, the stack's row prefix and
+    # one (R, n, n) transient at a time: at most R (n p + 2 n^2) float64
+    # above the peak of one replication per chunk, which stands for the
+    # one-at-a-time run (n = 100, p = 200, M = 2: 2,075,786 bytes per
+    # chunk of one; 3,347,267 bytes in chunks of R = 4, 8,519 below the
+    # bound)
     n, p, chunk = 100, 200, simulator._CHUNK
     design = SizePowerDesign(n=n, p=p, m_true=2, m_used=2, reps=2 * chunk, seed=20240812)
     peak = _traced_peak(design)

@@ -1,6 +1,6 @@
 """The C reader in two processes for large ``hdcp detect`` inputs.
 
-From ``cli._SPLIT_FROM_BYTES`` on, with ``core._WORKERS`` at 2 and
+From ``cli._SPLIT_FROM_BYTES`` on, with ``cli._WORKERS`` at 2 and
 ``os.fork`` available, ``cli._read_fast`` parses the rows before the first
 data row after the middle itself and the rest in a forked child. Most tests
 set the threshold to 0, so that small inputs take that path. They pin that
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hdcp
-from hdcp import cli, core, engine
+from hdcp import cli, engine
 from hdcp.cli import load_matrix, main
 
 from test_cli import _LOADER_CORPUS
@@ -31,7 +31,7 @@ def forks(monkeypatch):
 
     After the test every one of them must have been reaped.
     """
-    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(cli, "_WORKERS", 2)
     pids = []
     fork = os.fork
 
@@ -224,9 +224,9 @@ def test_a_failed_child_exit_fails_the_split(split, monkeypatch):
 
 _REAP_PROBE = """
 import os
-from hdcp import cli, core
+from hdcp import cli
 cli._SPLIT_FROM_BYTES = 0
-core._WORKERS = 2
+cli._WORKERS = 2
 for data in (
     b"1,2\\n3,4\\n5,6\\n7,8\\n",
     b"1,2\\n3,4\\n5,6\\n7,x\\n",  # rejected in the child's part
@@ -253,7 +253,7 @@ def test_no_child_outlives_a_parse():
 
 
 def test_one_worker_never_forks(tmp_path, split, monkeypatch):
-    monkeypatch.setattr(core, "_WORKERS", 1)
+    monkeypatch.setattr(cli, "_WORKERS", 1)
     rows, fast, _ = _parse_both(tmp_path, b"1,2\n3,4\n5,6\n7,8\n")
     _assert_bitwise(fast, rows)
     assert split == []
@@ -261,7 +261,7 @@ def test_one_worker_never_forks(tmp_path, split, monkeypatch):
 
 def test_split_from_the_byte_threshold(monkeypatch):
     data = b"1,2\n3,4\n5,6\n7,8\n"
-    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(cli, "_WORKERS", 2)
     monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", len(data) + 1)
     assert cli._split_point(data, 0) is None
     monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", len(data))
@@ -276,7 +276,7 @@ def test_detect_report_above_the_threshold_matches_one_process(tmp_path, forks, 
     assert path.stat().st_size >= cli._SPLIT_FROM_BYTES
     reports = []
     for workers in (2, 1):
-        monkeypatch.setattr(core, "_WORKERS", workers)
+        monkeypatch.setattr(cli, "_WORKERS", workers)
         out = tmp_path / f"report_{workers}.json"
         assert main(["detect", "--input", str(path), "--m", "2", "--output", str(out)]) == 0
         reports.append(out.read_bytes())

@@ -11,18 +11,20 @@ Two subcommands:
                    multiple change points, boundary detection curves, or
                    elbow curves) and writes the results table.
 
-``detect`` reads its input once: the bytes it hashes into the report are
-the bytes it parses. Input made only of printable ASCII, tabs and line
-ends, with a one-character or whitespace delimiter, is parsed by numpy's C
-reader; any other input, and any the C reader rejects even after lines
-of only spaces and tabs are blanked, by a Python row loop that reports
-the offending row and column. Both give bitwise-equal
-arrays. A leading UTF-8 byte order mark is ignored. On POSIX hosts with
-two or more usable CPUs, the C reader parses inputs of at least 3 MB
-(``_SPLIT_FROM_BYTES``) in two processes, each taking about half of the
-rows; there is no setting for this, and the array is the same either way.
-The C reader reads each part through a window over the bytes, never a
-copy of them. ``detect`` releases the bytes once they are parsed, and the
+``detect`` never holds a regular input file whole. It reads the file
+once, in 64 KiB blocks, to hash it, then reads each block again as it is
+parsed and checks it against the first read, so the bytes it hashes into
+the report are the bytes it parses; a file that changes in between is a
+data error. A pipe or FIFO cannot be read twice, so it is read into
+memory once. Input made only of printable ASCII, tabs and line ends, with
+a one-character or whitespace delimiter, is parsed by numpy's C reader;
+any other input, and any the C reader rejects even after lines of only
+spaces and tabs are blanked, by a Python row loop that reports the
+offending row and column. Both give bitwise-equal arrays. A leading UTF-8
+byte order mark is ignored. On POSIX hosts with two or more usable CPUs,
+the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in two
+processes, each taking about half of the rows; there is no setting for
+this, and the array is the same either way. ``detect`` releases the
 parsed array once the series holds its copy, so the statistics run beside
 one copy of the input.
 
@@ -47,6 +49,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -114,9 +117,15 @@ _BOM = b"\xef\xbb\xbf"
 # for numpy. Other control bytes and non-ASCII text go to the row loop too.
 _C_READER_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 # blank lines, then the next line (leading whitespace included) and its end
-_NEXT_LINE = re.compile(rb"(?:[ \t]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?")
+_NEXT_LINE = rb"(?:[ \t]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?"
+# a byte order mark if there is one, then the first two lines not blank
+_HEAD = re.compile(b"(?:" + _BOM + b")?" + _NEXT_LINE + _NEXT_LINE)
+# the rest of a line, then the next line not blank
+_AFTER_LINE = re.compile(rb"[^\n]*\n" + _NEXT_LINE)
 # a line end, then a line of only spaces and tabs up to its own end
 _WHITESPACE_LINE = re.compile(rb"\n[ \t]+(?=\r?\n|\Z)")
+# An input is read, hashed and checked in blocks of this many bytes.
+_BLOCK = 1 << 16
 # Inputs of at least this many bytes are parsed in two processes. On a
 # 2-vCPU Linux host with 100 MB resident, 800-row comma files, medians of
 # 21 alternated parses, one process -> two: 1.6 MB 41 -> 37 ms (two
@@ -137,99 +146,187 @@ def _usable_cpus() -> int:
 _WORKERS = min(2, _usable_cpus())
 
 
-def _read_fast(data: bytes, delimiter: Optional[str]) -> Optional[np.ndarray]:
+class _Bytes:
+    """An input held in memory: a pipe's bytes, or a part blanked for a retry."""
+
+    def __init__(self, data: bytes):
+        self._view = memoryview(data)
+        self.size = len(data)
+
+    def block(self, k: int, buf: bytearray) -> memoryview:
+        """Block ``k`` of the input, without a copy (``buf`` is not used)."""
+        return self._view[k * _BLOCK : (k + 1) * _BLOCK]
+
+
+class _File:
+    """A regular file, read in place by ``os.preadv``.
+
+    Making one is the hash pass: the whole file is read once, block by
+    block, into ``hasher``, and the hasher's state is kept at every block
+    boundary. Every later read of a block hashes it on from the state
+    before it and must reach the state after it, so each byte parsed is
+    the byte hashed. Positioned reads share no file offset, so a forked
+    child reads the same descriptor.
+    """
+
+    def __init__(self, path: str, fd: int, hasher):
+        self._path, self._fd = path, fd
+        self._states = [hasher.copy()]
+        buf = bytearray(_BLOCK)
+        self.size = 0
+        while True:
+            got = self._fill(len(self._states) - 1, buf)
+            hasher.update(memoryview(buf)[:got])
+            self._states.append(hasher.copy())
+            self.size += got
+            if got < _BLOCK:
+                break
+
+    def _fill(self, k: int, buf: bytearray) -> int:
+        """Read block ``k`` into ``buf``; fewer bytes than a block only at the end."""
+        view, got = memoryview(buf), 0
+        while got < _BLOCK:
+            read = os.preadv(self._fd, [view[got:]], k * _BLOCK + got)
+            if not read:
+                break
+            got += read
+        return got
+
+    def block(self, k: int, buf: bytearray) -> memoryview:
+        """Block ``k`` of the file, read into ``buf``; DataError if it changed."""
+        view = memoryview(buf)[: self._fill(k, buf)]
+        hasher = self._states[k].copy()
+        hasher.update(view)
+        if hasher.digest() != self._states[k + 1].digest():
+            raise DataError(f"{self._path}: input changed while it was read")
+        return view
+
+
+_Source = Union[_Bytes, _File]
+
+
+def _read(source: _Source, start: int, end: int) -> bytearray:
+    """The bytes ``[start, end)`` of an input."""
+    buf, out = bytearray(_BLOCK), bytearray()
+    for k in range(start // _BLOCK, -(-end // _BLOCK)):
+        out += source.block(k, buf)[max(start - k * _BLOCK, 0) : end - k * _BLOCK]
+    return out
+
+
+def _settled(source: _Source, start: int, pattern: re.Pattern) -> Optional[re.Match]:
+    """``pattern.match`` on the input from ``start``, read until more bytes cannot change it."""
+    size = _BLOCK
+    while True:
+        data = _read(source, start, min(start + size, source.size))
+        found = pattern.match(data)
+        if start + len(data) == source.size or (found and found.end() < len(data)):
+            return found
+        size *= 2
+
+
+def _read_fast(source: _Source, delimiter: Optional[str]) -> Optional[np.ndarray]:
     """The matrix by numpy's C reader, or None where only the row loop applies."""
-    begin = len(_BOM) if data.startswith(_BOM) else 0
-    # a slice and bytes.translate each allocate as much as they read, so
-    # read 64 KiB at a time (as fast as the whole input at once)
-    for i in range(begin, len(data), 1 << 16):
-        if data[i : i + (1 << 16)].translate(None, _C_READER_BYTES):
-            return None
-    first = _NEXT_LINE.match(data, begin)
-    line = first.group(1)
-    if not line.strip():
+    head = _settled(source, 0, _HEAD)
+    first = head.group(1)
+    # each part's reads check its own bytes, from the first data row on;
+    # this checks the bytes read here, a header among them
+    if head.string[head.start(1) :].translate(None, _C_READER_BYTES):
+        return None
+    if not first.strip():
         return None  # no data rows: the row loop reports it
-    delim, header = _layout(line.decode("ascii"), delimiter)
+    delim, header = _layout(first.decode("ascii"), delimiter)
     if delim is not None and (len(delim) != 1 or delim in "\r\n"):
         return None
-    rows = _NEXT_LINE.match(data, first.end() if header else begin)
-    if not rows.group(1).strip():
+    row = 2 if header else 1
+    if not head.group(row).strip():
         return None
-    start = rows.start(1)  # the first data row, blank lines before it skipped
-    cut = _split_point(data, start)
+    start = head.start(row)  # the first data row, blank lines before it skipped
+    del head  # and the bytes it matched
+    cut = _split_point(source, start)
     try:
         if cut is None:
-            return _read_part(data, start, len(data), delim)
-        return _read_split(data, start, cut, delim)
+            return _read_part(source, start, source.size, delim)
+        return _read_split(source, start, cut, delim)
     except ValueError:
         return None
 
 
-def _split_point(data: bytes, start: int) -> Optional[int]:
+def _split_point(source: _Source, start: int) -> Optional[int]:
     """The first data row after the middle of a large input, or None.
 
     None keeps the parse in one process: the input is below
     ``_SPLIT_FROM_BYTES``, ``_WORKERS`` is 1, there is no
     ``os.fork``, or no data row follows the middle.
     """
-    if len(data) < _SPLIT_FROM_BYTES or _WORKERS < 2 or not hasattr(os, "fork"):
+    if source.size < _SPLIT_FROM_BYTES or _WORKERS < 2 or not hasattr(os, "fork"):
         return None
-    end = data.find(b"\n", start + (len(data) - start) // 2) + 1
-    if not end:
-        return None
-    rest = _NEXT_LINE.match(data, end)
-    return rest.start(1) if rest.group(1).strip() else None
+    middle = start + (source.size - start) // 2
+    rest = _settled(source, middle, _AFTER_LINE)
+    return middle + rest.start(1) if rest and rest.group(1).strip() else None
 
 
-def _read_part(data: bytes, start: int, end: int, delim: Optional[str]) -> np.ndarray:
-    """The rows of ``data[start:end]``, which begins at a data row.
+def _read_part(source: _Source, start: int, end: int, delim: Optional[str]) -> np.ndarray:
+    """The rows of the input's ``[start, end)``, which begins at a data row.
 
     Raises ValueError where the C reader rejects them. With a delimiter,
     numpy rejects a line of only spaces and tabs that the row loop skips:
     such lines are blanked, keeping their ends, for one retry.
     """
     try:
-        return _loadtxt(data, start, end, delim)
+        return _loadtxt(source, start, end, delim)
     except ValueError:
-        body, blanked = _WHITESPACE_LINE.subn(b"\n", data[start:end])
+        body, blanked = _WHITESPACE_LINE.subn(b"\n", _read(source, start, end))
         if not blanked:
             raise
-    return _loadtxt(body, 0, len(body), delim)
+    return _loadtxt(_Bytes(body), 0, len(body), delim)
 
 
 class _Window(io.RawIOBase):
-    """A read-only file over a memoryview: reads copy no more than they return."""
+    """The bytes ``[start, end)`` of an input as a read-only file.
 
-    def __init__(self, view: memoryview):
-        self._view = view
+    It reads the input a block at a time, and raises ValueError at a block
+    holding a byte outside ``_C_READER_BYTES``, where numpy's C reader and
+    the row loop could disagree.
+    """
+
+    def __init__(self, source: _Source, start: int, end: int):
+        self._source, self._next, self._end = source, start, end
+        self._buf = bytearray(_BLOCK)
+        self._view = memoryview(b"")  # what is left of the block last read
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buf) -> int:
+        if not self._view and self._next < self._end:
+            k, offset = divmod(self._next, _BLOCK)
+            self._view = self._source.block(k, self._buf)[offset : self._end - k * _BLOCK]
+            if bytes(self._view).translate(None, _C_READER_BYTES):
+                raise ValueError("a byte outside printable ASCII, tab and line ends")
+            self._next += len(self._view)
         got = min(len(buf), len(self._view))
         buf[:got] = self._view[:got]
         self._view = self._view[got:]
         return got
 
 
-def _loadtxt(data: bytes, start: int, end: int, delim: Optional[str]) -> np.ndarray:
-    # np.loadtxt iterates the lines of a file object, read here through a
-    # window over data[start:end] rather than a copy of it
-    stream = io.BufferedReader(_Window(memoryview(data)[start:end]))
+def _loadtxt(source: _Source, start: int, end: int, delim: Optional[str]) -> np.ndarray:
+    stream = io.BufferedReader(_Window(source, start, end))
     return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
 
 
-def _read_split(data: bytes, start: int, cut: int, delim: Optional[str]) -> np.ndarray:
+def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> np.ndarray:
     """``_read_part`` of ``[start, cut)`` here and of ``[cut, end)`` in a child.
 
     Both parts go through the same C reader, so the stacked rows are
     bitwise those of one pass. The forked child sends its part's shape
     and then its float64 bytes through a pipe, straight into the lower
     rows of the result. Raises ValueError when either part is rejected or
-    the parts differ in columns. The child is reaped before this returns;
-    on an error here the pipe is closed first, so a child blocked on it
-    fails its write and exits.
+    the parts differ in columns; a DataError of this process's part
+    propagates, while the child's only fails its part, so that the row
+    loop's read reports it. The child is reaped before this returns; on an
+    error here the pipe is closed first, so a child blocked on it fails
+    its write and exits.
     """
     read_end, write_end = os.pipe()
     with warnings.catch_warnings():
@@ -243,10 +340,10 @@ def _read_split(data: bytes, start: int, cut: int, delim: Optional[str]) -> np.n
         pid = os.fork()
     if pid == 0:
         os.close(read_end)
-        _send_part(write_end, data, cut, delim)
+        _send_part(write_end, source, cut, delim)
     os.close(write_end)
     try:
-        top = _read_part(data, start, cut, delim)
+        top = _read_part(source, start, cut, delim)
         shape = np.zeros(2, dtype=np.int64)
         _receive(read_end, shape)
         if shape[1] != top.shape[1]:
@@ -262,13 +359,13 @@ def _read_split(data: bytes, start: int, cut: int, delim: Optional[str]) -> np.n
     return matrix
 
 
-def _send_part(fd: int, data: bytes, start: int, delim: Optional[str]) -> NoReturn:
-    """In the forked child: parse ``data[start:]``, send it to ``fd``, exit."""
+def _send_part(fd: int, source: _Source, start: int, delim: Optional[str]) -> NoReturn:
+    """In the forked child: parse the input from ``start`` on, send it to ``fd``, exit."""
     code = 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning fails the part, unprinted
-            part = np.ascontiguousarray(_read_part(data, start, len(data), delim))
+            part = np.ascontiguousarray(_read_part(source, start, source.size, delim))
         for buf in (np.array(part.shape, dtype=np.int64), part):
             view = memoryview(buf).cast("B")
             while view:
@@ -317,17 +414,20 @@ def _read_rows(path: str, text: str, delimiter: Optional[str]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def load_matrix(
-    path: str, delimiter: Optional[str] = None, data: Optional[bytes] = None
-) -> np.ndarray:
+def load_matrix(path: str, delimiter: Optional[str] = None, hasher=None) -> np.ndarray:
     """Parse a delimited text matrix, one time point per row.
 
-    ``data`` holds the file's bytes when the caller has read them already;
-    otherwise ``path`` is read. The text is UTF-8, and one leading byte
-    order mark is ignored. The delimiter is auto-detected among comma,
-    tab, and semicolon (falling back to whitespace) on the first non-blank
-    line unless overridden, and that line is skipped when it is a
-    non-numeric header. Blank lines are skipped.
+    The bytes parsed are exactly those hashed into ``hasher`` (a
+    ``hashlib`` object) when one is given. A regular file is never held in
+    memory whole: it is read once, in 64 KiB blocks, to be hashed, and
+    then again, block by block, as each part of it is parsed; a block that
+    reads differently the second time is a DataError ("input changed while
+    it was read"). Any other input, such as a pipe, is read into memory
+    once. The text is UTF-8, and one leading byte order mark is ignored.
+    The delimiter is auto-detected among comma, tab, and semicolon
+    (falling back to whitespace) on the first non-blank line unless
+    overridden, and that line is skipped when it is a non-numeric header.
+    Blank lines are skipped.
 
     Two readers give bitwise-equal arrays. numpy's C reader
     (``np.loadtxt``) parses input made only of printable ASCII, tabs and
@@ -335,8 +435,8 @@ def load_matrix(
     only spaces and tabs, which it rejects where the row loop skips them,
     are blanked for one retry. Everything else, and any input the C
     reader still rejects with ``ValueError``, goes through a Python row
-    loop, which produces every parse error and reports the offending row
-    and column.
+    loop, which reads the whole input, produces every parse error and
+    reports the offending row and column.
 
     On POSIX hosts with two or more usable CPUs, inputs of at least
     ``_SPLIT_FROM_BYTES`` (3 MB) go to the C reader in two parts at once:
@@ -344,11 +444,19 @@ def load_matrix(
     the rest in a forked child, each with its own retry. There is no
     setting for this, and the array is the same either way.
     """
-    if data is None:
-        data = Path(path).read_bytes()
-    matrix = _read_fast(data, delimiter)
-    if matrix is None:
-        matrix = _read_rows(path, data.decode("utf-8-sig"), delimiter)
+    if hasher is None:
+        hasher = hashlib.sha256()
+    with open(path, "rb", buffering=0) as file:
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode) and hasattr(os, "preadv"):
+            source = _File(path, file.fileno(), hasher)
+        else:  # a pipe cannot be read twice
+            data = file.read()
+            hasher.update(data)
+            source = _Bytes(data)
+        matrix = _read_fast(source, delimiter)
+        if matrix is None:
+            text = _read(source, 0, source.size).decode("utf-8-sig")
+            matrix = _read_rows(path, text, delimiter)
     return matrix
 
 
@@ -367,13 +475,10 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 
 
 def cmd_detect(args) -> int:
-    # each form of the input is released once the next one exists
-    raw = Path(args.input).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    matrix = load_matrix(args.input, args.delimiter, data=raw)
-    del raw
+    hasher = hashlib.sha256()
+    matrix = load_matrix(args.input, args.delimiter, hasher)
     series = SeriesMatrix(matrix)
-    del matrix
+    del matrix  # the series holds its own copy
 
     warnings: list[str] = []
     elbow_report = None
@@ -426,7 +531,7 @@ def cmd_detect(args) -> int:
 
     report = {
         "tool": {"name": "hdcp", "version": __version__, "command": "detect"},
-        "input": {"path": args.input, "sha256": digest, "n": series.n, "p": series.p},
+        "input": {"path": args.input, "sha256": hasher.hexdigest(), "n": series.n, "p": series.p},
         "settings": {
             "m_mode": "auto" if args.m == "auto" else "fixed",
             "m_used": m_used,

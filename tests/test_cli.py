@@ -102,6 +102,7 @@ _LOADER_CORPUS = [
     ("form-feed", b"1 2\x0c3 4\n", None, False),
     ("vertical-tab", b"1,2\x0b3,4\n", None, False),
     ("non-ascii", "1,2\n3,٤\n".encode(), None, False),
+    ("non-ascii-header", "α,β\n1,2\n3,4\n".encode(), None, False),
 ]
 
 
@@ -113,7 +114,7 @@ def test_loader_c_reader_matches_row_loop(tmp_path, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = cli._read_rows(str(path), data.decode("utf-8"), delimiter)
-        fast = cli._read_fast(data, delimiter)
+        fast = cli._read_fast(cli._Bytes(data), delimiter)
         loaded = load_matrix(str(path), delimiter)
     assert (fast is not None) == c_reader
     for got in [loaded] + ([fast] if c_reader else []):
@@ -130,7 +131,7 @@ def test_loader_rejections_come_from_the_row_loop(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(cli.DataError) as expected:
         cli._read_rows(str(path), data.decode("utf-8"), None)
-    assert cli._read_fast(data, None) is None
+    assert cli._read_fast(cli._Bytes(data), None) is None
     with pytest.raises(cli.DataError) as got:
         load_matrix(str(path))
     assert str(got.value) == str(expected.value)
@@ -155,22 +156,41 @@ def test_load_matrix_ignores_byte_order_mark(tmp_path, text):
     np.testing.assert_array_equal(load_matrix(str(path)), [[1, 2], [3, 4]])
 
 
-def test_detect_parses_the_bytes_it_hashes(change_file, monkeypatch, capsys):
-    # the file changes right after it is read: the report must describe
-    # the bytes that were hashed, not a second read of the file
-    original = change_file.read_bytes()
-    read_bytes = cli.Path.read_bytes
+def test_detect_parses_the_bytes_it_hashes(tmp_path, forks, monkeypatch, capsys):
+    # The file is hashed, then read again, a 64 KiB block at a time, as it
+    # is parsed in two parts. A change in between, in this process's part
+    # or in the forked child's part, is a data error: the report would
+    # describe bytes that were not parsed. The child's failed part sends
+    # the parse to the row loop, whose read sees the change too. The rows
+    # edited lie in blocks that only their own part reads, and every edit
+    # keeps the file's size.
+    monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", 0)
+    path = tmp_path / "series.csv"
+    np.savetxt(path, np.random.default_rng(9).standard_normal((60, 400)), delimiter=",")
+    original = path.read_bytes()
+    lines = original.splitlines(keepends=True)
+    edits = []
+    read_fast = cli._read_fast
 
-    def read_then_truncate(self):
-        data = read_bytes(self)
-        self.write_bytes(b"".join(data.splitlines(keepends=True)[:20]))
-        return data
+    def change_then_read(source, delimiter):
+        path.write_bytes(edits.pop() if edits else original)
+        return read_fast(source, delimiter)
 
-    monkeypatch.setattr(cli.Path, "read_bytes", read_then_truncate)
-    assert main(["detect", "--input", str(change_file), "--m", "0"]) == EXIT_OK
+    monkeypatch.setattr(cli, "_read_fast", change_then_read)
+    assert main(["detect", "--input", str(path), "--m", "0"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["input"]["sha256"] == hashlib.sha256(original).hexdigest()
     assert report["input"]["n"] == 60
+    for row in (10, 50):  # in this process's part, in the child's part
+        path.write_bytes(original)
+        edited = lines[row].replace(b"e-0", b"e+0", 1)
+        assert len(edited) == len(lines[row]) and edited != lines[row]
+        edits.append(b"".join(lines[:row] + [edited] + lines[row + 1 :]))
+        assert main(["detect", "--input", str(path), "--m", "0"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {path}: input changed while it was read\n"
+    assert len(forks) == 3
 
 
 def test_detect_constant_series(tmp_path, capsys):

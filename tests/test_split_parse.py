@@ -8,9 +8,11 @@ the array is bitwise the row loop's, that errors still carry the row loop's
 message, and that no child outlives the call.
 """
 
+import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,29 +28,6 @@ from test_cli import _LOADER_CORPUS
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test, at two workers.
-
-    After the test every one of them must have been reaped.
-    """
-    monkeypatch.setattr(cli, "_WORKERS", 2)
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-@pytest.fixture
 def split(forks, monkeypatch):
     """``forks``, with every input at or above the byte threshold."""
     monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", 0)
@@ -61,7 +40,7 @@ def _parse_both(tmp_path, data, delimiter=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = cli._read_rows(str(path), data.decode("utf-8"), delimiter)
-        fast = cli._read_fast(data, delimiter)
+        fast = cli._read_fast(cli._Bytes(data), delimiter)
         loaded = load_matrix(str(path), delimiter)
     return rows, fast, loaded
 
@@ -97,6 +76,9 @@ _SPLIT_CASES = [
     ("second-part-one-row", b"1,2\n3,4\n5,6\n7,8\n\n", True),
     ("whitespace-delimited", b"1 2\n 3\t4\n5 6 \n7  8\n", True),
     ("one-column", b"1\n2\n3\n4\n5\n6\n", True),
+    # lines longer than the first block read: the layout waits for them whole
+    ("long-rows", b"".join(b",".join([b"%d.5" % i] * 30_000) + b"\n" for i in range(4)), True),
+    ("long-header", b",".join([b"a"] * 40_000) + b"\n" + b"1.5e0," * 39_999 + b"2\n", False),
 ]
 
 
@@ -114,18 +96,20 @@ _MARKED_CASES += [(name, data, None) for name, data, _ in _SPLIT_CASES]
 
 
 @pytest.mark.parametrize("case", _MARKED_CASES, ids=[case[0] for case in _MARKED_CASES])
-def test_byte_order_mark_leaves_the_array_bitwise(tmp_path, split, case):
+def test_byte_order_mark_leaves_the_array_bitwise(tmp_path, split, monkeypatch, case):
     # the parse windows start after the mark; nothing copies the input
     _, data, delimiter = case
     rows, _, _ = _parse_both(tmp_path, data, delimiter)
     path = tmp_path / "bom.txt"
     path.write_bytes(cli._BOM + data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fast = cli._read_fast(cli._BOM + data, delimiter)
-        loaded = load_matrix(str(path), delimiter)
-    _assert_bitwise(fast, rows)
-    _assert_bitwise(loaded, rows)
+    for workers in (2, 1):  # split where the input allows, then unsplit
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = cli._read_fast(cli._Bytes(cli._BOM + data), delimiter)
+            loaded = load_matrix(str(path), delimiter)
+        _assert_bitwise(fast, rows)
+        _assert_bitwise(loaded, rows)
 
 
 def _large_input(tmp_path, n=200, p=400):
@@ -136,15 +120,14 @@ def _large_input(tmp_path, n=200, p=400):
 
 @pytest.mark.parametrize("bom", [b"", cli._BOM], ids=["no-mark", "mark"])
 def test_split_parse_memory_beyond_the_input(tmp_path, split, bom):
-    # the result, this process's part of it, and 64 KiB pieces of the byte
-    # check: 1.53 x n p float64 here. Whole-input translate, the slice of
-    # this process's part and, with a mark, a copy of the input without it
-    # made 3.19 (no mark) and 6.37 (mark) at 3.2 bytes of input per float64
+    # the result and this process's part of it, 1.5 x n p float64, and a
+    # few 64 KiB blocks: no room for the input's bytes (3.2 per float64
+    # here), which the parse reads in place, a block at a time
     path, unit = _large_input(tmp_path)
-    data = bom + path.read_bytes()
+    path.write_bytes(bom + path.read_bytes())
     tracemalloc.start()
     try:
-        load_matrix(str(path), data=data)
+        load_matrix(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,14 +168,34 @@ def test_whitespace_only_line_is_blanked_in_its_own_part(tmp_path, split, monkey
     parsed = []
     loadtxt = cli._loadtxt
 
-    def recorded(data, start, end, delim):
-        parsed.append(data[start:end])
-        return loadtxt(data, start, end, delim)
+    def recorded(source, start, end, delim):
+        parsed.append(bytes(cli._read(source, start, end)))
+        return loadtxt(source, start, end, delim)
 
     monkeypatch.setattr(cli, "_loadtxt", recorded)
     rows, fast, _ = _parse_both(tmp_path, data)
     _assert_bitwise(fast, rows)
     assert parsed == parses * 2  # _read_fast and load_matrix
+
+
+@pytest.mark.parametrize("line", [b"1\x0b2\n", b"1\x0c2\n"], ids=["vertical-tab", "form-feed"])
+@pytest.mark.parametrize("row", [30_000, 90_000], ids=["first-part", "second-part"])
+def test_a_byte_beyond_the_first_block_goes_to_the_row_loop(tmp_path, split, line, row):
+    # numpy's C reader reads "\x0b" and "\x0c" as whitespace within a row,
+    # the row loop as line ends, so this row is two rows of one column.
+    # The first block read checks its own bytes, each part's window the
+    # blocks it reads.
+    data = b"1 2\n" * row + line + b"1 2\n" * (120_000 - row)
+    assert data.index(line) > cli._BLOCK
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with pytest.raises(cli.DataError) as expected:
+        cli._read_rows(str(path), data.decode("utf-8"), None)
+    assert cli._read_fast(cli._Bytes(data), None) is None
+    with pytest.raises(cli.DataError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == str(expected.value)
+    assert len(split) == 2
 
 
 @pytest.mark.parametrize("data, delimiter", [
@@ -208,7 +211,7 @@ def test_split_errors_come_from_the_row_loop(tmp_path, split, data, delimiter):
     path.write_bytes(data)
     with pytest.raises(cli.DataError) as expected:
         cli._read_rows(str(path), data.decode("utf-8"), delimiter)
-    assert cli._read_fast(data, delimiter) is None
+    assert cli._read_fast(cli._Bytes(data), delimiter) is None
     with pytest.raises(cli.DataError) as got:
         load_matrix(str(path), delimiter)
     assert str(got.value) == str(expected.value)
@@ -218,7 +221,7 @@ def test_split_errors_come_from_the_row_loop(tmp_path, split, data, delimiter):
 def test_a_failed_child_exit_fails_the_split(split, monkeypatch):
     waitpid = os.waitpid
     monkeypatch.setattr(os, "waitpid", lambda pid, options: (waitpid(pid, options)[0], 1 << 8))
-    assert cli._read_fast(b"1,2\n3,4\n5,6\n7,8\n", None) is None
+    assert cli._read_fast(cli._Bytes(b"1,2\n3,4\n5,6\n7,8\n"), None) is None
     assert len(split) == 1
 
 
@@ -232,7 +235,7 @@ for data in (
     b"1,2\\n3,4\\n5,6\\n7,x\\n",  # rejected in the child's part
     b"1,2\\n1,x\\n" + b"1,2\\n" * 30000,  # rejected here, the child blocked on a full pipe
 ):
-    print(cli._read_fast(data, None) is not None)
+    print(cli._read_fast(cli._Bytes(data), None) is not None)
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
@@ -263,9 +266,9 @@ def test_split_from_the_byte_threshold(monkeypatch):
     data = b"1,2\n3,4\n5,6\n7,8\n"
     monkeypatch.setattr(cli, "_WORKERS", 2)
     monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", len(data) + 1)
-    assert cli._split_point(data, 0) is None
+    assert cli._split_point(cli._Bytes(data), 0) is None
     monkeypatch.setattr(cli, "_SPLIT_FROM_BYTES", len(data))
-    assert cli._split_point(data, 0) == data.index(b"7")
+    assert cli._split_point(cli._Bytes(data), 0) == data.index(b"7")
 
 
 def test_detect_report_above_the_threshold_matches_one_process(tmp_path, forks, monkeypatch):
@@ -284,13 +287,36 @@ def test_detect_report_above_the_threshold_matches_one_process(tmp_path, forks, 
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("n, p, splits", [(60, 30, False), (800, 400, True)],
+                         ids=["small", "above-the-threshold"])
+def test_fifo_input_gives_the_files_report(tmp_path, forks, n, p, splits):
+    # a FIFO cannot be read twice: it is read into memory once, and its
+    # report is the regular file's apart from the input's path
+    path = tmp_path / "series.csv"
+    np.savetxt(path, np.random.default_rng(8).standard_normal((n, p)), delimiter=",")
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    reports = []
+    for source in (fifo, path):
+        out = tmp_path / f"{source.name}.json"
+        assert main(["detect", "--input", str(source), "--m", "1", "--output", str(out)]) == 0
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        reports.append(json.loads(out.read_text()))
+    assert [r["input"].pop("path") for r in reports] == [str(fifo), str(path)]
+    assert reports[0] == reports[1]
+    assert len(forks) == 2 * splits
+
+
 def test_fork_after_blas_threads_emits_no_warning(split):
     a = np.random.default_rng(4).standard_normal((400, 400))
     a @ a.T  # OpenBLAS starts its threads
     data = b"1,2\n3,4\n5,6\n7,8\n"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        matrix = cli._read_fast(data, None)
+        matrix = cli._read_fast(cli._Bytes(data), None)
     assert caught == []
     assert matrix.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
     assert len(split) == 1

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import __version__
 from .core import DependenceWindow, HdcpError, SeriesMatrix, SingularDesign, validate_input
+from .engine import compute_gram, l_trace
 from .inference import InferenceConfig, binary_segmentation, test_global
 from .selector import default_h_max, lag_energy_curve, select_m
 from .simulator import DESIGNS, worker_count
@@ -515,8 +516,6 @@ def cmd_detect(args) -> int:
     )
     # a --min-seg below the floor fails here, before the Gram is built
     min_segment_len = cfg.segment_min_length(window)
-
-    from .engine import compute_gram, l_trace
 
     gram = compute_gram(series)
     curve_l = l_trace(gram, window)

@@ -51,17 +51,14 @@ class SeriesMatrix:
     read-only so instances are safe to share across workers.
 
     A series keeps the Gram that :func:`hdcp.engine.compute_gram` built for
-    it, so the Gram lives as long as the series. A view made by
-    ``segment_view`` records the series it was cut from and its bounds
-    there; its Gram is then a sub-block of the source's Gram when the source
-    has one, and a full-range view shares the source's Gram object.
+    it, so the Gram lives as long as the series. A proper segment cut by
+    ``segment_view`` from a series with a Gram gets its Gram when it is
+    cut, as a copy of the source Gram's sub-block.
     """
 
     values: np.ndarray
-    # Not dataclass fields: set through object.__setattr__, never compared.
-    # _source is (source series, lo, hi) of a segment_view; _gram is the
-    # Gram compute_gram keeps.
-    _source = None
+    # Not a dataclass field: the Gram kept on the series, set through
+    # object.__setattr__ and never compared.
     _gram = None
 
     def __post_init__(self) -> None:
@@ -91,14 +88,21 @@ class SeriesMatrix:
     def segment_view(self, lo: int, hi: int) -> "SeriesMatrix":
         """Sub-series for 1-based inclusive bounds, skipping re-validation.
 
-        The view records this series and the bounds, so its Gram can be
-        taken from this series' Gram instead of from the p columns.
+        The full range ``(1, n)`` returns this series itself (it is
+        frozen), Gram included. Any other range cut from a series with a
+        Gram gets its Gram now: a contiguous copy of the sub-block, with
+        its row sums taken again. One cut before that takes its own
+        product in ``compute_gram``.
         """
         if not (1 <= lo <= hi <= self.n):
             raise IndexOutOfRange(f"segment [{lo}, {hi}] outside [1, {self.n}]")
+        if (lo, hi) == (1, self.n):
+            return self
         sub = object.__new__(SeriesMatrix)
         object.__setattr__(sub, "values", self.values[lo - 1 : hi])
-        object.__setattr__(sub, "_source", (self, lo, hi))
+        if self._gram is not None:
+            raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi].copy()
+            object.__setattr__(sub, "_gram", GramSummary.of(raw))
         return sub
 
 
@@ -161,6 +165,11 @@ class GramSummary:
     def __post_init__(self) -> None:
         self.raw.flags.writeable = False
         self.row_sums.flags.writeable = False
+
+    @classmethod
+    def of(cls, raw: np.ndarray) -> "GramSummary":
+        """The summary of ``raw``, with its row sums taken along the last axis."""
+        return cls(raw=raw, row_sums=raw.sum(axis=-1))
 
     @property
     def n(self) -> int:

@@ -41,15 +41,16 @@ only n x n array a context forms is its window sums, one float64 array
 allocated on first use and freed with the context.
 
 Results live on the object that owns them, with no module-level cache.
-``compute_gram`` keeps the Gram on its series, and a segment's Gram is a
-sub-block of its source's Gram once that exists, so one series costs one
-O(n^2 p) pass however often the elbow, the global test and binary
-segmentation ask for it. Per (Gram, M), ``GramSummary.results`` keeps the
-split curve of ``l_trace``, the table of ``build_trace_table`` (both
-read-only) and the value and count of each separated-sum term; the
-context arrays behind the terms are not kept. So the table at the order
-the elbow chose reuses the elbow's quadruple, triple and pair terms, and
-a repeated test of the same Gram and M returns the stored result.
+``compute_gram`` keeps the Gram on its series, and ``segment_view`` cuts
+a segment's Gram from its source's Gram when it cuts the segment, so one
+series costs one O(n^2 p) pass however often the elbow, the global test
+and binary segmentation ask for it. Per (Gram, M),
+``GramSummary.results`` keeps the split curve of ``l_trace``, the table
+of ``build_trace_table`` (both read-only) and the value and count of each
+separated-sum term; the context arrays behind the terms are not kept.
+So the table at the order the elbow chose reuses the elbow's quadruple,
+triple and pair terms, and a repeated test of the same Gram and M returns
+the stored result.
 
 Series of one shape can share a pass. ``prepare_global`` builds the Grams
 of R series into the slices of one (R, n, n) stack and wraps it in one
@@ -156,39 +157,20 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     derived from it (centering included) is segment-local.
 
     The Gram is built once per series and kept on it: a second call
-    returns the same object. A ``segment_view`` of a series that already
-    has a Gram copies ``raw`` from the segment's sub-block of that Gram
-    and sums its rows again, so it never touches the p columns again. A
-    full-range view and its source share one Gram object, whichever of
-    them is reduced first.
+    returns the same object. A segment cut by ``segment_view`` from a
+    series that already had a Gram holds its Gram from the cut, so this
+    call only returns it.
 
     Raises ``NonFiniteEntry`` when the inner products or their row sums
     overflow float64.
     """
-    return _kept_gram(series)
-
-
-def _kept_gram(series: SeriesMatrix) -> GramSummary:
-    # a full-range view recurses to its source through here, not through
-    # compute_gram, so one public call stays one call to anything wrapping it
     if series._gram is None:
-        object.__setattr__(series, "_gram", _new_gram(series))
+        # an overflow is raised below as NonFiniteEntry, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = GramSummary.of(_gram_product(series.values))
+        _check_row_sums(gram.row_sums)
+        object.__setattr__(series, "_gram", gram)
     return series._gram
-
-
-def _new_gram(series: SeriesMatrix) -> GramSummary:
-    if series._source is not None:
-        parent, lo, hi = series._source
-        if (lo, hi) == (1, parent.n):
-            return _kept_gram(parent)
-        if parent._gram is not None:
-            return _summary(parent._gram.raw[lo - 1 : hi, lo - 1 : hi].copy())
-    # an overflow is raised below as NonFiniteEntry, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _summary(_gram_product(series.values))
-    # a sub-block of a finite Gram has finite row sums
-    _check_row_sums(gram.row_sums)
-    return gram
 
 
 def _check_row_sums(row_sums: np.ndarray) -> None:
@@ -202,10 +184,6 @@ def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # calls BLAS syrk, which computes one triangle and mirrors it, so the
     # product is exactly symmetric as it comes.
     return np.matmul(x, x.T, out=out)
-
-
-def _summary(raw: np.ndarray) -> GramSummary:
-    return GramSummary(raw=raw, row_sums=raw.sum(axis=-1))
 
 
 def _stored(gram: GramSummary, key: tuple, compute, *args):
@@ -428,9 +406,8 @@ def b_aggregate(n: int, window: DependenceWindow) -> np.ndarray:
     through the summed boundary weights, so the whole matrix costs
     O(n^2 (M+1)) instead of n - 1 full constructions.
     """
-    m = window.m
-    weights = _f_columns(n, np.arange(1, n), m)
-    return _aggregate_values(n, F_matrix(n, m), weights)
+    plan = _plan(n, window.m)
+    return _aggregate_values(n, plan.design, plan.weights)
 
 
 def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> np.ndarray:
@@ -556,8 +533,9 @@ class _ShapePlan:
 
     - for the separated sums, the triple count of each |h| and the pair
       count and forbidden interval of each (h1, h2);
-    - for ``l_trace``, ``design`` (``F_matrix(n, M)``, condition checked)
-      and ``weights`` (``_f_columns(n, 1..n-1, M)``, shape (n - 1, M + 1));
+    - for ``l_trace`` and ``b_aggregate``, ``design`` (``F_matrix(n, M)``,
+      condition checked) and ``weights`` (``_f_columns(n, 1..n-1, M)``,
+      shape (n - 1, M + 1));
     - for ``aggregate_variance``, ``cross``, the aggregate contrast's
       (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum of its
       squared entries. They cost O(n^2 M^2); the n x n aggregate contrast
@@ -1039,7 +1017,7 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         for s, out in zip(series, raw):
             _gram_product(s.values, out=out)
-        stack = _summary(raw)
+        stack = GramSummary.of(raw)
         _check_row_sums(stack.row_sums)
         curves = _split_curve(stack, m)
         tables = _table_values(stack, m)

@@ -160,9 +160,10 @@ def binary_segmentation(
     short to test, and segments where the separated sums are infeasible,
     are recorded in the trace as skipped.
 
-    The root segment shares the series' Gram, and with it any curve and
-    trace table already computed at this order; every other segment's
-    Gram is a sub-block of it, so the p columns are read once.
+    The root segment is the series itself, so it shares the series' Gram
+    and any curve and trace table already computed at this order. The
+    root is reduced first, so every other segment's Gram is cut from that
+    Gram with the segment, and the p columns are read once.
     """
     validate_input(series, window)
     n = series.n

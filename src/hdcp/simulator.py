@@ -345,8 +345,9 @@ def oracle_variance(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo runners. Workers read a per-pool payload installed by the
-# initializer; HDCP_WORKERS > 1 switches on a fork-based process pool.
+# Monte Carlo runners. Workers read the payload that _map_replications sets
+# for the run; HDCP_WORKERS > 1 switches on a fork-based process pool, whose
+# workers inherit it.
 # ---------------------------------------------------------------------------
 
 _PAYLOAD = None
@@ -356,11 +357,6 @@ _PAYLOAD = None
 # and 457 reps/s at 1, 2, 3, 4 and 8 (medians of 8 interleaved rounds), and
 # each replication of a chunk adds 0.42 MB to the traced peak
 _CHUNK = 4
-
-
-def _install_payload(payload) -> None:
-    global _PAYLOAD
-    _PAYLOAD = payload
 
 
 def worker_count() -> int:
@@ -379,16 +375,16 @@ def worker_count() -> int:
 
 
 def _map_replications(worker, tasks, payload):
+    global _PAYLOAD
     workers = worker_count()
-    if workers == 1:
-        _install_payload(payload)
-        try:
+    _PAYLOAD = payload
+    try:
+        if workers == 1:
             return [worker(task) for task in tasks]
-        finally:
-            _install_payload(None)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_install_payload, initargs=(payload,)) as pool:
-        return pool.map(worker, tasks)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(worker, tasks)
+    finally:
+        _PAYLOAD = None
 
 
 def _binomial_se(rate: float, reps: int) -> float:

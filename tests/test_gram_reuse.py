@@ -1,7 +1,9 @@
 """One Gram per series, one result per (Gram, M).
 
-``compute_gram`` keeps the Gram on its series and takes a segment's Gram as
-a sub-block of its source's Gram. ``l_trace``, ``build_trace_table`` and
+``compute_gram`` keeps the Gram on its series. ``segment_view`` returns
+the series itself for the full range, and cuts any other segment's Gram
+from its source's Gram, a copy of the sub-block, when it cuts the segment
+(a segment of a segment included). ``l_trace``, ``build_trace_table`` and
 the separated-sum terms are stored on the Gram per separation order M.
 These tests pin that the O(n^2 p) product runs once per ``hdcp detect``
 call, that stored results are read-only, keyed by M and by Gram, and
@@ -53,6 +55,11 @@ def test_gram_is_built_once_per_series():
     assert compute_gram(as_series(series.values)) is not gram
 
 
+def test_full_range_view_is_the_series():
+    series = as_series(_values(40, 6, 2))
+    assert series.segment_view(1, series.n) is series
+
+
 def test_full_range_view_shares_the_gram_both_ways(monkeypatch):
     products = _count_products(monkeypatch)
     series = as_series(_values(40, 6, 2))
@@ -64,17 +71,26 @@ def test_full_range_view_shares_the_gram_both_ways(monkeypatch):
     assert products == [(40, 6), (40, 6)]
 
 
-@pytest.mark.parametrize("n,p,lo,hi", [
-    (40, 6, 5, 33), (40, 6, 1, 20), (40, 6, 21, 40), (40, 6, 2, 40),
+@pytest.mark.parametrize("n,p,lo,hi,inner", [
+    pytest.param(40, 6, 5, 33, None, id="40-6-5-33"),
+    pytest.param(40, 6, 1, 20, None, id="40-6-1-20"),
+    pytest.param(40, 6, 21, 40, None, id="40-6-21-40"),
+    pytest.param(40, 6, 2, 40, None, id="40-6-2-40"),
     # a 100-row segment of a wide source
-    (130, 600, 16, 115),
+    pytest.param(130, 600, 16, 115, None, id="130-600-16-115"),
+    # rows 8..25 of the source, cut from its segment 5..33
+    pytest.param(40, 6, 5, 33, (4, 21), id="40-6-5-33-view-4-21"),
 ])
-def test_segment_gram_is_a_sub_block(monkeypatch, n, p, lo, hi):
+def test_segment_gram_is_a_sub_block(monkeypatch, n, p, lo, hi, inner):
     values = _values(n, p, n + lo)
     series = as_series(values)
     source = compute_gram(series)
     products = _count_products(monkeypatch)
-    sub = compute_gram(series.segment_view(lo, hi))
+    view = series.segment_view(lo, hi)
+    if inner is not None:
+        view = view.segment_view(*inner)
+        lo, hi = lo - 1 + inner[0], lo - 1 + inner[1]
+    sub = compute_gram(view)
     assert products == []
     fresh = compute_gram(as_series(values[lo - 1 : hi]))
 

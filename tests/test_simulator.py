@@ -271,18 +271,25 @@ def _traced_peak(design: SizePowerDesign) -> int:
 
 
 def test_run_size_power_memory_per_chunk(monkeypatch):
-    # a chunk holds R series, their R Grams, the stack's row prefix and
-    # one (R, n, n) transient at a time: at most R (n p + 2 n^2) float64
-    # above the peak of one replication per chunk, which stands for the
-    # one-at-a-time run (n = 100, p = 200, M = 2: 2,075,786 bytes per
-    # chunk of one; 3,347,267 bytes in chunks of R = 4, 8,519 below the
-    # bound)
-    n, p, chunk = 100, 200, simulator._CHUNK
-    design = SizePowerDesign(n=n, p=p, m_true=2, m_used=2, reps=2 * chunk, seed=20240812)
+    # The traced peak of a chunk run is set while the first triple term
+    # forms the window sums; a chunk of R then holds, beyond a chunk of
+    # one, R - 1 more of each per-replication array: the series (n p), its
+    # Gram slice (n^2), its row prefix (n (n + 1)), its window sums (n^2),
+    # its band arrays ((12 M + 3) n: the 6M + 1 diagonals and their
+    # 6M + 2 running sums), its n-long vectors (the Gram's row sums, the
+    # stored split curve and the triple term's own-window row: 3 n) and
+    # its Python objects (series, Gram summary, array headers and stored
+    # results: about 0.3 KB, counted as 1 KiB). At n = 100, p = 200,
+    # M = 2, R = 4 that is 1,277,472 bytes, and tracemalloc measured an
+    # excess of 1,272,262 to 1,273,201 bytes (numpy 2.4, Python 3.11).
+    n, p, m, chunk = 100, 200, 2, simulator._CHUNK
+    design = SizePowerDesign(n=n, p=p, m_true=2, m_used=m, reps=2 * chunk, seed=20240812)
     peak = _traced_peak(design)
     monkeypatch.setattr(simulator, "_CHUNK", 1)
     single = _traced_peak(design)
-    assert peak <= single + chunk * (n * p + 2 * n * n) * 8, (peak, single)
+    floats = n * p + n * n + n * (n + 1) + n * n + (12 * m + 3) * n + 3 * n
+    bound = (chunk - 1) * (floats * 8 + 1024)
+    assert peak <= single + bound, (peak, single)
 
 
 def test_run_size_power_reproducible_across_workers(monkeypatch):

@@ -11,22 +11,23 @@ Two subcommands:
                    multiple change points, boundary detection curves, or
                    elbow curves) and writes the results table.
 
-``detect`` never holds a regular input file whole. It reads the file
-once, in 64 KiB blocks, to hash it, then reads each block again as it is
-parsed and checks it against the first read, so the bytes it hashes into
-the report are the bytes it parses; a file that changes in between is a
-data error. A pipe or FIFO cannot be read twice, so it is read into
-memory once. Input made only of printable ASCII, tabs and line ends, with
-a one-character or whitespace delimiter, is parsed by numpy's C reader;
-any other input, and any the C reader rejects even after lines of only
-spaces and tabs are blanked, by a Python row loop that reports the
+``detect`` hashes the input once, in 64 KiB blocks, and parses the bytes
+it hashed: a regular file that changes in between is a data error. Input
+made only of printable ASCII, tabs and line ends, with a one-character or
+whitespace delimiter, is parsed by numpy's C reader, which never holds a
+regular file whole: it reads each block again and checks it against the
+first read. A pipe or FIFO cannot be read twice, so it is read into
+memory once. Any other input, and any the C reader rejects (a line of
+only spaces and tabs after the first data row among them), goes to a
+Python row loop that holds the decoded text and its lines and reports the
 offending row and column. Both give bitwise-equal arrays. A leading UTF-8
 byte order mark is ignored. On POSIX hosts with two or more usable CPUs,
-the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in two
-processes, each taking about half of the rows; there is no setting for
-this, and the array is the same either way. ``detect`` releases the
-parsed array once the series holds its copy, so the statistics run beside
-one copy of the input.
+the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in
+two processes, each taking about half of the rows, or in one where no
+pipe or process can be made; there is no setting for this, and the array
+is the same either way. ``detect`` releases the parsed array once the
+series holds its copy, so the statistics run beside one copy of the
+input.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 3 numerical failure (``SingularDesign``), 2 data error: any other
@@ -123,8 +124,6 @@ _NEXT_LINE = rb"(?:[ \t]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?"
 _HEAD = re.compile(b"(?:" + _BOM + b")?" + _NEXT_LINE + _NEXT_LINE)
 # the rest of a line, then the next line not blank
 _AFTER_LINE = re.compile(rb"[^\n]*\n" + _NEXT_LINE)
-# a line end, then a line of only spaces and tabs up to its own end
-_WHITESPACE_LINE = re.compile(rb"\n[ \t]+(?=\r?\n|\Z)")
 # An input is read, hashed and checked in blocks of this many bytes.
 _BLOCK = 1 << 16
 # Inputs of at least this many bytes are parsed in two processes. On a
@@ -148,7 +147,7 @@ _WORKERS = min(2, _usable_cpus())
 
 
 class _Bytes:
-    """An input held in memory: a pipe's bytes, or a part blanked for a retry."""
+    """An input held in memory: a pipe's or a FIFO's bytes."""
 
     def __init__(self, data: bytes):
         self._view = memoryview(data)
@@ -246,7 +245,7 @@ def _read_fast(source: _Source, delimiter: Optional[str]) -> Optional[np.ndarray
     cut = _split_point(source, start)
     try:
         if cut is None:
-            return _read_part(source, start, source.size, delim)
+            return _loadtxt(source, start, source.size, delim)
         return _read_split(source, start, cut, delim)
     except ValueError:
         return None
@@ -264,22 +263,6 @@ def _split_point(source: _Source, start: int) -> Optional[int]:
     middle = start + (source.size - start) // 2
     rest = _settled(source, middle, _AFTER_LINE)
     return middle + rest.start(1) if rest and rest.group(1).strip() else None
-
-
-def _read_part(source: _Source, start: int, end: int, delim: Optional[str]) -> np.ndarray:
-    """The rows of the input's ``[start, end)``, which begins at a data row.
-
-    Raises ValueError where the C reader rejects them. With a delimiter,
-    numpy rejects a line of only spaces and tabs that the row loop skips:
-    such lines are blanked, keeping their ends, for one retry.
-    """
-    try:
-        return _loadtxt(source, start, end, delim)
-    except ValueError:
-        body, blanked = _WHITESPACE_LINE.subn(b"\n", _read(source, start, end))
-        if not blanked:
-            raise
-    return _loadtxt(_Bytes(body), 0, len(body), delim)
 
 
 class _Window(io.RawIOBase):
@@ -317,7 +300,7 @@ def _loadtxt(source: _Source, start: int, end: int, delim: Optional[str]) -> np.
 
 
 def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> np.ndarray:
-    """``_read_part`` of ``[start, cut)`` here and of ``[cut, end)`` in a child.
+    """``_loadtxt`` of ``[start, cut)`` here and of ``[cut, end)`` in a child.
 
     Both parts go through the same C reader, so the stacked rows are
     bitwise those of one pass. The forked child sends its part's shape
@@ -327,24 +310,31 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
     propagates, while the child's only fails its part, so that the row
     loop's read reports it. The child is reaped before this returns; on an
     error here the pipe is closed first, so a child blocked on it fails
-    its write and exits.
+    its write and exits. Where the pipe or the child cannot be made
+    (EMFILE, EAGAIN, ENOMEM), the whole input is parsed here.
     """
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # From Python 3.12, fork() warns in a process with threads, and
-        # OpenBLAS starts them. The child is safe: it imports nothing,
-        # calls no BLAS routine, starts no thread, writes nothing but the
-        # pipe, and leaves by os._exit.
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        pid = os.fork()
+    fds = ()
+    try:
+        fds = read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            # From Python 3.12, fork() warns in a process with threads, and
+            # OpenBLAS starts them. The child is safe: it imports nothing,
+            # calls no BLAS routine, starts no thread, writes nothing but the
+            # pipe, and leaves by os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return _loadtxt(source, start, source.size, delim)
     if pid == 0:
         os.close(read_end)
         _send_part(write_end, source, cut, delim)
     os.close(write_end)
     try:
-        top = _read_part(source, start, cut, delim)
+        top = _loadtxt(source, start, cut, delim)
         shape = np.zeros(2, dtype=np.int64)
         _receive(read_end, shape)
         if shape[1] != top.shape[1]:
@@ -366,7 +356,7 @@ def _send_part(fd: int, source: _Source, start: int, delim: Optional[str]) -> No
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning fails the part, unprinted
-            part = np.ascontiguousarray(_read_part(source, start, source.size, delim))
+            part = np.ascontiguousarray(_loadtxt(source, start, source.size, delim))
         for buf in (np.array(part.shape, dtype=np.int64), part):
             view = memoryview(buf).cast("B")
             while view:
@@ -393,57 +383,55 @@ def _read_rows(path: str, text: str, delimiter: Optional[str]) -> np.ndarray:
     start = 1 if header else 0
     if start == len(lines):
         raise DataError(f"{path}: file contains no data rows")
-    rows = []
-    width = None
+    width = len(_split(lines[start], delim))
+    matrix = np.empty((len(lines) - start, width))
     for i, line in enumerate(lines[start:], start=start + 1):
         tokens = _split(line, delim)
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+        if len(tokens) != width:
             raise DataError(
                 f"{path}: row {i} has {len(tokens)} columns, expected {width}"
             )
-        vals = []
-        for j, tok in enumerate(tokens, start=1):
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise DataError(
-                    f"{path}: cannot parse value {tok!r} at row {i}, column {j}"
-                ) from None
-        rows.append(vals)
-    return np.asarray(rows, dtype=np.float64)
+        try:
+            matrix[i - start - 1] = list(map(float, tokens))
+        except ValueError:
+            for j, tok in enumerate(tokens, start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: cannot parse value {tok!r} at row {i}, column {j}"
+                    ) from None
+    return matrix
 
 
 def load_matrix(path: str, delimiter: Optional[str] = None, hasher=None) -> np.ndarray:
     """Parse a delimited text matrix, one time point per row.
 
     The bytes parsed are exactly those hashed into ``hasher`` (a
-    ``hashlib`` object) when one is given. A regular file is never held in
-    memory whole: it is read once, in 64 KiB blocks, to be hashed, and
-    then again, block by block, as each part of it is parsed; a block that
-    reads differently the second time is a DataError ("input changed while
-    it was read"). Any other input, such as a pipe, is read into memory
-    once. The text is UTF-8, and one leading byte order mark is ignored.
-    The delimiter is auto-detected among comma, tab, and semicolon
-    (falling back to whitespace) on the first non-blank line unless
-    overridden, and that line is skipped when it is a non-numeric header.
-    Blank lines are skipped.
+    ``hashlib`` object) when one is given. A regular file is read once,
+    in 64 KiB blocks, to be hashed, and then again, block by block, as it
+    is parsed; a block that reads differently the second time is a
+    DataError ("input changed while it was read"). Any other input, such
+    as a pipe, is read into memory once. The text is UTF-8, and one
+    leading byte order mark is ignored. The delimiter is auto-detected
+    among comma, tab, and semicolon (falling back to whitespace) on the
+    first non-blank line unless overridden, and that line is skipped when
+    it is a non-numeric header. Blank lines are skipped.
 
     Two readers give bitwise-equal arrays. numpy's C reader
     (``np.loadtxt``) parses input made only of printable ASCII, tabs and
-    line ends, with a one-character delimiter or whitespace; lines of
-    only spaces and tabs, which it rejects where the row loop skips them,
-    are blanked for one retry. Everything else, and any input the C
-    reader still rejects with ``ValueError``, goes through a Python row
-    loop, which reads the whole input, produces every parse error and
-    reports the offending row and column.
+    line ends, with a one-character delimiter or whitespace, without
+    holding a regular file whole. Everything else, and any input the C
+    reader rejects with ``ValueError`` (with a delimiter, a line of only
+    spaces and tabs after the first data row), goes through a Python row
+    loop, which holds the decoded text and its lines, produces every
+    parse error and reports the offending row and column.
 
     On POSIX hosts with two or more usable CPUs, inputs of at least
     ``_SPLIT_FROM_BYTES`` (3 MB) go to the C reader in two parts at once:
     the rows up to the first data row after the middle in this process,
-    the rest in a forked child, each with its own retry. There is no
-    setting for this, and the array is the same either way.
+    the rest in a forked child. There is no setting for this, and the
+    array is the same either way.
     """
     if hasher is None:
         hasher = hashlib.sha256()

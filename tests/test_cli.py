@@ -69,7 +69,9 @@ def test_load_matrix_error_locations(tmp_path):
         load_matrix(str(bad))
 
 
-# (name, file bytes, --delimiter, parsed by the C reader); every case parses
+# (name, file bytes, --delimiter, parsed by the C reader); every case parses.
+# With a delimiter, numpy's C reader rejects a line of only spaces and tabs
+# after the first data row, which the row loop skips.
 _LOADER_CORPUS = [
     ("comma", b"1,2,3\n4,5,6\n", None, True),
     ("tab", b"1\t2\n3\t4\n", None, True),
@@ -81,11 +83,11 @@ _LOADER_CORPUS = [
     ("header", b"a,b\n1,2\n3,4\n", None, True),
     ("header-whitespace", b"x y\n1 2\n3 4\n", None, True),
     ("blank-lines", b"\n\n1,2\n\n3,4\n\n", None, True),
-    ("whitespace-only-lines", b"1,2\n  \n3,4\n", None, True),
-    ("whitespace-only-line-crlf", b"1,2\r\n  \r\n3,4\r\n", None, True),
-    ("tab-only-line", b"1,2\n\t\n3,4\n", None, True),
+    ("whitespace-only-lines", b"1,2\n  \n3,4\n", None, False),
+    ("whitespace-only-line-crlf", b"1,2\r\n  \r\n3,4\r\n", None, False),
+    ("tab-only-line", b"1,2\n\t\n3,4\n", None, False),
     ("whitespace-only-lines-whitespace-delimited", b"1 2\n  \n3 4\n \t\r\n5 6\n", None, True),
-    ("whitespace-only-line-before-header", b" \t\na,b\n1,2\n  \n3,4\n  ", None, True),
+    ("whitespace-only-line-before-header", b" \t\na,b\n1,2\n  \n3,4\n  ", None, False),
     ("whitespace-only-line-and-underscore", b"1,2\n  \n1_0,4\n", None, False),
     ("blank-then-header", b"\r\n \na,b\r\n\r\n1,2\r\n", None, True),
     ("crlf", b"1,2\r\n3,4\r\n", None, True),

@@ -8,6 +8,7 @@ the array is bitwise the row loop's, that errors still carry the row loop's
 message, and that no child outlives the call.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -50,55 +51,58 @@ def _assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-_C_READER_CASES = [case for case in _LOADER_CORPUS if case[3]]
+def _assert_readers(rows, fast, loaded, c_reader):
+    """``load_matrix`` gives the row loop's array, ``_read_fast`` too where it applies."""
+    assert (fast is not None) == c_reader
+    for got in [loaded] + ([fast] if c_reader else []):
+        _assert_bitwise(got, rows)
 
 
-@pytest.mark.parametrize("case", _C_READER_CASES, ids=[case[0] for case in _C_READER_CASES])
+@pytest.mark.parametrize("case", _LOADER_CORPUS, ids=[case[0] for case in _LOADER_CORPUS])
 def test_corpus_split_matches_row_loop(tmp_path, split, case):
-    _, data, delimiter, _ = case
-    rows, fast, loaded = _parse_both(tmp_path, data, delimiter)
-    _assert_bitwise(fast, rows)
-    _assert_bitwise(loaded, rows)
+    _, data, delimiter, c_reader = case
+    _assert_readers(*_parse_both(tmp_path, data, delimiter), c_reader)
 
 
-# (name, file bytes, whether the input is split); the rows after the
-# middle hold no data row in the cases that are not split
+# (name, file bytes, whether the input is split, parsed by the C reader);
+# the rows after the middle hold no data row in the cases that are not
+# split. A line of only spaces and tabs after the first data row sends a
+# split input to the row loop once the fork has been made.
 _SPLIT_CASES = [
-    ("second-part-blank", b"1,2\n3,4\n5,6\n" + b"\n" * 12 + b"  \n\t\n", False),
-    ("header", b"a,b\n1,2\n3,4\n5,6\n7,8\n", True),
-    ("crlf", b"1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True),
-    ("whitespace-only-line-first-part", b"1,2\n  \n3,4\n5,6\n7,8\n9,1\n", True),
-    ("whitespace-only-line-second-part", b"1,2\n3,4\n5,6\n7,8\n \t\n9,1\n", True),
-    ("whitespace-only-lines-both-parts", b"1,2\n \n3,4\n5,6\n7,8\n\t\r\n9,1\n  ", True),
-    ("whitespace-only-line-at-the-cut", b"1,2\n3,4\n5,6\n  \n  \n7,8\n9,1\n", True),
-    ("single-data-row", b"a,b\n1,2\n", False),
-    ("no-trailing-newline", b"1,2\n3,4\n5,6\n7,8", True),
-    ("second-part-one-row", b"1,2\n3,4\n5,6\n7,8\n\n", True),
-    ("whitespace-delimited", b"1 2\n 3\t4\n5 6 \n7  8\n", True),
-    ("one-column", b"1\n2\n3\n4\n5\n6\n", True),
+    ("second-part-blank", b"1,2\n3,4\n5,6\n" + b"\n" * 12 + b"  \n\t\n", False, False),
+    ("header", b"a,b\n1,2\n3,4\n5,6\n7,8\n", True, True),
+    ("crlf", b"1,2\r\n3,4\r\n5,6\r\n7,8\r\n", True, True),
+    ("whitespace-only-line-first-part", b"1,2\n  \n3,4\n5,6\n7,8\n9,1\n", True, False),
+    ("whitespace-only-line-second-part", b"1,2\n3,4\n5,6\n7,8\n \t\n9,1\n", True, False),
+    ("whitespace-only-lines-both-parts", b"1,2\n \n3,4\n5,6\n7,8\n\t\r\n9,1\n  ", True, False),
+    ("whitespace-only-line-at-the-cut", b"1,2\n3,4\n5,6\n  \n  \n7,8\n9,1\n", True, False),
+    ("single-data-row", b"a,b\n1,2\n", False, True),
+    ("no-trailing-newline", b"1,2\n3,4\n5,6\n7,8", True, True),
+    ("second-part-one-row", b"1,2\n3,4\n5,6\n7,8\n\n", True, True),
+    ("whitespace-delimited", b"1 2\n 3\t4\n5 6 \n7  8\n", True, True),
+    ("one-column", b"1\n2\n3\n4\n5\n6\n", True, True),
     # lines longer than the first block read: the layout waits for them whole
-    ("long-rows", b"".join(b",".join([b"%d.5" % i] * 30_000) + b"\n" for i in range(4)), True),
-    ("long-header", b",".join([b"a"] * 40_000) + b"\n" + b"1.5e0," * 39_999 + b"2\n", False),
+    ("long-rows", b"".join(b",".join([b"%d.5" % i] * 30_000) + b"\n" for i in range(4)), True, True),
+    ("long-header", b",".join([b"a"] * 40_000) + b"\n" + b"1.5e0," * 39_999 + b"2\n", False, True),
 ]
 
 
 @pytest.mark.parametrize("case", _SPLIT_CASES, ids=[case[0] for case in _SPLIT_CASES])
 def test_split_cases_match_row_loop(tmp_path, split, case):
-    _, data, splits = case
-    rows, fast, loaded = _parse_both(tmp_path, data)
-    _assert_bitwise(fast, rows)
-    _assert_bitwise(loaded, rows)
+    _, data, splits, c_reader = case
+    _assert_readers(*_parse_both(tmp_path, data), c_reader)
     assert len(split) == 2 * splits  # _read_fast and load_matrix
 
 
-_MARKED_CASES = [(f"corpus-{name}", data, delimiter) for name, data, delimiter, _ in _C_READER_CASES]
-_MARKED_CASES += [(name, data, None) for name, data, _ in _SPLIT_CASES]
+_MARKED_CASES = [(f"corpus-{name}", data, delimiter, c_reader)
+                 for name, data, delimiter, c_reader in _LOADER_CORPUS]
+_MARKED_CASES += [(name, data, None, c_reader) for name, data, _, c_reader in _SPLIT_CASES]
 
 
 @pytest.mark.parametrize("case", _MARKED_CASES, ids=[case[0] for case in _MARKED_CASES])
 def test_byte_order_mark_leaves_the_array_bitwise(tmp_path, split, monkeypatch, case):
     # the parse windows start after the mark; nothing copies the input
-    _, data, delimiter = case
+    _, data, delimiter, c_reader = case
     rows, _, _ = _parse_both(tmp_path, data, delimiter)
     path = tmp_path / "bom.txt"
     path.write_bytes(cli._BOM + data)
@@ -108,8 +112,7 @@ def test_byte_order_mark_leaves_the_array_bitwise(tmp_path, split, monkeypatch, 
             warnings.simplefilter("error")
             fast = cli._read_fast(cli._Bytes(cli._BOM + data), delimiter)
             loaded = load_matrix(str(path), delimiter)
-        _assert_bitwise(fast, rows)
-        _assert_bitwise(loaded, rows)
+        _assert_readers(rows, fast, loaded, c_reader)
 
 
 def _large_input(tmp_path, n=200, p=400):
@@ -158,24 +161,25 @@ def test_detect_holds_one_copy_of_the_input_at_the_gram(tmp_path, split, monkeyp
     assert len(split) == 2
 
 
-@pytest.mark.parametrize("data, parses", [
-    # in the child's part: this process parses its own part once
-    (b"1,2\n3,4\n5,6\n7,8\n \t\n9,1\n", [b"1,2\n3,4\n5,6\n"]),
-    # in this process's part: it alone is parsed again, blanked
-    (b"1,2\n \t\n3,4\n5,6\n7,8\n9,1\n", [b"1,2\n \t\n3,4\n5,6\n", b"1,2\n\n3,4\n5,6\n"]),
-])
-def test_whitespace_only_line_is_blanked_in_its_own_part(tmp_path, split, monkeypatch, data, parses):
-    parsed = []
+@pytest.mark.parametrize("data, parts", [
+    (b"1,2\n3,4\n5,6\n7,8\n \t\n9,1\n", [b"1,2\n3,4\n5,6\n", b"7,8\n \t\n9,1\n"]),
+    (b"1,2\n \t\n3,4\n5,6\n7,8\n9,1\n", [b"1,2\n \t\n3,4\n5,6\n", b"7,8\n9,1\n"]),
+], ids=["whitespace-only-line-in-the-childs-part", "whitespace-only-line-in-this-part"])
+def test_each_part_is_parsed_once(tmp_path, split, monkeypatch, data, parts):
+    # a part the C reader rejects is not parsed again: the row loop reads
+    # the input. The child appends its own record to the same file.
+    log = tmp_path / "parsed.txt"
     loadtxt = cli._loadtxt
 
     def recorded(source, start, end, delim):
-        parsed.append(bytes(cli._read(source, start, end)))
+        with open(log, "a") as out:
+            out.write(bytes(cli._read(source, start, end)).hex() + "\n")
         return loadtxt(source, start, end, delim)
 
     monkeypatch.setattr(cli, "_loadtxt", recorded)
-    rows, fast, _ = _parse_both(tmp_path, data)
-    _assert_bitwise(fast, rows)
-    assert parsed == parses * 2  # _read_fast and load_matrix
+    _assert_readers(*_parse_both(tmp_path, data), False)
+    assert sorted(map(bytes.fromhex, log.read_text().split())) == sorted(parts * 2)
+    assert len(split) == 2  # _read_fast and load_matrix
 
 
 @pytest.mark.parametrize("line", [b"1\x0b2\n", b"1\x0c2\n"], ids=["vertical-tab", "form-feed"])
@@ -216,6 +220,42 @@ def test_split_errors_come_from_the_row_loop(tmp_path, split, data, delimiter):
         load_matrix(str(path), delimiter)
     assert str(got.value) == str(expected.value)
     assert len(split) == 2
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork-EAGAIN", "pipe-EMFILE"])
+def test_no_pipe_or_child_parses_in_this_process(tmp_path, split, monkeypatch, call, code):
+    # a process or descriptor limit is not a data error; the descriptors
+    # already opened are closed
+    data = b"1,2\n3,4\n5,6\n7,8\n"
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(cli, "_WORKERS", 1)
+    whole = load_matrix(str(path))
+    monkeypatch.setattr(cli, "_WORKERS", 2)
+    opened = []
+    pipe = os.pipe
+
+    def recorded():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def refused():
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    monkeypatch.setattr(os, call, refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bitwise(cli._read_fast(cli._Bytes(data), None), whole)
+        _assert_bitwise(load_matrix(str(path)), whole)
+    assert len(opened) == (4 if call == "fork" else 0)
+    for fd in opened:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    assert split == []
 
 
 def test_a_failed_child_exit_fails_the_split(split, monkeypatch):
@@ -285,6 +325,26 @@ def test_detect_report_above_the_threshold_matches_one_process(tmp_path, forks, 
         reports.append(out.read_bytes())
     assert len(forks) == 1
     assert reports[0] == reports[1]
+
+
+def test_detect_whitespace_only_lines_above_the_threshold(tmp_path, forks):
+    # a line of only spaces in each part: both parts go to the row loop,
+    # and the report is the clean input's apart from the input's path and hash
+    clean = tmp_path / "clean.csv"
+    np.savetxt(clean, np.random.default_rng(6).standard_normal((800, 400)), delimiter=",")
+    lines = clean.read_bytes().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_bytes(b"".join(lines[:200] + [b"  \n"] + lines[200:600] + [b"  \n"] + lines[600:]))
+    assert spaced.stat().st_size >= cli._SPLIT_FROM_BYTES
+    reports = []
+    for path in (clean, spaced):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["detect", "--input", str(path), "--m", "2", "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    for report in reports:
+        del report["input"]["path"], report["input"]["sha256"]
+    assert reports[0] == reports[1]
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("n, p, splits", [(60, 30, False), (800, 400, True)],

@@ -50,6 +50,7 @@ import io
 import json
 import os
 import re
+import signal
 import stat
 import sys
 import warnings
@@ -309,8 +310,8 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
     the parts differ in columns; a DataError of this process's part
     propagates, while the child's only fails its part, so that the row
     loop's read reports it. The child is reaped before this returns; on an
-    error here the pipe is closed first, so a child blocked on it fails
-    its write and exits. Where the pipe or the child cannot be made
+    error here it is killed first, so the row loop does not wait for a
+    part it will not read. Where the pipe or the child cannot be made
     (EMFILE, EAGAIN, ENOMEM), the whole input is parsed here.
     """
     fds = ()
@@ -342,6 +343,9 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
         matrix = np.empty((len(top) + shape[0], shape[1]))
         matrix[: len(top)] = top
         _receive(read_end, matrix[len(top) :])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # its part is not wanted; do not wait for it
+        raise
     finally:
         os.close(read_end)
         _, status = os.waitpid(pid, 0)

@@ -182,8 +182,13 @@ class OracleModel:
     """Exactly known generating process: coefficients, autocovariances, means.
 
     ``qs[l]`` is the lag-l coefficient matrix (None marks an all-zero one).
-    Autocovariances vanish beyond lag ``m_true + 2`` and are cached on first
-    use; ``C(-h)`` equals ``C(h)`` transposed.
+    ``groups`` holds each distinct coefficient matrix once, as
+    ``(matrix, ((lag, divisor), ...))``: lag l's coefficient is the matrix
+    divided by the divisor. The generator takes one product per group;
+    without ``groups`` each non-None ``qs[l]`` is a group of its own, with
+    divisor 1. Autocovariances, read from ``qs``, vanish beyond lag
+    ``m_true + 2`` and are cached on first use; ``C(-h)`` equals ``C(h)``
+    transposed.
     """
 
     n: int
@@ -191,7 +196,12 @@ class OracleModel:
     m_true: int
     qs: tuple[Optional[np.ndarray], ...]
     means: np.ndarray
+    groups: Optional[tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]] = None
     _cov_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.groups is None:
+            self.groups = tuple((q, ((l, 1),)) for l, q in enumerate(self.qs) if q is not None)
 
     @property
     def lag_support(self) -> int:
@@ -227,11 +237,16 @@ def build_coefficients(
     Lags 0..m_true get the Toeplitz matrices rho^|i-j| / (m_true - l + 1);
     the two trailing lags share one sparse random matrix (zero when
     m_true = 0, which makes the sequence independent). Each row of the
-    sparse matrix draws its own support.
+    sparse matrix draws its own support. The model holds m_true + 1
+    Toeplitz matrices (lag m_true's is rho^|i-j| itself) and, for
+    m_true > 0, the sparse one, in two groups: rho^|i-j| with divisors
+    m_true + 1 .. 1, and the sparse matrix with divisor 1 at both lags.
     """
     p, m = spec.p, spec.m_true
     decay = spec.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    qs: list[Optional[np.ndarray]] = [decay / (m - l + 1) for l in range(m + 1)]
+    lags = tuple((l, m - l + 1) for l in range(m + 1))
+    qs: list[Optional[np.ndarray]] = [decay / d for _, d in lags[:-1]] + [decay]
+    groups = [(decay, lags)]
     if m == 0:
         qs += [None, None]
     else:
@@ -243,8 +258,11 @@ def build_coefficients(
                 cols = rng.choice(p, size=nnz, replace=False)
                 perturb[row, cols] = rng.uniform(0.0, spec.perturb_scale, size=nnz)
         qs += [perturb, perturb]
+        groups.append((perturb, ((m + 1, 1), (m + 2, 1))))
     means = mean_matrix(profile, spec.n, spec.p)
-    return OracleModel(n=spec.n, p=spec.p, m_true=m, qs=tuple(qs), means=means)
+    return OracleModel(
+        n=spec.n, p=spec.p, m_true=m, qs=tuple(qs), means=means, groups=tuple(groups)
+    )
 
 
 def generate_series(
@@ -257,12 +275,15 @@ def generate_series(
     """Draw one series from the linear process.
 
     Innovations are indexed from 1 - (m_true + 2) so the first observation
-    is exactly stationary. ``model`` lets runners reuse fixed coefficients
-    across replications while ``seed`` (any SeedSequence entropy) varies
-    only the innovations; both default to the pure-spec behavior. A given
-    ``model`` supplies the means, so it must match ``spec``'s (n, p) and,
-    when ``profile`` is passed too, that profile's mean matrix; otherwise
-    ``ValueError`` is raised.
+    is exactly stationary. Each of the model's groups sums its lags'
+    innovation rows, divided by their divisors, and takes one n x p by
+    p x p product: two per series for a model of ``build_coefficients``
+    with m_true > 0, one at m_true = 0. ``model`` lets runners reuse fixed
+    coefficients across replications while ``seed`` (any SeedSequence
+    entropy) varies only the innovations; both default to the pure-spec
+    behavior. A given ``model`` supplies the means, so it must match
+    ``spec``'s (n, p) and, when ``profile`` is passed too, that profile's
+    mean matrix; otherwise ``ValueError`` is raised.
     """
     if model is None:
         model = build_coefficients(spec, profile)
@@ -276,20 +297,30 @@ def generate_series(
     ):
         raise ValueError("profile's mean matrix differs from the model's means")
     burn = model.lag_support
-    rng = _rng(spec.seed if seed is None else seed, _STREAM_INNOV)
-    shape = (spec.n + burn, spec.p)
-    if spec.innovation == "gaussian":
-        eps = rng.standard_normal(shape)
-    else:
-        eps = rng.standard_t(spec.t_dof, size=shape) / math.sqrt(
-            spec.t_dof / (spec.t_dof - 2.0)
-        )
+    eps = _innovations(spec, spec.n + burn, spec.seed if seed is None else seed)
+
+    def rows(lag: int) -> np.ndarray:
+        return eps[burn - lag : burn - lag + spec.n]
+
     x = model.means.copy()
-    for l, q in enumerate(model.qs):
-        if q is None:
-            continue
-        x += eps[burn - l : burn - l + spec.n] @ q.T
+    for q, lags in model.groups:
+        (l, d), *rest = lags
+        # a lone lag of divisor 1 is used as drawn, so its product is eps @ q.T;
+        # otherwise the sum starts from a new array and grows in place
+        summed = rows(l) if not rest and d == 1 else rows(l) / d
+        for l, d in rest:
+            summed += rows(l) if d == 1 else rows(l) / d
+        x += summed @ q.T
     return SeriesMatrix(x)
+
+
+def _innovations(spec: ProcessParams, rows: int, seed) -> np.ndarray:
+    """``rows`` x p unit-variance innovations of ``spec``'s law, from ``seed``."""
+    rng = _rng(seed, _STREAM_INNOV)
+    shape = (rows, spec.p)
+    if spec.innovation == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.standard_t(spec.t_dof, size=shape) / math.sqrt(spec.t_dof / (spec.t_dof - 2.0))
 
 
 def oracle_mean_l(t: int, model: OracleModel, window: DependenceWindow) -> float:
@@ -353,9 +384,10 @@ def oracle_variance(
 _PAYLOAD = None
 # replications of a size/power chunk, whose Grams, split curves and trace
 # tables take one stacked pass (engine.prepare_global). At Table 1's shape
-# (n = 100, p = 200, M = 2) the rate levels off from 4: 328, 408, 438, 453
-# and 457 reps/s at 1, 2, 3, 4 and 8 (medians of 8 interleaved rounds), and
-# each replication of a chunk adds 0.42 MB to the traced peak
+# (n = 100, p = 200, M = 2) the rate levels off from 4: 364, 430, 512 and
+# 494 reps/s at 1, 2, 4 and 8 (medians of 8 interleaved rounds on 2 vCPUs,
+# two generator products per replication), and each replication of a
+# chunk adds 0.42 MB to the traced peak
 _CHUNK = 4
 
 

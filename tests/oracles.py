@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hdcp import DependenceWindow, as_series, compute_gram, engine
+from hdcp import DependenceWindow, as_series, compute_gram, engine, simulator
 from hdcp import (
     V_vector,
     b_aggregate,
@@ -206,6 +206,22 @@ def naive_variance(B: np.ndarray, table, n: int, m: int) -> float:
                         * table.est(h1, h2)
                     )
     return total / n**4
+
+
+def per_lag_series(spec, model, seed=None) -> np.ndarray:
+    """x_t = mu_t + sum_l Q_l eps_{t-l}, one product per lag ``l``.
+
+    The innovations are those ``generate_series`` draws for ``seed``; each
+    non-None ``model.qs[l]`` takes its own product, however many lags share
+    a matrix.
+    """
+    burn = model.lag_support
+    eps = simulator._innovations(spec, spec.n + burn, spec.seed if seed is None else seed)
+    x = model.means.copy()
+    for l, q in enumerate(model.qs):
+        if q is not None:
+            x += eps[burn - l : burn - l + spec.n] @ q.T
+    return x
 
 
 def random_instance(rng: np.random.Generator) -> tuple[np.ndarray, int]:

@@ -31,6 +31,7 @@ from hdcp import (
 from hdcp import test_global as global_test
 from hdcp.cli import build_design, parse_config
 from hdcp.engine import prepare_global
+from oracles import per_lag_series
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZE_POWER_CONFIGS = (
@@ -78,6 +79,41 @@ def test_zero_coefficients_reproduce_means_exactly():
     spec = LinearProcessSpec(n=12, p=4, m_true=0, seed=2)
     x = generate_series(spec, profile, model=model)
     np.testing.assert_array_equal(x.values, means)
+
+
+@pytest.mark.parametrize("innovation", ["gaussian", "student_t"])
+@pytest.mark.parametrize("m_true", [0, 1, 2, 3])
+def test_generator_matches_the_per_lag_reference(m_true, innovation):
+    # one product per distinct matrix agrees with one per lag; at
+    # m_true = 0 there is one lag, so the same product and the same bits
+    spec = LinearProcessSpec(n=40, p=30, m_true=m_true, innovation=innovation,
+                             perturb_sparsity=0.2, seed=17)
+    model = build_coefficients(spec, single_change_profile(20, 1.0, sign_seed=17))
+    for seed in (None, [17, 3]):
+        got = generate_series(spec, model=model, seed=seed).values
+        want = per_lag_series(spec, model, seed)
+        if m_true == 0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_coefficient_groups_hold_each_matrix_once():
+    # lags 0..m_true share the Toeplitz matrix, lags m_true + 1 and
+    # m_true + 2 the sparse one; qs[l] is the matrix over the divisor
+    spec = LinearProcessSpec(n=20, p=8, m_true=2, perturb_sparsity=0.25, seed=4)
+    model = build_coefficients(spec)
+    (decay, decay_lags), (perturb, perturb_lags) = model.groups
+    assert decay_lags == ((0, 3), (1, 2), (2, 1))
+    assert perturb_lags == ((3, 1), (4, 1))
+    assert perturb is model.qs[3]
+    for l, d in decay_lags:
+        assert (decay / d).tobytes() == model.qs[l].tobytes()
+    # a model built from qs alone takes one product per lag, as the reference
+    hand = OracleModel(n=20, p=8, m_true=2, qs=model.qs, means=model.means)
+    assert [lags for _, lags in hand.groups] == [((l, 1),) for l in range(5)]
+    got = generate_series(spec, model=hand).values
+    assert got.tobytes() == per_lag_series(spec, hand).tobytes()
 
 
 def test_generate_series_rejects_a_profile_the_model_was_not_built_with():
@@ -281,7 +317,10 @@ def test_run_size_power_memory_per_chunk(monkeypatch):
     # its Python objects (series, Gram summary, array headers and stored
     # results: about 0.3 KB, counted as 1 KiB). At n = 100, p = 200,
     # M = 2, R = 4 that is 1,277,472 bytes, and tracemalloc measured an
-    # excess of 1,272,262 to 1,273,201 bytes (numpy 2.4, Python 3.11).
+    # excess of 1,249,354 to 1,249,531 bytes (numpy 2.4, Python 3.11). A
+    # chunk of one peaks about 22 KB higher, in the generator: a group's
+    # row sum and one more n p array (the next divided rows, or the
+    # product) sit beside the innovations and the result.
     n, p, m, chunk = 100, 200, 2, simulator._CHUNK
     design = SizePowerDesign(n=n, p=p, m_true=2, m_used=m, reps=2 * chunk, seed=20240812)
     peak = _traced_peak(design)

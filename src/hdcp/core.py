@@ -141,22 +141,17 @@ class GramSummary:
     bitwise what that Gram alone would hold.
 
     ``raw`` and ``row_sums`` are read-only, so nothing cached from them can
-    go stale. Derived members, built on first read and then cached:
-
-    - ``row_prefix[..., s, j]``  float64 sum of ``raw[..., s, :j]``,
-      n x (n + 1) per Gram with a zero guard column; by symmetry also a
-      column sum. It does not depend on the separation order, so every
-      separated-sums context of this Gram (the elbow builds one per probed
-      order) shares it. Read-only.
-    - ``results``  what :mod:`hdcp.engine` computed from this Gram, keyed
-      by kind and separation order M: the split curve and the trace table
-      of each M (read-only arrays), and the value and count of each
-      separated-sum term of each M (scalars, or one entry per Gram). A
-      repeated call with the same Gram and M returns the stored result.
+    go stale. ``results``, built on first read and then cached, holds what
+    :mod:`hdcp.engine` computed from this Gram, keyed by kind: the split
+    curve and the trace table of each separation order M (read-only
+    arrays), the value and count of each separated-sum term of each M, and
+    the lag-grid products that those terms share across every M (scalars,
+    or one entry per Gram). A repeated call with the same Gram and M
+    returns the stored result.
 
     A Gram lives as long as the series that holds it (see
-    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and 10.3 MB
-    once ``row_prefix`` is built; the cached results are O(n) per M.
+    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB; the cached
+    results are O(n) per M.
     """
 
     raw: np.ndarray
@@ -174,13 +169,6 @@ class GramSummary:
     @property
     def n(self) -> int:
         return self.raw.shape[-1]
-
-    @functools.cached_property
-    def row_prefix(self) -> np.ndarray:
-        prefix = np.zeros(self.raw.shape[:-1] + (self.n + 1,), dtype=np.float64)
-        np.cumsum(self.raw, axis=-1, out=prefix[..., 1:])
-        prefix.flags.writeable = False
-        return prefix
 
     @functools.cached_property
     def results(self) -> dict:

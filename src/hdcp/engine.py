@@ -3,8 +3,8 @@
 Everything here is computed from a :class:`~hdcp.core.GramSummary`, never
 from the raw observations: with n observations of dimension p, one O(n^2 p)
 pass builds the inner-product matrices and all statistics afterwards cost
-O(n^2) per separated sum, and O(n^2 M^2) for a full variance, regardless
-of p.
+O(n^2) per lag-grid product of the separated sums, and O(n^2 M^2) for a
+full variance, regardless of p.
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
@@ -19,26 +19,26 @@ What depends on the shape (n, M) alone is built once per process and
 shared: ``_plan(n, M)`` holds it, with at most ``_PLAN_CACHE_SIZE`` (32)
 keys kept, least recently used first out. Its arrays are read-only,
 because every caller with the same key gets the same plan. The windows
-and slice runs of the separated sums come with the plan (O(n)); every
-other part is built on its first read: the exact tuple counts of the
-separated sums (integers); the checked lag design ``F_matrix`` and the
-boundary weights of every split, which ``l_trace`` reads; and the
-cross-product table and squared mass of the aggregated contrast
-``b_aggregate``, which ``aggregate_variance`` reads. No part is n x n,
-since the n x n contrast is reduced before it is stored. So the global
-test of a series of a seen length pays O(M^2) for its variance after the
-trace table, and the elbow's orders never build a lag design.
+of the separated sums come with the plan (O(n)); every other part is
+built on its first read: the exact tuple counts of the separated sums
+(integers); the checked lag design ``F_matrix`` and the boundary weights
+of every split, which ``l_trace`` reads; and the cross-product table and
+squared mass of the aggregated contrast ``b_aggregate``, which
+``aggregate_variance`` reads. No part is n x n, since the n x n contrast
+is reduced before it is stored. So the global test of a series of a
+seen length pays O(M^2) for its variance after the trace table, and the
+elbow's orders never build a lag design.
 
-The separated sums share work the same way. Once per Gram,
-``GramSummary.row_prefix`` holds the n x (n + 1) row prefix that every
-separation order reads. A context per (Gram, M) then pays only for its
-own sums: each term takes its whole-grid sum in one n x n pass (the pair
-term over two Gram slices, the triple term over the window sums and the
-Gram, the quadruple term over the window sums and their transpose) and
-corrects the O(nM) entries near the diagonal from the Gram's 6M + 1
-middle diagonals, which the context keeps as rows of one small array. The
-only n x n array a context forms is its window sums, one float64 array
-allocated on first use and freed with the context.
+The separated sums share work the same way. Every whole-grid sum they
+take is a sum of the lag-grid products A(a, b) = sum_{s,t} raw[s + a, t]
+raw[s, t + b], one O(n^2) dot each, which do not depend on M: the Gram
+stores each once, under one member of its orbit {(a, b), (b, a),
+(-a, -b), (-b, -a)}. Order M reads the (M + 1)^2 orbits of |a|, |b| <= M,
+so the elbow's orders 0..h_max take (h_max + 1)^2 products in all, and a
+trace table at an order the elbow probed takes none. A context per
+(Gram, M) then corrects the O(nM) entries near the diagonal from the
+Gram's 6M + 1 middle diagonals, which it keeps as rows of one small
+array. No context forms an n x n array.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the Gram on its series, and ``segment_view`` cuts
@@ -47,10 +47,10 @@ series costs one O(n^2 p) pass however often the elbow, the global test
 and binary segmentation ask for it. Per (Gram, M),
 ``GramSummary.results`` keeps the split curve of ``l_trace``, the table
 of ``build_trace_table`` (both read-only) and the value and count of each
-separated-sum term; the context arrays behind the terms are not kept.
-So the table at the order the elbow chose reuses the elbow's quadruple,
-triple and pair terms, and a repeated test of the same Gram and M returns
-the stored result.
+separated-sum term, and per Gram its lag-grid products; the context
+arrays behind the terms are not kept. So the table at the order the
+elbow chose reuses the elbow's quadruple, triple and pair terms, and a
+repeated test of the same Gram and M returns the stored result.
 
 Series of one shape can share a pass. ``prepare_global`` builds the Grams
 of R series into the slices of one (R, n, n) stack and wraps it in one
@@ -60,8 +60,8 @@ a single Gram is the case without any, so each kernel has one copy. Each
 Gram's curve and trace table are stored under the keys ``l_trace`` and
 ``build_trace_table`` read, so a later ``test_global`` of the series
 finds them. They equal the single-series results bit for bit: each
-whole-grid sum is taken one Gram at a time, because ``einsum`` would
-round a stacked grid in other pieces.
+lag-grid product is taken one Gram at a time, as that Gram alone would
+take it.
 
 Conventions, fixed for the whole package:
 
@@ -98,6 +98,8 @@ _COND_LIMIT = 1e12
 # distinct (n, M) shape plans kept per process; one entry is O(nM + M^2)
 # floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
+# entries per BLAS dot in ``_long_dot``
+_DOT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -440,25 +442,18 @@ def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, n
     return np.nonzero(keep)[0], j[keep]
 
 
-def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
-    """Writable view of the diagonal a[..., i, i + k] of C-contiguous n x n arrays."""
-    n = a.shape[-1]
-    start = k if k >= 0 else -k * n
-    flat = a.reshape(a.shape[:-2] + (n * n,))
-    return flat[..., start : start + (n - abs(k)) * (n + 1) : n + 1]
+def _long_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x @ y`` of two contiguous vectors, as the sum of 8192-entry dots.
 
-
-def _grid_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of ``a * b`` over the last two axes, for each leading index.
-
-    One ``einsum`` per grid: over a stack, ``einsum`` cuts a grid of
-    contiguous rows into 8192-entry buffers and rounds differently from
-    the same grid alone, so a Gram's sums would depend on its stack.
+    OpenBLAS splits a dot longer than 10,000 entries across its threads,
+    so its rounding would depend on their number; each 8192-entry dot is
+    taken by one thread. A lag-grid product's 640,000-entry dot at
+    n = 800 takes about 0.27 ms this way and 0.32 ms in ``einsum`` (one
+    core of a 2-vCPU Xeon host).
     """
-    lead = a.shape[:-2]
-    a = a.reshape((-1,) + a.shape[-2:])
-    b = b.reshape((-1,) + b.shape[-2:])
-    return np.array([np.einsum("ij,ij->", x, y) for x, y in zip(a, b)]).reshape(lead)
+    cut = x.shape[0] - x.shape[0] % _DOT_CHUNK
+    parts = _dot(x[:cut].reshape(-1, _DOT_CHUNK), y[:cut].reshape(-1, _DOT_CHUNK))
+    return parts.sum() + x[cut:] @ y[cut:]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,44 +462,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each product is the one ``a @ b`` makes for a single pair of vectors.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _window_runs(n: int, m: int) -> tuple[tuple[slice, slice, slice], ...]:
-    """The windows ``[max(i - m, 0), min(i + m + 1, n))`` of i = 0..n-1 as runs.
-
-    The cuts min(m, n) and max(n - m - 1, 0) split 0..n-1 into at most
-    three runs (clipped low, interior, clipped high; or clipped at both
-    ends when 2m + 1 >= n). Each run is ``(dst, hi, lo)``: over ``dst``,
-    the window end ``hi`` and start ``lo`` either advance with i (a slice
-    as long as ``dst``) or stay at a series end (a 1-long slice that
-    broadcasts).
-    """
-    low, high = min(m, n), max(n - m - 1, 0)
-    cuts = sorted({0, low, high, n})
-    runs = []
-    for start, stop in zip(cuts, cuts[1:]):
-        lo = slice(start - m, stop - m) if start >= m else slice(0, 1)
-        hi = slice(start + m + 1, stop + m + 1) if stop <= high else slice(n, n + 1)
-        runs.append((slice(start, stop), hi, lo))
-    return tuple(runs)
-
-
-def _window_diff(pre: np.ndarray, runs, axis: int) -> np.ndarray:
-    """``pre[hi] - pre[lo]`` along ``axis``, one slice subtraction per run.
-
-    Entry i of the result along ``axis`` is the difference of the window
-    ends ``hi[i]`` and ``lo[i]`` that ``runs`` (from ``_window_runs``)
-    encode; every entry is the same single subtraction a gather would
-    make. The result is a new C-contiguous array.
-    """
-    axis %= pre.ndim
-    shape = list(pre.shape)
-    shape[axis] = runs[-1][0].stop
-    out = np.empty(shape, dtype=pre.dtype)
-    at = (slice(None),) * axis
-    for dst, hi, lo in runs:
-        np.subtract(pre[at + (hi,)], pre[at + (lo,)], out=out[at + (dst,)])
-    return out
 
 
 class _PairPlan(NamedTuple):
@@ -527,9 +484,9 @@ class _ShapePlan:
     Built by ``_plan(n, M)`` once per shape and shared by every caller of
     that shape, so its arrays are read-only. No array of it is larger than
     n x (M + 1) or (2M + 1) x (2M + 1). With the plan come the windows
-    ``lo``/``hi`` of the separated sums (O(n)), their runs and the
-    quadruple count. The rest is built on first read, so a caller pays
-    only for what it reads:
+    ``lo``/``hi`` of the separated sums (O(n)) and the quadruple count.
+    The rest is built on first read, so a caller pays only for what it
+    reads:
 
     - for the separated sums, the triple count of each |h| and the pair
       count and forbidden interval of each (h1, h2);
@@ -552,7 +509,6 @@ class _ShapePlan:
         idx = np.arange(n)
         self.lo = np.maximum(idx - m, 0)
         self.hi = np.minimum(idx + m + 1, n)
-        self.runs = _window_runs(n, m)
         k = n - 3 * m
         self.quad_count = k * (k - 1) * (k - 2) * (k - 3) if k >= 4 else 0
         for a in (self.lo, self.hi):
@@ -647,50 +603,44 @@ def _plan(n: int, m: int) -> _ShapePlan:
 class _SeparatedSums:
     """The separated trace-product sums of one Gram at one separation M.
 
-    One instance serves every (h1, h2) pair of a lag window, and every sum
-    costs O(n^2) whatever M is: the pair term per lag pair, the triple term
-    once per distinct |h| (shared by h and -h), and the quadruple term
-    once. Counts are exact integers: the quadruple count in closed form,
-    the pair count as the grid size minus the forbidden diagonals, the
-    triple count from O(n) int64 sums (below n^3).
+    One instance serves every (h1, h2) pair of a lag window. Counts are
+    exact integers: the quadruple count in closed form, the pair count as
+    the grid size minus the forbidden diagonals, the triple count from O(n)
+    int64 sums (below n^3).
 
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
     series. What depends on (n, M) alone (windows, counts, forbidden
-    intervals) comes from the cached ``_plan(n, M)``; the row prefix and
-    the float64 row sums come from the Gram, shared across separations.
+    intervals) comes from the cached ``_plan(n, M)``; the float64 row sums
+    and the lag-grid products come from the Gram, shared across separations.
 
-    Each term takes its whole-grid sum in one n x n pass and then removes
-    or adds the O(nM) entries near the diagonal that its index rules treat
-    apart. Those entries are read from ``band``: the diagonals
-    ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n array, zero
-    where i + k falls outside the series, with their running sums over k.
-    A sum of row i over any stretch of offsets is then a difference of two
-    of those rows, so clipped windows at the series ends need no case of
-    their own, and no term forms index pairs. The passes are:
+    Every whole-grid sum of the three terms is a sum of one Gram quantity,
+    the lag-grid product ``A(a, b) = sum_{s,t} raw[s + a, t] raw[s, t + b]``
+    (raw zero outside the series; see ``lag_product``): the pair term's is
+    A(h1, h2), the triple term's is A(h, b) summed over |b| <= M, and the
+    quadruple term's is A summed over the (2M + 1) x (2M + 1) grid. Each
+    A(a, b) is one O(n^2) dot, computed once per Gram and orbit and
+    stored, so a separation order pays only for the orbits its smaller
+    orders did not reach. Each term then removes or adds the O(nM) entries
+    near the diagonal that its index rules treat apart. Those entries are
+    read from ``band``: the diagonals ``raw[i, i + k]``, |k| <= 3M, as rows
+    of a (6M + 1) x n array, zero where i + k falls outside the series,
+    with their running sums over k. A sum of row i over any stretch of
+    offsets is then a difference of two of those rows, so clipped windows
+    at the series ends need no case of their own, and no term forms index
+    pairs. The corrections are:
 
-    - pair: one ``einsum`` of the two shifted Gram slices, minus the
-      products on the forbidden diagonals, one ``einsum`` over rows of
-      ``band``;
-    - triple: the window sums ``ws[s, t] = sum(raw[s, lo[t]:hi[t]])``,
-      formed once per context by one slice run per window run off the row
-      prefix and shared by every |h|; then one ``einsum`` of them with the
-      Gram, and one ``einsum`` over the band -2M <= t - s <= h + 2M that
+    - pair: the products on the forbidden diagonals, one ``einsum`` over
+      rows of ``band``;
+    - triple: one ``einsum`` over the band -2M <= t - s <= h + 2M that
       takes back the forbidden pairs and adds the r both windows exclude;
-    - quadruple: corrects the window sums in place on their 4M + 1
-      middle diagonals, which turns them into the window sums of the
-      masked Gram, then one transposed ``einsum`` of them with themselves
-      (see ``quad_term``).
+    - quadruple: the 4M + 1 middle diagonals of the window sums, where they
+      differ from the masked Gram's (see ``quad_term``).
 
-    The window sums are the context's one n x n float64 array, allocated
-    when a term first needs them. The quadruple term turns them into the
-    masked Gram's window sums in place, so a triple term after it forms
-    them again: ``build_trace_table`` takes its triple terms first, and
-    ``trace_product_estimate`` its quadruple term last. ``band`` is O(nM).
-
-    Each term's value and count is stored on the Gram per M
-    (``GramSummary.results``), so every context of one (Gram, M) computes a
-    term once.
+    No context forms an n x n array: ``band`` is O(nM), the stored
+    products are scalars. Each term's value and count is stored on the
+    Gram per M (``GramSummary.results``), so every context of one
+    (Gram, M) computes a term once.
 
     A Gram with leading axes (see ``prepare_global``) gives every array
     those axes too, and each term's value is then an array with one entry
@@ -704,17 +654,7 @@ class _SeparatedSums:
         self.raw = gram.raw
         self.plan = _plan(n, m)
         self.row_sums = gram.row_sums
-        # row_prefix[s, j] sums raw[s, :j]; by symmetry it is also a column sum
-        self.row_prefix = gram.row_prefix
-        self._ws: np.ndarray | None = None
         self._band: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _window_sums(self) -> np.ndarray:
-        # ws[..., s, t] sums raw[..., s, lo[t]:hi[t]], shared by every triple
-        # term and the quadruple term
-        if self._ws is None:
-            self._ws = _window_diff(self.row_prefix, self.plan.runs, axis=-1)
-        return self._ws
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
         """``(diag, prefix)``: the Gram's diagonals |k| <= 3M and their running sums.
@@ -738,6 +678,52 @@ class _SeparatedSums:
             self._band = diag, prefix
         return self._band
 
+    def lag_product(self, a: int, b: int) -> np.ndarray:
+        """A(a, b) = sum over s, t of raw[s + a, t] * raw[s, t + b], raw zero outside.
+
+        By the symmetry of the Gram A(a, b) = A(b, a), and shifting s and t
+        gives A(a, b) = A(-a, -b). So the orbit {(a, b), (b, a), (-a, -b),
+        (-b, -a)} shares one value, stored once per Gram under its least
+        member: it does not depend on M, and the (h + 1)^2 orbits of the
+        lags |a|, |b| <= h serve every order up to h.
+        """
+        key = min((a, b), (b, a), (-a, -b), (-b, -a))
+        return _stored(self.gram, ("lag",) + key, self._lag_product, *key)
+
+    def _lag_product(self, a: int, b: int) -> np.ndarray:
+        # In the flat Gram, raw[s + a, t] and raw[s, t + b] are a n - b
+        # entries apart for every (s, t). So A(a, b) is one dot of two
+        # contiguous stretches of the flat Gram, less the pairs in which
+        # t + b left [0, n) and wrapped into the next or the previous row
+        # (|b| entries per row, one small einsum); no n x n slice is copied.
+        # Each Gram of a stack is summed on its own, as it would be alone.
+        n = self.n
+        size, shift = n * n, a * n - b
+        start, stop = max(0, b, -shift), min(size, size + b, size - shift)
+        # the rows s of the wrapped pairs: row s + a exists, and so does row
+        # s + 1 (b > 0) or s - 1 (b < 0)
+        s0, s1 = max(-a, 1 if b < 0 else 0), min(n - a, n - 1 if b > 0 else n)
+        sums = []
+        for g in self.raw.reshape((-1, n, n)):
+            flat = g.reshape(size)
+            total = _long_dot(flat[start + shift : stop + shift], flat[start:stop])
+            if b > 0:
+                total -= np.einsum("ij,ij->", g[s0 + a : s1 + a, n - b :], g[s0 + 1 : s1 + 1, :b])
+            elif b < 0:
+                total -= np.einsum("ij,ij->", g[s0 + a : s1 + a, :-b], g[s0 - 1 : s1 - 1, n + b :])
+            sums.append(total)
+        return np.array(sums).reshape(self.raw.shape[:-2])
+
+    def _box(self) -> np.ndarray:
+        # A summed over |a|, |b| <= M, one ring max(|a|, |b|) = k at a time:
+        # by the orbit symmetry the ring holds A(k, b), |b| < k, four times
+        # and A(k, k) and A(k, -k) twice each
+        box = self.lag_product(0, 0)
+        for k in range(1, self.m + 1):
+            inner = sum(self.lag_product(k, b) for b in range(1 - k, k))
+            box = box + 4 * inner + 2 * self.lag_product(k, k) + 2 * self.lag_product(k, -k)
+        return box
+
     def pair_term(self, h1: int, h2: int) -> tuple[float, int]:
         """sum of x_{t+h2}'x_s * x_{s+h1}'x_t over separated groups, with count.
 
@@ -753,11 +739,6 @@ class _SeparatedSums:
             return 0.0, 0
         n, k_max = self.n, 3 * self.m
         s0, s1 = max(0, -h1), min(n, n - h1)
-        t0, t1 = max(0, -h2), min(n, n - h2)
-        # raw is symmetric, so both factors are plain slices
-        full = _grid_dot(
-            self.raw[..., s0:s1, t0 + h2 : t1 + h2], self.raw[..., s0 + h1 : s1 + h1, t0:t1]
-        )
         # on a forbidden d = s - t the factors are raw[s, s - d + h2] and
         # raw[s + h1, s - d], rows k_max + h2 - d and k_max - h1 - d of diag;
         # outside the grid one of them is zero
@@ -769,7 +750,7 @@ class _SeparatedSums:
             diag[..., a : a + plan.width, s0:s1],
             diag[..., b : b + plan.width, s0 + h1 : s1 + h1],
         )
-        return full - forbidden, plan.count
+        return self.lag_product(h1, h2) - forbidden, plan.count
 
     def triple_term(self, h: int) -> tuple[float, int]:
         """sum of x_r'x_s * x_{s+h}'x_t over separated groups {r}, {s, s+h}, {t}.
@@ -784,12 +765,14 @@ class _SeparatedSums:
     def _triple(self, h: int) -> tuple[float, int]:
         # For each admissible (s, t) the inner r-sum is own[s], the row sum
         # of s outside the s-group's windows [lo[s], hi[s + h]), minus the
-        # window sum ws[s, t], plus the part of window t that the s-group's
-        # windows also exclude, which is nonempty only on the bands
-        # -2M <= t - s < -M and h + M < t - s <= h + 2M. The forbidden
-        # -M <= t - s <= h + M is one band of diagonals. So the sum is the
-        # whole grid's, own . rowsum - <raw[h:], ws>, corrected on the band
-        # -2M <= t - s <= h + 2M by one einsum with weights per offset.
+        # window sum ws[s, t] = sum(raw[s, lo[t]:hi[t]]), plus the part of
+        # window t that the s-group's windows also exclude, which is
+        # nonempty only on the bands -2M <= t - s < -M and
+        # h + M < t - s <= h + 2M. The forbidden -M <= t - s <= h + M is
+        # one band of diagonals. So the sum is the whole grid's,
+        # own . rowsum - <raw[h:], ws> with <raw[h:], ws> = sum_b A(h, b),
+        # corrected on the band -2M <= t - s <= h + 2M by one einsum with
+        # weights per offset.
         count = self.plan.triple_count(h)
         if count == 0:
             return 0.0, 0
@@ -798,8 +781,8 @@ class _SeparatedSums:
         diag, prefix = self.band()
         pre = prefix[..., :ns]
         own = self.row_sums[..., :ns] - (pre[..., k + h + m + 1, :] - pre[..., k - m, :])
-        ws = self._window_sums()[..., :ns, :]
-        full = _dot(own, self.row_sums[..., h:]) - _grid_dot(self.raw[..., h:, :], ws)
+        windows = sum(self.lag_product(h, b) for b in range(-m, m + 1))
+        full = _dot(own, self.row_sums[..., h:]) - windows
         # weight[j, s] for t - s = j - 2M; the outer factor raw[s + h, t] is
         # diag[k + t - s - h, s + h]
         weight = np.empty(own.shape[:-1] + (h + 4 * m + 1, ns), dtype=np.float64)
@@ -838,16 +821,17 @@ class _SeparatedSums:
         window row sums and window blocks, and box[q, r] = W(A x B); W is
         zero on O x O, whose indices are at most M apart. Summed against
         W[q, r], the box term is <W, box> = trace(V V), with
-        V[i, r] = W(i, win(r)) the window sums of W. V is the window sums
-        ``ws`` less the band's share on the 4M + 1 diagonals
-        |i - r| <= 2M (O(nM) entries, read from ``band``), so the term
-        overwrites ``ws`` with V there and takes one transposed ``einsum``
-        of V with itself: no masked copy of the Gram, no 2-D prefix and no
-        box array. kappa sums V's 2M + 1 middle diagonals. O is nonempty
-        only on the band M < |q - r| <= 2M, where W(A x O) and W(B x O)
-        are sums of V's diagonals 1 <= |k| <= M and rows(O) a difference of
-        W's row prefix, each weighted by sums of raw[q, r] over the band
-        read from ``band``: O(nM) work in all.
+        V[i, r] = W(i, win(r)) the window sums of W. V equals the Gram's
+        window sums ``ws`` off the 4M + 1 diagonals |i - r| <= 2M, and
+        trace(ws ws) is the lag-grid product A summed over |a|, |b| <= M.
+        So trace(V V) is that sum with the middle diagonals' products
+        ws[i, r] ws[r, i] swapped for V[i, r] V[r, i]; both are
+        differences of two rows of ``band``'s running sums (O(nM) entries),
+        and no n x n array is formed. kappa sums V's 2M + 1 middle
+        diagonals. O is nonempty only on the band M < |q - r| <= 2M, where
+        W(A x O) and W(B x O) are sums of V's diagonals 1 <= |k| <= M and
+        rows(O) a difference of W's row prefix, each weighted by sums of
+        raw[q, r] over the band read from ``band``: O(nM) work in all.
         """
         return _stored(self.gram, ("quad", self.m), self._quad)
 
@@ -858,47 +842,42 @@ class _SeparatedSums:
             return 0.0, 0
         n, m, k = self.n, self.m, 3 * self.m
         prefix = self.band()[1]
-        rows = self.row_sums - (prefix[..., k + m + 1, :] - prefix[..., k - m, :])
+        # the Gram's window sum of row i over its own window, ws[i, i]
+        own = prefix[..., k + m + 1, :] - prefix[..., k - m, :]
+        rows = self.row_sums - own
         total = rows.sum(axis=-1)
         row_pre = np.zeros(rows.shape[:-1] + (n + 1,), dtype=np.float64)
         np.cumsum(rows, axis=-1, out=row_pre[..., 1:])
-        rho = _window_diff(row_pre, plan.runs, axis=-1)
-        # V = ws - C, where C[i, i + e] = raw[i, win(i) n win(i + e)] is
-        # the band's share of a window sum, offsets max(e, 0) - M to
-        # min(e, 0) + M of row i; nonzero only for |e| <= 2M. Row e of
-        # `above` holds C[i, i + e] at column i, row e of `below` holds
-        # C[j, j - e] at column j.
-        above = prefix[..., k + m + 1, None, :] - prefix[..., k - m : k + m + 1, :]
-        below = prefix[..., k + m + 1 : k - m : -1, :] - prefix[..., k - m, None, :]
-        # weights of V's diagonals in the overlap terms: left[e - 1, q]
-        # sums raw[q, q + M + 1:q + M + e + 1], right[e - 1, r] sums
-        # raw[r, r - M - e:r - M]
-        left = prefix[..., k + m + 2 : k + 2 * m + 2, :] - prefix[..., k + m + 1, None, :]
-        right = prefix[..., k - m, None, :] - prefix[..., k - m - 1 : k - 2 * m - 1 : -1, :]
-        # V overwrites the window sums, so a triple term after this one
-        # forms them again
-        v = self._window_sums()
-        self._ws = None
+        rho = row_pre[..., plan.hi] - row_pre[..., plan.lo]
         kappa = np.zeros(rows.shape, dtype=np.float64)
+        # on the middle diagonal V[i, i] = 0 and ws[i, i] = own[i]
+        box = self._box() - _dot(own, own)
         # over the band M < r - q <= 2M: raw[q, r] (W(A x O) + W(B x O) - rows(O))
         overlap = 0.0
-        for e in range(2 * m + 1):
-            upper = _diagonal(v, e)
-            np.subtract(upper, above[..., e, : n - e], out=upper)
-            if e == 0:
-                kappa += upper
-                continue
-            lower = _diagonal(v, -e)
-            np.subtract(lower, below[..., e, e:], out=lower)
+        for e in range(1, 2 * m + 1):
+            # at column i < n - e: V[i, i + e] = raw[i, i + M + 1:i + M + e + 1]
+            # and V[i + e, i] = raw[i + e, i - M:i + e - M], then the Gram's
+            # ws[i, i + e] and ws[i + e, i]
+            top, bottom = prefix[..., :, : n - e], prefix[..., :, e:]
+            upper = top[..., k + m + 1 + e, :] - top[..., k + m + 1, :]
+            lower = bottom[..., k - m, :] - bottom[..., k - m - e, :]
+            mirrored = _dot(upper, lower)
+            gram_pair = _dot(
+                top[..., k + m + 1 + e, :] - top[..., k - m + e, :],
+                bottom[..., k + m + 1 - e, :] - bottom[..., k - m - e, :],
+            )
+            # the pair at e and the pair at -e
+            box = box + 2 * (mirrored - gram_pair)
             if e <= m:
                 kappa[..., e:] += upper
                 kappa[..., : n - e] += lower
-                overlap += _dot(left[..., e - 1, : n - e], lower) + _dot(right[..., e - 1, e:], upper)
+                # the overlap weights V[i + e, i] by raw[i, i + M + 1:i + M + e + 1],
+                # which is V[i, i + e], and V[i, i + e] by V[i + e, i]
+                overlap += 2 * mirrored
         # rows(O) = row_pre[q + M + 1] - row_pre[r - M]
         reach = prefix[..., k + 2 * m + 1, : n - m - 1] - prefix[..., k + m + 1, : n - m - 1]
         overlap -= _dot(reach, row_pre[..., m + 1 : n])
         overlap += _dot(prefix[..., k - m, m:] - prefix[..., k - 2 * m, m:], row_pre[..., : n - m])
-        box = np.einsum("...ij,...ji->...", v, v)
         out = total * total - 4 * _dot(rows, rho) + 2 * _dot(rows, kappa) + 2 * box - 4 * overlap
         return out, count
 
@@ -956,9 +935,9 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     The table is built once per (Gram, M), and its values are read-only.
     Its terms come from the same per-(Gram, M) store as those of
     ``trace_product_estimate``, so a table at an order the elbow probed
-    reuses that probe's quadruple, triple and pair terms. Every term of
-    the grid is computed in one separated-sums context, so the window sums
-    are formed once.
+    reuses that probe's quadruple, triple and pair terms, and every term
+    reads the Gram's stored lag-grid products, so a table at an order no
+    larger than one the elbow probed computes none.
     """
     return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
 
@@ -970,9 +949,8 @@ def _trace_table(gram: GramSummary, m: int) -> TraceTable:
 def _table_values(gram: GramSummary, m: int) -> np.ndarray:
     # the (2M + 1) x (2M + 1) grid, with the Gram's leading axes
     ctx = _SeparatedSums(gram, m)
-    # the triple terms read the window sums that the quadruple term overwrites
-    triples = [ctx.triple_term(h) for h in range(m + 1)]
     quad = ctx.quad_term()
+    triples = [ctx.triple_term(h) for h in range(m + 1)]
     values = np.full(gram.raw.shape[:-2] + (2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):

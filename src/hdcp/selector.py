@@ -70,8 +70,11 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
     using separation order h itself: while h is still a candidate order,
     nearer index pairs cannot be trusted to be independent.
 
-    The orders run one after another. Each forms one n x n float64 array,
-    its window sums, which is freed before the next order starts.
+    The orders run one after another and share the Gram's lag-grid
+    products: order h takes only the 2h + 1 orbits with max(|a|, |b|) = h,
+    so the curve takes (h_max + 1)^2 O(n^2) products in all, and no order
+    forms an n x n array. The cost grows as h_max^2; ``default_h_max``
+    caps the depth at 10.
 
     Raises ``DimensionTooSmall`` before any order is probed when
     n < 3 h_max + 4, where the deepest order's separated sums are empty,

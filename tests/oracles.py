@@ -130,6 +130,20 @@ def _far(a, b, m):
     return np.abs(a - b) > m
 
 
+def naive_lag_product(G: np.ndarray, a: int, b: int) -> float:
+    """Sum of G[s + a, t] * G[s, t + b] over every (s, t), G zero outside its grid.
+
+    A literal double loop with an explicit bounds test per term.
+    """
+    n = G.shape[0]
+    total = 0.0
+    for s in range(n):
+        for t in range(n):
+            if 0 <= s + a < n and 0 <= t + b < n:
+                total += float(G[s + a, t]) * float(G[s, t + b])
+    return total
+
+
 def naive_t_est(x: np.ndarray, m: int, h1: int, h2: int) -> float:
     """Enumeration of the four separated sums over full O(n^4) index grids.
 

@@ -85,14 +85,18 @@ def test_default_probe_depth():
 
 
 def test_curve_memory_above_the_gram():
-    # one order at a time: its n x n window sums and the O(nM) band arrays
+    # no n x n array: the deepest order h holds its band arrays ((12 h + 3) n
+    # floats) and, while its triple term runs, the term's weights
+    # ((5 h + 1) n) and the plan's index arrays of the triple count's 2h
+    # overlap offsets (about 10 h n); about 278 n floats at h = 10
     n = 800
     series = as_series(np.random.default_rng(4).standard_normal((n, 10)) + 0.2)
-    compute_gram(series).row_prefix
+    h_max = default_h_max(n)
+    compute_gram(series)
     tracemalloc.start()
     try:
-        lag_energy_curve(series, default_h_max(n))
+        lag_energy_curve(series, h_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+    assert peak <= 32 * (h_max + 1) * n * 8, f"{peak / (n * 8):.0f} x n float64"

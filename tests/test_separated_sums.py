@@ -10,10 +10,13 @@ so a series far from mean zero, whose Gram has no small entries, is
 checked at the shortest lengths too, where the forbidden entries are most
 of the grid.
 
-The shared structures the sums read are checked bitwise: window sums as
-slice runs against the gather they replace, the cached (n, M) plan (cold
-against warm) and the Gram's row prefix.
+Every whole-grid sum is read from the Gram's lag-grid products
+A(a, b) = sum_{s,t} G[s + a, t] G[s, t + b], which are checked against a
+double loop, stored once per orbit and computed once per Gram. The cached
+(n, M) plan is checked bitwise, cold against warm.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +26,12 @@ from hdcp.core import DependenceWindow, GramSummary
 from hdcp.engine import (
     _plan,
     _SeparatedSums,
-    _window_diff,
-    _window_runs,
     build_trace_table,
     trace_product_estimate,
 )
 from hdcp.selector import default_h_max, lag_energy_curve
+
+from oracles import naive_lag_product
 
 ORDERS = (0, 1, 2, 3, 5)
 CASES = [(n, m) for m in ORDERS for n in sorted({2 * (m + 2), 2 * (m + 2) + 1, 17, 30})]
@@ -161,25 +164,6 @@ def _all_terms(gram: GramSummary, m: int):
     return _bits(terms)
 
 
-def test_window_diff_equals_the_gather():
-    # every n in 4..40 and M in 0..n+1: windows clipped at one end, at both
-    # ends, and wider than the series
-    rng = np.random.default_rng(9)
-    for n in range(4, 41):
-        cols = rng.standard_normal((3, n + 1)).cumsum(axis=1)
-        rows = rng.standard_normal((n + 1, 3)).cumsum(axis=0)
-        for m in range(n + 2):
-            idx = np.arange(n)
-            lo, hi = np.maximum(idx - m, 0), np.minimum(idx + m + 1, n)
-            runs = _window_runs(n, m)
-            assert len(runs) <= 3
-            by_cols = _window_diff(cols, runs, axis=1)
-            by_rows = _window_diff(rows, runs, axis=0)
-            assert by_cols.flags.c_contiguous and by_rows.flags.c_contiguous
-            assert by_cols.tobytes() == (cols[:, hi] - cols[:, lo]).tobytes(), (n, m)
-            assert by_rows.tobytes() == (rows[hi] - rows[lo]).tobytes(), (n, m)
-
-
 @pytest.mark.parametrize("n,m", [(30, 5), (200, 3), (34, 10)])
 def test_sums_plan_is_read_only_and_small(n, m):
     _all_terms(_gram(n, m), m)
@@ -240,22 +224,9 @@ def test_terms_do_not_depend_on_cached_plans():
         assert _all_terms(_gram(n, m), m) == cold[n, m], (n, m)
 
 
-def test_row_prefix_is_built_once_per_gram():
-    gram = _gram(30, 2)
-    assert "row_prefix" not in gram.__dict__
-    _SeparatedSums(gram, 2)
-    prefix = gram.__dict__["row_prefix"]
-    want = np.concatenate([np.zeros((30, 1)), np.cumsum(gram.raw, axis=1)], axis=1)
-    assert prefix.shape == (30, 31)
-    assert prefix.tobytes() == want.tobytes()
-    assert not prefix.flags.writeable
-    _SeparatedSums(gram, 3)
-    assert gram.row_prefix is prefix
-
-
 def test_lag_energy_curve_equals_fresh_contexts():
-    # the curve shares one row prefix across its orders; a fresh Gram per
-    # order builds its own
+    # the curve shares the Gram's lag-grid products across its orders; a
+    # fresh Gram per order computes its own
     values = np.random.default_rng(120).standard_normal((120, 30)) + 0.4
     series = as_series(values)
     h_max = default_h_max(series.n)
@@ -269,8 +240,8 @@ def test_lag_energy_curve_equals_fresh_contexts():
 
 @pytest.mark.parametrize("n,m", [(30, 2), (34, 10), (60, 3)])
 def test_terms_do_not_depend_on_their_order_in_one_workspace(n, m):
-    # the quadruple term overwrites the window sums that the triple terms
-    # read; one context, terms in a mixed order
+    # one context, terms in a mixed order, against a fresh context that
+    # takes the quadruple term first
     lags = range(-m, m + 1)
     gram = _gram(n, m)
     ctx = _SeparatedSums(gram, m)
@@ -311,3 +282,60 @@ def test_table_stores_the_terms_it_would_find_stored(n, m):
     stored = _term_bits(table_first)
     assert {key: stored[key] for key in before} == before
     assert _term_bits(table_last) == stored
+
+
+def _lag_keys(gram: GramSummary) -> list:
+    return sorted(key[1:] for key in gram.results if key[0] == "lag")
+
+
+@pytest.mark.parametrize("n,m", CASES + SHIFTED)
+def test_lag_products_match_enumeration(n, m):
+    gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7)
+    _all_terms(gram, m)
+    assert all(max(abs(a), abs(b)) <= m for a, b in _lag_keys(gram))
+    ctx = _SeparatedSums(gram, m)
+    for a in range(-m, m + 1):
+        for b in range(-m, m + 1):
+            orbit = [ctx.lag_product(*ab) for ab in ((a, b), (b, a), (-a, -b), (-b, -a))]
+            assert len({np.float64(v).tobytes() for v in orbit}) == 1, (a, b)
+            np.testing.assert_allclose(
+                orbit[0], naive_lag_product(gram.raw, a, b), rtol=1e-10, err_msg=f"A{a, b}"
+            )
+    # one stored product per orbit of the lags |a|, |b| <= M
+    assert len(_lag_keys(gram)) == (m + 1) ** 2
+
+
+def test_curve_computes_each_lag_product_once(monkeypatch):
+    # the curve to h_max reaches every orbit of |a|, |b| <= h_max once; a
+    # table at an order it probed reads them all from the Gram
+    computed = []
+    original = _SeparatedSums._lag_product
+
+    def counted(self, a, b):
+        computed.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(_SeparatedSums, "_lag_product", counted)
+    series = as_series(np.random.default_rng(91).standard_normal((90, 8)) + 0.3)
+    h_max = default_h_max(series.n)
+    lag_energy_curve(series, h_max)
+    assert len(computed) == (h_max + 1) ** 2
+    assert len(set(computed)) == len(computed)
+    gram = compute_gram(series)
+    for m in (0, 2, h_max):
+        build_trace_table(gram, DependenceWindow(m))
+    assert len(computed) == (h_max + 1) ** 2
+
+
+def test_trace_table_memory_above_the_gram():
+    # the table forms no n x n array, only O(nM) band arrays: at n = 800,
+    # M = 2 about 0.07 n^2 float64, so one n x n array would break the bound
+    n = 800
+    gram = compute_gram(as_series(np.random.default_rng(5).standard_normal((n, 10))))
+    tracemalloc.start()
+    try:
+        build_trace_table(gram, DependenceWindow(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n**2 * 8, f"{peak / (n**2 * 8):.3f} x n^2 float64"

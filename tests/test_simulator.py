@@ -307,26 +307,25 @@ def _traced_peak(design: SizePowerDesign) -> int:
 
 
 def test_run_size_power_memory_per_chunk(monkeypatch):
-    # The traced peak of a chunk run is set while the first triple term
-    # forms the window sums; a chunk of R then holds, beyond a chunk of
-    # one, R - 1 more of each per-replication array: the series (n p), its
-    # Gram slice (n^2), its row prefix (n (n + 1)), its window sums (n^2),
-    # its band arrays ((12 M + 3) n: the 6M + 1 diagonals and their
-    # 6M + 2 running sums), its n-long vectors (the Gram's row sums, the
-    # stored split curve and the triple term's own-window row: 3 n) and
-    # its Python objects (series, Gram summary, array headers and stored
-    # results: about 0.3 KB, counted as 1 KiB). At n = 100, p = 200,
-    # M = 2, R = 4 that is 1,277,472 bytes, and tracemalloc measured an
-    # excess of 1,249,354 to 1,249,531 bytes (numpy 2.4, Python 3.11). A
-    # chunk of one peaks about 22 KB higher, in the generator: a group's
-    # row sum and one more n p array (the next divided rows, or the
-    # product) sit beside the innovations and the result.
+    # The traced peak of a chunk run is set in the split curve, which holds
+    # one centered Gram per replication; the separated sums form no n x n
+    # array. A chunk of R then holds, beyond a chunk of one at that stage,
+    # R - 1 more of each per-replication array: the series (n p), its Gram
+    # slice (n^2), its centered Gram (n^2), the split curve's n-long
+    # vectors (the Gram's row sums, the centered row sums and their prefix,
+    # the diagonal, the block sums and the curve's terms: about 10 n) and
+    # its Python objects (series, Gram summary, array headers: counted as
+    # 1 KiB). At n = 100, p = 200, M = 2, R = 4 that is 987,072 bytes. A
+    # chunk of one peaks about 0.25 MB higher than its split curve, in the
+    # generator (a group's row sum and one more n p array sit beside the
+    # innovations and the result), so tracemalloc measured an excess of
+    # only 720,335 bytes (numpy 2.4, Python 3.11).
     n, p, m, chunk = 100, 200, 2, simulator._CHUNK
     design = SizePowerDesign(n=n, p=p, m_true=2, m_used=m, reps=2 * chunk, seed=20240812)
     peak = _traced_peak(design)
     monkeypatch.setattr(simulator, "_CHUNK", 1)
     single = _traced_peak(design)
-    floats = n * p + n * n + n * (n + 1) + n * n + (12 * m + 3) * n + 3 * n
+    floats = n * p + 2 * n * n + 10 * n
     bound = (chunk - 1) * (floats * 8 + 1024)
     assert peak <= single + bound, (peak, single)
 

@@ -469,9 +469,8 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 
 def cmd_detect(args) -> int:
     hasher = hashlib.sha256()
-    matrix = load_matrix(args.input, args.delimiter, hasher)
-    series = SeriesMatrix(matrix)
-    del matrix  # the series holds its own copy
+    # the series holds the parsed array itself: the input is held once
+    series = SeriesMatrix._adopt(load_matrix(args.input, args.delimiter, hasher))
 
     warnings: list[str] = []
     elbow_report = None

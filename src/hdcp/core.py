@@ -48,7 +48,9 @@ class SeriesMatrix:
     """n observations of dimension p, one observation per row, time-ordered.
 
     Entries must be finite and ``n >= 4``. The array is copied and made
-    read-only so instances are safe to share across workers.
+    read-only so instances are safe to share across workers, and the
+    caller's array is never aliased. ``_adopt`` holds a new array that
+    nothing else writes to, such as a parsed input, without that copy.
 
     A series keeps the Gram that :func:`hdcp.engine.compute_gram` built for
     it, so the Gram lives as long as the series. A proper segment cut by
@@ -62,18 +64,21 @@ class SeriesMatrix:
     _gram = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionTooSmall(f"expected a 2-D matrix, got ndim={arr.ndim}")
-        n, p = arr.shape
-        if n < 4:
-            raise DimensionTooSmall(f"need at least 4 time points, got n={n}")
-        if p < 1:
-            raise DimensionTooSmall("need at least one coordinate (p >= 1)")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise NonFiniteEntry(f"non-finite entry at row {i + 1}, column {j + 1}")
-        arr = arr.copy()
+        self._hold(_checked(np.asarray(self.values, dtype=np.float64)).copy())
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "SeriesMatrix":
+        """The series of ``arr`` itself, made read-only, not of a copy.
+
+        The checks and their messages are those of ``SeriesMatrix(arr)``.
+        Only for an array that nothing else writes to; a float64 array in
+        C order is held as it is.
+        """
+        series = object.__new__(cls)
+        series._hold(np.ascontiguousarray(_checked(np.asarray(arr, dtype=np.float64))))
+        return series
+
+    def _hold(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -104,6 +109,21 @@ class SeriesMatrix:
             raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi].copy()
             object.__setattr__(sub, "_gram", GramSummary.of(raw))
         return sub
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr``, after the checks every series passes: 2-D, n >= 4, p >= 1, finite."""
+    if arr.ndim != 2:
+        raise DimensionTooSmall(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    n, p = arr.shape
+    if n < 4:
+        raise DimensionTooSmall(f"need at least 4 time points, got n={n}")
+    if p < 1:
+        raise DimensionTooSmall("need at least one coordinate (p >= 1)")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise NonFiniteEntry(f"non-finite entry at row {i + 1}, column {j + 1}")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ full variance, regardless of p.
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
 serial correlation up to lag M. Both parts are invariant to a constant
-offset of the series, so both are read from the centered Gram, in float64
-and in one transient n x n array per curve. Its null variance involves the
+offset of the series, so both are read from the centered Gram, in float64,
+which is formed a block of rows at a time and never whole (see
+``_row_blocks``). Its null variance involves the
 unknown trace products tr{C(h1) C(h2)} of the lag-h autocovariances,
 estimated by a four-term U-statistic over index tuples forced to be more
 than M apart (``trace_product_estimate``).
@@ -24,8 +25,9 @@ built on its first read: the exact tuple counts of the separated sums
 (integers); the checked lag design ``F_matrix`` and the boundary weights
 of every split, which ``l_trace`` reads; and the cross-product table and
 squared mass of the aggregated contrast ``b_aggregate``, which
-``aggregate_variance`` reads. No part is n x n, since the n x n contrast
-is reduced before it is stored. So the global test of a series of a
+``aggregate_variance`` reads. No part is n x n, and the n x n contrast
+is never formed: its closed form is built and reduced a block of rows at
+a time. So the global test of a series of a
 seen length pays O(M^2) for its variance after the trace table, and the
 elbow's orders never build a lag design.
 
@@ -100,6 +102,10 @@ _COND_LIMIT = 1e12
 _PLAN_CACHE_SIZE = 32
 # entries per BLAS dot in ``_long_dot``
 _DOT_CHUNK = 8192
+# entries per Gram in one row block of an n x n array (256 KiB of float64):
+# ``_split_curve`` centers the Gram and ``_contrast_cross_products`` reduces
+# the aggregate contrast a block of rows at a time (see ``_row_blocks``)
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -312,10 +318,13 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     leading t x t block, the first t rows, and the whole matrix. They come
     from O(n) cumulative sums of the centered row sums and lower-triangle
     row sums, all float64; the lag design system is solved once. The
-    checked design and the boundary weights of all splits come from the
-    (n, M) plan, so only the first call for a shape builds them; the
-    plan's O(n^2 M^2) aggregate cross-products wait for
-    ``aggregate_variance``.
+    centered Gram is formed a block of at most ``_BLOCK_ENTRIES`` entries
+    per Gram at a time, so the curve adds no n x n array to the Gram, and
+    each row's sums are taken on that row alone, so the curve does not
+    depend on the block size. The checked design and the boundary weights
+    of all splits come from the (n, M) plan, so only the first call for a
+    shape builds them; the plan's O(n^2 M^2) aggregate cross-products wait
+    for ``aggregate_variance``.
 
     The curve is computed once per (Gram, M) and returned read-only.
     """
@@ -328,19 +337,26 @@ def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     plan = _plan(n, m)
     x = plan.design.solve(V_vector(gram, m))
 
-    # the centered Gram is this call's one n x n array per Gram; its upper
-    # triangle is zeroed in place once the full row sums and the diagonal
-    # are read
+    # The centered Gram, a block of rows at a time: each row's total, its
+    # diagonal entry and, once its upper part is zeroed, its strictly-lower
+    # sum. Each row's sums are taken on the row alone, so the curve does not
+    # depend on the block size.
     a = gram.row_sums / n
-    gc = gram.raw - a[..., None]
-    gc -= a[..., None, :]
-    gc += (a.sum(axis=-1) / n)[..., None, None]
+    mean_sq = (a.sum(axis=-1) / n)[..., None, None]
+    totals, diagonal, lower = (np.empty(a.shape, dtype=np.float64) for _ in range(3))
+    for lo, hi in _row_blocks(n):
+        gc = gram.raw[..., lo:hi, :] - a[..., lo:hi, None]
+        gc -= a[..., None, :]
+        gc += mean_sq
+        totals[..., lo:hi] = gc.sum(axis=-1)
+        diagonal[..., lo:hi] = np.diagonal(gc, lo, -2, -1)
+        gc *= np.tri(hi - lo, n, lo - 1, dtype=bool)
+        lower[..., lo:hi] = gc.sum(axis=-1)
+        del gc  # before the next block is built
     prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
-    np.cumsum(gc.sum(axis=-1), axis=-1, out=prefix[..., 1:])
-    diagonal = np.diagonal(gc, 0, -2, -1).copy()
-    gc *= np.tri(n, n, -1, dtype=bool)
+    np.cumsum(totals, axis=-1, out=prefix[..., 1:])
     # the leading block grows by row t's lower part twice plus gc[t, t]
-    block = np.cumsum(2 * gc.sum(axis=-1) + diagonal, axis=-1)
+    block = np.cumsum(2 * lower + diagonal, axis=-1)
     ptt = block[..., :-1]
     ptn = prefix[..., 1:n]
     # P[n, n] from the same running sum as P[t, n], so that their rounding
@@ -360,6 +376,13 @@ def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
     return curve
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """The row ranges [lo, hi) that cover an n x n array in blocks of
+    ``_BLOCK_ENTRIES`` entries, one row at least."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+
+
 def _contrast_block(n: int, t: int) -> np.ndarray:
     idx = np.arange(1, n + 1)
     le = (idx <= t).astype(np.float64)
@@ -373,16 +396,21 @@ def _contrast_block(n: int, t: int) -> np.ndarray:
 
 def _apply_lag_terms(B: np.ndarray, coeff: np.ndarray, n: int) -> None:
     # subtracts sum_h coeff[h] * {I(i-j==h) - (I(j>=h+1)+I(j<=n-h))/n + (n-h)/n^2}
-    j = np.arange(1, n + 1)
-    columns = np.zeros(n, dtype=np.float64)
-    for h in range(coeff.shape[0]):
-        c = coeff[h]
+    for h, c in enumerate(coeff):
         rows = np.arange(h, n)
         B[rows, rows - h] -= c
+    # every lag's column term in one pass over B
+    B += _lag_columns(coeff, n)
+
+
+def _lag_columns(coeff: np.ndarray, n: int) -> np.ndarray:
+    # sum_h coeff[h] * {(I(j>=h+1)+I(j<=n-h))/n - (n-h)/n^2}, for j = 1..n
+    j = np.arange(1, n + 1)
+    columns = np.zeros(n, dtype=np.float64)
+    for h, c in enumerate(coeff):
         col_term = ((j >= h + 1).astype(np.float64) + (j <= n - h)) / n
         columns += c * col_term - c * (n - h) / n**2
-    # every lag's column term in one pass over B
-    B += columns
+    return columns
 
 
 def b_matrix(n: int, t: int, window: DependenceWindow) -> np.ndarray:
@@ -414,22 +442,56 @@ def b_aggregate(n: int, window: DependenceWindow) -> np.ndarray:
 
 def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> np.ndarray:
     # the n x n aggregate contrast from the lag design and the split weights
-    g_sum = design.solve_transposed(weights.sum(axis=0))
-    harm = np.zeros(n, dtype=np.float64)
-    harm[1:] = np.cumsum(1.0 / np.arange(1, n))
-    k = np.arange(1, n + 1)
-    # the block terms at max(i, j) = k and at min(i, j) = k
-    upper = n * (harm[n - 1] - harm[k - 1]) - (n - k)
-    lower = n * (harm[n - 1] - harm[n - k]) - (k - 1)
-    # on and below the diagonal max(i, j) = i and the cross term is zero;
-    # above it max(i, j) = j, and -2(j - i) splits between the two. The
-    # upper triangle is written over row by row: B is the one n x n array.
-    B = np.add.outer(upper, lower)
-    above, below = lower + 2 * k, upper - 2 * k
-    for i in range(n - 1):
-        np.add(above[i], below[i + 1 :], out=B[i, i + 1 :])
-    _apply_lag_terms(B, g_sum, n)
-    return B
+    return _AggregateContrast(n, design, weights).rows(0, n)
+
+
+class _AggregateContrast:
+    """The n x n aggregate contrast B of ``b_aggregate``, any rows at a time.
+
+    Entry (i, j) is a block term in max(i, j) and min(i, j), less the lag
+    coefficient g[h] on the diagonal i - j = h <= M, plus a column term, so
+    ``rows`` builds any rows of B, or of its transpose, from O(n) vectors.
+    Each entry takes the same operations whichever rows are asked for.
+    """
+
+    def __init__(self, n: int, design: DependenceDesign, weights: np.ndarray):
+        self.shape = (n, n)
+        self.g = design.solve_transposed(weights.sum(axis=0))
+        harm = np.zeros(n, dtype=np.float64)
+        harm[1:] = np.cumsum(1.0 / np.arange(1, n))
+        k = np.arange(1, n + 1)
+        # the block terms at max(i, j) = k and at min(i, j) = k: on and below
+        # the diagonal max(i, j) = i and the cross term is zero; above it
+        # max(i, j) = j, and -2(j - i) splits between the two
+        self.upper = n * (harm[n - 1] - harm[k - 1]) - (n - k)
+        self.lower = n * (harm[n - 1] - harm[n - k]) - (k - 1)
+        self.above, self.below = self.lower + 2 * k, self.upper - 2 * k
+        self.columns = _lag_columns(self.g, n)
+
+    def rows(self, lo: int, hi: int, transposed: bool = False) -> np.ndarray:
+        """``B[lo:hi]``, or ``B.T[lo:hi]`` when ``transposed``, as a new array.
+
+        Built row by row, each row in place: the block is the one array of
+        this call, with no broadcast buffers beside it.
+        """
+        n = self.shape[0]
+        g = self.g
+        out = np.empty((hi - lo, n), dtype=np.float64)
+        for r in range(lo, hi):
+            row = out[r - lo]
+            if transposed:  # column r of B: B[j, r] for j < r is above the diagonal
+                np.add(self.below[r], self.above[:r], out=row[:r])
+                np.add(self.lower[r], self.upper[r:], out=row[r:])
+                k = min(g.shape[0], n - r)
+                row[r : r + k] -= g[:k]  # B[r + h, r] -= g[h]
+                row += self.columns[r]
+            else:
+                np.add(self.upper[r], self.lower[: r + 1], out=row[: r + 1])
+                np.add(self.above[r], self.below[r + 1 :], out=row[r + 1 :])
+                k = min(g.shape[0], r + 1)
+                row[r + 1 - k : r + 1] -= g[k - 1 :: -1]  # B[r, r - h] -= g[h]
+                row += self.columns
+        return out
 
 
 def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,9 +557,9 @@ class _ShapePlan:
       shape (n - 1, M + 1));
     - for ``aggregate_variance``, ``cross``, the aggregate contrast's
       (2M + 1) x (2M + 1) cross-products, and ``mass``, the sum of its
-      squared entries. They cost O(n^2 M^2); the n x n aggregate contrast
-      is the one n x n array of that build (its upper triangle is written
-      over in place) and is dropped once reduced.
+      squared entries. They cost O(n^2 M^2). The n x n aggregate contrast
+      is never formed: its closed form gives a block of rows at a time,
+      with an M-row halo, and the matching rows of its transpose.
 
     So the elbow's orders, which read only the separated sums, never
     build a lag design.
@@ -580,11 +642,10 @@ class _ShapePlan:
 
     @functools.cached_property
     def _contrast(self) -> tuple[np.ndarray, float]:
-        B = _aggregate_values(self.n, self.design, self.weights)
-        mass = float(np.einsum("ij,ij->", B, B))
+        B = _AggregateContrast(self.n, self.design, self.weights)
         cross = _contrast_cross_products(B, self.m)
         cross.flags.writeable = False
-        return cross, mass
+        return cross, _contrast_mass(B)
 
     @property
     def cross(self) -> np.ndarray:
@@ -1007,11 +1068,11 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
 
 
 def _shift_dot(src: np.ndarray, dst: np.ndarray, dr: int, dc: int) -> float:
-    # sum over i, j of src[i, j] * dst[i + dr, j + dc], zero outside the grid;
-    # einsum reads the strided slices in place; np.vdot would copy both and
-    # run threaded BLAS
-    n = src.shape[0]
-    r0, r1 = max(0, -dr), n - max(0, dr)
+    # sum over i, j of src[i, j] * dst[i + dr, j + dc], zero outside dst's
+    # rows and outside the columns; einsum reads the strided slices in
+    # place; np.vdot would copy both and run threaded BLAS
+    n = src.shape[1]
+    r0, r1 = max(0, -dr), min(src.shape[0], dst.shape[0] - dr)
     c0, c1 = max(0, -dc), n - max(0, dc)
     if r0 >= r1 or c0 >= c1:
         return 0.0
@@ -1020,15 +1081,47 @@ def _shift_dot(src: np.ndarray, dst: np.ndarray, dr: int, dc: int) -> float:
     )
 
 
-def _contrast_cross_products(values: np.ndarray, m: int) -> np.ndarray:
-    """For each lag pair, sum_{i,j} B(i,j) {B(i+h2, j-h1) + B(j-h1, i+h2)}."""
+def _contrast_rows(values, lo: int, hi: int, transposed: bool = False) -> np.ndarray:
+    # rows lo:hi of the contrast B, or of B.T, C-ordered; B is an n x n array
+    # or the closed form of the aggregate contrast
+    if isinstance(values, _AggregateContrast):
+        return values.rows(lo, hi, transposed)
+    return np.ascontiguousarray((values.T if transposed else values)[lo:hi])
+
+
+def _contrast_cross_products(values, m: int) -> np.ndarray:
+    """For each lag pair, sum_{i,j} B(i,j) {B(i+h2, j-h1) + B(j-h1, i+h2)}.
+
+    ``values`` is the n x n contrast B, or an ``_AggregateContrast``. B is
+    read a row block at a time (``_row_blocks``): the block's rows with M
+    rows either side, of B and of B.T, so no further n x n array is formed
+    and B.T is read in row order. The sums depend only on B's entries, so the
+    array and the closed form of one contrast give the same bits.
+    """
+    n = values.shape[0]
     out = np.zeros((2 * m + 1, 2 * m + 1), dtype=np.float64)
-    for h1 in range(-m, m + 1):
-        for h2 in range(-m, m + 1):
-            out[h1 + m, h2 + m] = _shift_dot(values, values, h2, -h1) + _shift_dot(
-                values, values.T, h2, -h1
-            )
+    for lo, hi in _row_blocks(n):
+        e0, e1 = max(0, lo - m), min(n, hi + m)
+        rows, cols = _contrast_rows(values, e0, e1), _contrast_rows(values, e0, e1, True)
+        own = rows[lo - e0 : hi - e0]
+        for h1 in range(-m, m + 1):
+            for h2 in range(-m, m + 1):
+                dr = lo - e0 + h2
+                out[h1 + m, h2 + m] += _shift_dot(own, rows, dr, -h1) + _shift_dot(
+                    own, cols, dr, -h1
+                )
+        del rows, cols, own  # before the next block is built
     return out
+
+
+def _contrast_mass(values) -> float:
+    # the sum of B's squared entries, a row block at a time
+    mass = 0.0
+    for lo, hi in _row_blocks(values.shape[0]):
+        rows = _contrast_rows(values, lo, hi)
+        mass += float(np.einsum("ij,ij->", rows, rows))
+        del rows  # before the next block is built
+    return mass
 
 
 def _floored_variance(
@@ -1059,7 +1152,7 @@ def variance_estimate(B: np.ndarray, table: TraceTable) -> VarianceResult:
     downstream tests report non-rejection.
     """
     cross = _contrast_cross_products(B, table.m)
-    return _floored_variance(cross, float((B**2).sum()), table, B.shape[0])
+    return _floored_variance(cross, _contrast_mass(B), table, B.shape[0])
 
 
 def aggregate_variance(table: TraceTable, n: int) -> VarianceResult:

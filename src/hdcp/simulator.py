@@ -284,6 +284,10 @@ def generate_series(
     behavior. A given ``model`` supplies the means, so it must match
     ``spec``'s (n, p) and, when ``profile`` is passed too, that profile's
     mean matrix; otherwise ``ValueError`` is raised.
+
+    The means are added into the first product's array, which the series
+    then holds itself (``SeriesMatrix._adopt``), so no n x p array is
+    copied.
     """
     if model is None:
         model = build_coefficients(spec, profile)
@@ -302,7 +306,7 @@ def generate_series(
     def rows(lag: int) -> np.ndarray:
         return eps[burn - lag : burn - lag + spec.n]
 
-    x = model.means.copy()
+    x = None
     for q, lags in model.groups:
         (l, d), *rest = lags
         # a lone lag of divisor 1 is used as drawn, so its product is eps @ q.T;
@@ -310,8 +314,14 @@ def generate_series(
         summed = rows(l) if not rest and d == 1 else rows(l) / d
         for l, d in rest:
             summed += rows(l) if d == 1 else rows(l) / d
-        x += summed @ q.T
-    return SeriesMatrix(x)
+        product = summed @ q.T
+        if x is None:  # the first product's array becomes the series
+            x = np.add(model.means, product, out=product)
+        else:
+            x += product
+    if x is None:  # a model without coefficient groups is its means
+        x = model.means.copy()
+    return SeriesMatrix._adopt(x)  # x is this call's own array
 
 
 def _innovations(spec: ProcessParams, rows: int, seed) -> np.ndarray:

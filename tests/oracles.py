@@ -126,6 +126,54 @@ def outer_aggregate_values(n: int, design, weights: np.ndarray) -> np.ndarray:
     return B
 
 
+def one_array_split_curve(gram, m: int) -> np.ndarray:
+    """``engine._split_curve`` from the whole centered Gram as one n x n array.
+
+    The Gram is centered in one piece per Gram, its row totals and diagonal
+    read, and its upper triangle zeroed through an n x n mask. The engine,
+    which centers a block of rows at a time, must match this bitwise.
+    """
+    n = gram.n
+    plan = engine._plan(n, m)
+    x = plan.design.solve(V_vector(gram, m))
+    a = gram.row_sums / n
+    gc = gram.raw - a[..., None]
+    gc -= a[..., None, :]
+    gc += (a.sum(axis=-1) / n)[..., None, None]
+    prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
+    np.cumsum(gc.sum(axis=-1), axis=-1, out=prefix[..., 1:])
+    diagonal = np.diagonal(gc, 0, -2, -1).copy()
+    gc *= np.tri(n, n, -1, dtype=bool)
+    block = np.cumsum(2 * gc.sum(axis=-1) + diagonal, axis=-1)
+    ptt = block[..., :-1]
+    ptn = prefix[..., 1:n]
+    pnn = prefix[..., n:]
+    t = np.arange(1, n, dtype=np.float64)
+    nt = n - t
+    n2 = float(n) ** 2
+    term1 = (nt / (t * n2)) * ptt - (2.0 / n2) * (ptn - ptt) + (t / (nt * n2)) * (pnn - 2 * ptn + ptt)
+    return term1 - (plan.weights @ x[..., None])[..., 0] / n
+
+
+def dense_cross_products(B: np.ndarray, m: int) -> np.ndarray:
+    """``engine._contrast_cross_products`` as one einsum per lag pair over all of B.
+
+    Entry (h1, h2) sums B(i, j) {B(i + h2, j - h1) + B(j - h1, i + h2)}
+    over the whole grid, zero outside it, with B.T read in place.
+    """
+    n = B.shape[0]
+    out = np.zeros((2 * m + 1, 2 * m + 1))
+    for h1 in range(-m, m + 1):
+        for h2 in range(-m, m + 1):
+            r0, r1 = max(0, -h2), n - max(0, h2)
+            c0, c1 = max(0, h1), n - max(0, -h1)
+            for other in (B, B.T):
+                out[h1 + m, h2 + m] += np.einsum(
+                    "ij,ij->", B[r0:r1, c0:c1], other[r0 + h2 : r1 + h2, c0 - h1 : c1 - h1]
+                )
+    return out
+
+
 def _far(a, b, m):
     return np.abs(a - b) > m
 

@@ -486,6 +486,27 @@ def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, m
     assert err == "data error: min_segment_len=3 below the feasibility floor 2(M+2)=8\n"
 
 
+def test_detect_series_holds_the_parsed_array(change_file, tmp_path, monkeypatch):
+    # the input is held once: the series is the parsed array, not a copy
+    parsed, series = [], []
+    compute_gram = cli.compute_gram
+
+    def loaded(*args):
+        parsed.append(load_matrix(*args))
+        return parsed[-1]
+
+    def gram_of(s):
+        series.append(s)
+        return compute_gram(s)
+
+    monkeypatch.setattr(cli, "load_matrix", loaded)
+    monkeypatch.setattr(cli, "compute_gram", gram_of)
+    code = main(["detect", "--input", str(change_file), "--m", "1", "--output", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+    assert len(parsed) == len(series) == 1
+    assert np.shares_memory(series[0].values, parsed[0])
+
+
 _SIZE = "design = size_power\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
 _MULTI = "design = multi_cp\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
 _BOUNDARY = ("design = boundary_curve\nn = 40\np = 20\nm_true = 0\nm_used = 0\n"

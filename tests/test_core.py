@@ -58,6 +58,34 @@ def test_series_values_are_read_only():
         series.values[0, 0] = 5.0
 
 
+def test_series_copies_the_callers_array():
+    arr = np.random.default_rng(1).standard_normal((6, 3))
+    series = SeriesMatrix(arr)
+    assert not np.shares_memory(series.values, arr)
+    assert arr.flags.writeable
+    arr[0, 0] = 7.0
+    assert series.values[0, 0] != 7.0
+
+
+def test_adopted_series_holds_the_array_itself():
+    arr = np.random.default_rng(2).standard_normal((6, 3))
+    series = SeriesMatrix._adopt(arr)
+    assert series.values is arr and not arr.flags.writeable
+    np.testing.assert_array_equal(series.values, SeriesMatrix(arr).values)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (np.ones(8), DimensionTooSmall, "expected a 2-D matrix, got ndim=1"),
+    (np.ones((3, 2)), DimensionTooSmall, "need at least 4 time points, got n=3"),
+    (np.ones((4, 0)), DimensionTooSmall, r"need at least one coordinate \(p >= 1\)"),
+    (np.where(np.eye(5, 3) > 0, np.inf, 1.0), NonFiniteEntry, "non-finite entry at row 1, column 1"),
+])
+def test_adopt_checks_as_the_constructor_does(bad, error, message):
+    for build in (SeriesMatrix, SeriesMatrix._adopt):
+        with pytest.raises(error, match=f"^{message}$"):
+            build(bad.copy())
+
+
 def test_window_bounds():
     w = DependenceWindow(2)
     assert w.min_length() == 8

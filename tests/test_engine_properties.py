@@ -21,8 +21,9 @@ from hdcp import (
     variance_estimate,
 )
 from hdcp import engine
+from hdcp.core import GramSummary
 from hdcp.engine import _plan
-from oracles import outer_aggregate_values
+from oracles import dense_cross_products, one_array_split_curve, outer_aggregate_values
 
 
 def _window_for(n):
@@ -134,8 +135,9 @@ def test_l_trace_offset_invariant(n, p, shift, rtol):
 
 
 def test_l_trace_memory_above_the_gram():
-    # the centered Gram is the curve's one n x n array; its upper triangle
-    # is zeroed through a bool mask of n^2 bytes
+    # the Gram is centered a block of rows at a time, so no n x n array is
+    # formed: 0.08 x n^2 float64 here; the whole centered Gram and its
+    # n^2 bool mask peaked at 1.15
     n = 800
     gram = compute_gram(as_series(np.random.default_rng(6).standard_normal((n, 10)) + 0.2))
     tracemalloc.start()
@@ -144,7 +146,28 @@ def test_l_trace_memory_above_the_gram():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+    assert peak <= 0.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+# the n at which the centered Gram is one block of rows exactly
+_BLOCK_ROWS = int(np.sqrt(engine._BLOCK_ENTRIES))
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 800])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_split_curve_is_bitwise_the_one_array_curve(n, stacked):
+    # each row's sums are taken on the row alone, so the row blocks do not
+    # change a bit of the curve; under a +50 offset the centering cancels
+    # hardest
+    assert len(engine._row_blocks(n)) == (1 if n <= _BLOCK_ROWS else 2 if n < 800 else 20)
+    rng = np.random.default_rng(n)
+    grams = [compute_gram(as_series(rng.standard_normal((n, 12)) + 50.0)) for _ in range(3)]
+    gram = GramSummary.of(np.stack([g.raw for g in grams])) if stacked else grams[0]
+    got = engine._split_curve(gram, 2)
+    assert got.tobytes() == one_array_split_curve(gram, 2).tobytes()
+    if stacked:
+        for g, curve in zip(grams, got):
+            assert curve.tobytes() == l_trace(g, DependenceWindow(2)).tobytes()
 
 
 def _traced_peak(compute, *args):
@@ -200,9 +223,32 @@ def test_aggregate_values_is_bitwise_the_outer_formula(n, m):
 
 
 def test_aggregate_values_memory():
-    # the upper triangle is written over in place: 1.03 x n^2 float64
-    # here; a second outer sum and an n^2 bool mask peaked at 2.16
+    # each row is built in place: 1.01 x n^2 float64 here; a second outer
+    # sum and an n^2 bool mask peaked at 2.16
     n = 800
     plan = _plan(n, 2)
     peak = _traced_peak(engine._aggregate_values, n, plan.design, plan.weights)
     assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+def test_cold_plan_cross_products_memory():
+    # the aggregate contrast is built and reduced a block of rows at a time,
+    # so no n x n array is formed: 0.12 x n^2 float64 here; the whole
+    # contrast peaked at 1.04
+    n = 800
+    _plan.cache_clear()
+    peak = _traced_peak(lambda: _plan(n, 2).cross)
+    assert peak <= 0.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+@pytest.mark.parametrize("n, m", [(800, 2), (800, 10), (301, 3)])
+def test_plan_cross_products_are_bitwise_the_full_contrast_reducer(n, m):
+    # the closed form's row blocks hold B's entries bit for bit, and both go
+    # through the one reducer; the dense loop over all of B agrees to
+    # rounding. n = 800 is 20 blocks of 40 rows, n = 301 is 108 + 108 + 85.
+    B = b_aggregate(n, DependenceWindow(m))
+    plan = _plan(n, m)
+    assert plan.cross.tobytes() == engine._contrast_cross_products(B, m).tobytes()
+    assert plan.mass == engine._contrast_mass(B)
+    np.testing.assert_allclose(plan.cross, dense_cross_products(B, m), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(plan.mass, float(np.einsum("ij,ij->", B, B)), rtol=1e-13)

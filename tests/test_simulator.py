@@ -79,6 +79,8 @@ def test_zero_coefficients_reproduce_means_exactly():
     spec = LinearProcessSpec(n=12, p=4, m_true=0, seed=2)
     x = generate_series(spec, profile, model=model)
     np.testing.assert_array_equal(x.values, means)
+    # the series holds its own array: the model's means stay apart and writeable
+    assert not np.shares_memory(x.values, means) and means.flags.writeable
 
 
 @pytest.mark.parametrize("innovation", ["gaussian", "student_t"])
@@ -319,7 +321,7 @@ def test_run_size_power_memory_per_chunk(monkeypatch):
     # chunk of one peaks about 0.25 MB higher than its split curve, in the
     # generator (a group's row sum and one more n p array sit beside the
     # innovations and the result), so tracemalloc measured an excess of
-    # only 720,335 bytes (numpy 2.4, Python 3.11).
+    # only 702,093 bytes (numpy 2.4, Python 3.11).
     n, p, m, chunk = 100, 200, 2, simulator._CHUNK
     design = SizePowerDesign(n=n, p=p, m_true=2, m_used=m, reps=2 * chunk, seed=20240812)
     peak = _traced_peak(design)

@@ -66,8 +66,6 @@ from .simulator import (
     generate_series,
     mean_matrix,
     null_profile,
-    oracle_mean_l,
-    oracle_variance,
     run_boundary_curve,
     run_elbow_curve,
     run_multi_cp,

@@ -1,4 +1,4 @@
-"""Seeded synthetic data, exact small-scale oracles, and experiment runners.
+"""Seeded synthetic data and experiment runners.
 
 Data come from a multivariate linear process: each observation adds a mean
 vector to a moving average of i.i.d. innovations over lags 0..M+2, with
@@ -32,14 +32,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .core import DependenceWindow, SeriesMatrix, TestOutcome
-from .engine import (
-    F_matrix,
-    _contrast_cross_products,
-    b_aggregate,
-    b_matrix,
-    f_vector,
-    prepare_global,
-)
+from .engine import prepare_global
 from .inference import InferenceConfig, binary_segmentation, classify_errors, estimate_single, test_global
 from .selector import LagEnergyCurve, lag_energy_curve, select_m
 
@@ -67,9 +60,10 @@ class ProcessParams:
     - ``rho`` (0.6): Toeplitz coefficient decay rho^|i-j|, in (0, 1);
     - ``perturb_sparsity`` (0.05): share of nonzero entries per row of the
       sparse matrix at the two trailing lags, in [0, 1];
-    - ``perturb_scale`` (0.05): upper end of those entries' uniform draws;
+    - ``perturb_scale`` (0.05): upper end of those entries' uniform draws,
+      finite and nonnegative;
     - ``innovation`` ("gaussian"): or "student_t", scaled to unit variance;
-    - ``t_dof`` (8.0): Student-t degrees of freedom, above 2;
+    - ``t_dof`` (8.0): Student-t degrees of freedom, finite and above 2;
     - ``seed`` (0): nonnegative master seed of every random stream.
     """
 
@@ -89,10 +83,14 @@ class ProcessParams:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not 0.0 <= self.perturb_sparsity <= 1.0:
             raise ValueError("perturb_sparsity must be in [0, 1]")
+        if not 0.0 <= self.perturb_scale < math.inf:
+            raise ValueError(
+                f"perturb_scale must be finite and nonnegative, got {self.perturb_scale}"
+            )
         if self.innovation not in ("gaussian", "student_t"):
             raise ValueError(f"unknown innovation {self.innovation!r}")
-        if self.innovation == "student_t" and self.t_dof <= 2:
-            raise ValueError("student_t innovations need t_dof > 2 for unit variance")
+        if self.innovation == "student_t" and not 2.0 < self.t_dof < math.inf:
+            raise ValueError(f"student_t innovations need a finite t_dof > 2, got {self.t_dof}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -119,7 +117,7 @@ class MeanProfile:
     pattern on ``support_size`` coordinates (default floor(p^0.7)) drawn
     without replacement. Each regime draws its own support and signs from
     the ``sign_seed`` stream, so distinct nonzero regimes are nearly
-    orthogonal mean vectors.
+    orthogonal mean vectors. Every magnitude must be finite.
     """
 
     change_points: tuple[int, ...] = ()
@@ -136,8 +134,11 @@ class MeanProfile:
                 f"need {len(cps) + 1} regime deltas for {len(cps)} change points, "
                 f"got {len(self.deltas)}"
             )
+        deltas = tuple(float(d) for d in self.deltas)
+        if not all(math.isfinite(d) for d in deltas):
+            raise ValueError(f"regime deltas must be finite, got {deltas}")
         object.__setattr__(self, "change_points", cps)
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        object.__setattr__(self, "deltas", deltas)
 
     def check_within(self, n: int) -> None:
         for cp in self.change_points:
@@ -179,77 +180,45 @@ def mean_matrix(profile: Optional[MeanProfile], n: int, p: int) -> np.ndarray:
 
 @dataclass
 class OracleModel:
-    """Exactly known generating process: coefficients, autocovariances, means.
+    """Exactly known generating process: coefficient matrices and means.
 
-    ``qs[l]`` is the lag-l coefficient matrix (None marks an all-zero one).
     ``groups`` holds each distinct coefficient matrix once, as
     ``(matrix, ((lag, divisor), ...))``: lag l's coefficient is the matrix
-    divided by the divisor. The generator takes one product per group;
-    without ``groups`` each non-None ``qs[l]`` is a group of its own, with
-    divisor 1. Autocovariances, read from ``qs``, vanish beyond lag
-    ``m_true + 2`` and are cached on first use; ``C(-h)`` equals ``C(h)``
-    transposed.
+    divided by the divisor, and a lag in no group has a zero coefficient.
+    The generator takes one product per group. ``lag_support``, m_true + 2,
+    is the largest lag a group may name: the generator draws that many
+    pre-sample innovations, and the process's autocovariances vanish
+    beyond it.
     """
 
     n: int
     p: int
     m_true: int
-    qs: tuple[Optional[np.ndarray], ...]
     means: np.ndarray
-    groups: Optional[tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]] = None
-    _cov_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.groups is None:
-            self.groups = tuple((q, ((l, 1),)) for l, q in enumerate(self.qs) if q is not None)
+    groups: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]
 
     @property
     def lag_support(self) -> int:
         return self.m_true + 2
 
-    def autocovariance(self, h: int) -> np.ndarray:
-        if abs(h) > self.lag_support:
-            return np.zeros((self.p, self.p))
-        if h not in self._cov_cache:
-            if h < 0:
-                self._cov_cache[h] = self.autocovariance(-h).T
-            else:
-                acc = np.zeros((self.p, self.p))
-                for l, q in enumerate(self.qs):
-                    mate = self.qs[l + h] if l + h < len(self.qs) else None
-                    if q is None or mate is None:
-                        continue
-                    acc += q @ mate.T
-                self._cov_cache[h] = acc
-        return self._cov_cache[h]
-
-    def trace_product(self, h1: int, h2: int) -> float:
-        if abs(h1) > self.lag_support or abs(h2) > self.lag_support:
-            return 0.0
-        return float(np.sum(self.autocovariance(h1) * self.autocovariance(h2).T))
-
 
 def build_coefficients(
     spec: LinearProcessSpec, profile: Optional[MeanProfile] = None
 ) -> OracleModel:
-    """Construct the coefficient matrices, autocovariance model, and means.
+    """Construct the coefficient matrices and means.
 
     Lags 0..m_true get the Toeplitz matrices rho^|i-j| / (m_true - l + 1);
     the two trailing lags share one sparse random matrix (zero when
     m_true = 0, which makes the sequence independent). Each row of the
-    sparse matrix draws its own support. The model holds m_true + 1
-    Toeplitz matrices (lag m_true's is rho^|i-j| itself) and, for
-    m_true > 0, the sparse one, in two groups: rho^|i-j| with divisors
-    m_true + 1 .. 1, and the sparse matrix with divisor 1 at both lags.
+    sparse matrix draws its own support. The model holds rho^|i-j| and,
+    for m_true > 0, the sparse matrix, each once, in two groups:
+    rho^|i-j| with divisors m_true + 1 .. 1, and the sparse matrix with
+    divisor 1 at both trailing lags.
     """
     p, m = spec.p, spec.m_true
     decay = spec.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    lags = tuple((l, m - l + 1) for l in range(m + 1))
-    qs: list[Optional[np.ndarray]] = [decay / d for _, d in lags[:-1]] + [decay]
-    groups = [(decay, lags)]
-    if m == 0:
-        qs += [None, None]
-    else:
+    groups = [(decay, tuple((l, m - l + 1) for l in range(m + 1)))]
+    if m > 0:
         rng = _rng(spec.seed, _STREAM_COEFF)
         nnz = int(math.floor(spec.perturb_sparsity * p))
         perturb = np.zeros((p, p))
@@ -257,12 +226,9 @@ def build_coefficients(
             for row in range(p):
                 cols = rng.choice(p, size=nnz, replace=False)
                 perturb[row, cols] = rng.uniform(0.0, spec.perturb_scale, size=nnz)
-        qs += [perturb, perturb]
         groups.append((perturb, ((m + 1, 1), (m + 2, 1))))
     means = mean_matrix(profile, spec.n, spec.p)
-    return OracleModel(
-        n=spec.n, p=spec.p, m_true=m, qs=tuple(qs), means=means, groups=tuple(groups)
-    )
+    return OracleModel(n=spec.n, p=spec.p, m_true=m, means=means, groups=tuple(groups))
 
 
 def generate_series(
@@ -331,58 +297,6 @@ def _innovations(spec: ProcessParams, rows: int, seed) -> np.ndarray:
     if spec.innovation == "gaussian":
         return rng.standard_normal(shape)
     return rng.standard_t(spec.t_dof, size=shape) / math.sqrt(spec.t_dof / (spec.t_dof - 2.0))
-
-
-def oracle_mean_l(t: int, model: OracleModel, window: DependenceWindow) -> float:
-    """Expected split statistic at t under the model, leading terms only.
-
-    Evaluates the mean contrast of the two halves minus the lag correction
-    applied to the demeaned mean products. Zero for all t under a constant
-    mean; under a single change it is maximized exactly at the change point.
-    """
-    n = model.n
-    mu = model.means
-    diff = mu[:t].mean(axis=0) - mu[t:].mean(axis=0)
-    term1 = t * (n - t) / n**2 * float(diff @ diff)
-    dev = mu - mu.mean(axis=0)
-    m = window.m
-    v_b = np.array(
-        [float(np.sum(dev[: n - k] * dev[k:])) / n for k in range(m + 1)]
-    )
-    design = F_matrix(n, m)
-    term2 = float(f_vector(n, t, m) @ design.solve(v_b)) / n
-    return term1 - term2
-
-
-def oracle_variance(
-    t: int | Literal["aggregate"], model: OracleModel, window: DependenceWindow
-) -> float:
-    """Exact leading-order variance of the split statistic (or of the sum).
-
-    Combines the trace term over the lag window with the mean-dependent
-    term over every lag the generator supports, using zero-extended
-    contrast lookups. With Gaussian innovations and a generator whose
-    dependence dies inside the window this is the exact variance.
-    """
-    n, m = model.n, window.m
-    B = b_aggregate(n, window) if t == "aggregate" else b_matrix(n, int(t), window)
-    cross = _contrast_cross_products(B, m)
-    trace_term = 0.0
-    for h1 in range(-m, m + 1):
-        for h2 in range(-m, m + 1):
-            trace_term += cross[h1 + m, h2 + m] * model.trace_product(h1, h2)
-
-    mean_term = 0.0
-    if np.any(model.means):
-        mu = model.means
-        r = B + B.T
-        support = min(model.lag_support, n - 1)
-        for h in range(-support, support + 1):
-            r0, r1 = max(0, -h), n - max(0, h)
-            lag_products = r[r0:r1].T @ r[r0 + h : r1 + h]
-            weights = mu @ model.autocovariance(h) @ mu.T
-            mean_term += float(np.sum(lag_products * weights))
-    return (trace_term + mean_term) / float(n) ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +542,10 @@ class BoundaryDesign(LinearProcessSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_run(self.reps, "m_used", self.m_used, self.n, 2 * self.m_used + 4)
-        single_change_profile(self.tau, 0.0).check_within(self.n)
         if not self.deltas:
             raise ValueError("deltas needs at least one value")
+        for delta in self.deltas:
+            single_change_profile(self.tau, delta).check_within(self.n)
 
 
 @dataclass(frozen=True)

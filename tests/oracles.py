@@ -3,7 +3,9 @@
 Everything here recomputes the statistics from first principles: explicit
 loops, literal index enumeration, and plain matrix inverses. These are the
 oracles the optimized Gram-based engine is tested against; they must stay
-independent of the implementation paths they check.
+independent of the implementation paths they check. The process oracles
+(``coefficients`` through ``oracle_variance``) give the exact moments of a
+``simulator.OracleModel``, read from its coefficient groups.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import numpy as np
 
 from hdcp import DependenceWindow, as_series, compute_gram, engine, simulator
 from hdcp import (
+    F_matrix,
     V_vector,
     b_aggregate,
     b_matrix,
     build_trace_table,
+    f_vector,
     l_trace,
     trace_product_estimate,
     variance_estimate,
@@ -270,20 +274,112 @@ def naive_variance(B: np.ndarray, table, n: int, m: int) -> float:
     return total / n**4
 
 
+def coefficients(model) -> list:
+    """Q_0 .. Q_{lag_support} of a ``simulator.OracleModel``, one matrix per lag.
+
+    Lag l's matrix is its group's matrix over the lag's divisor, a new
+    array for every lag, even where lags share a group; None marks a lag
+    in no group, whose coefficient is zero.
+    """
+    qs = [None] * (model.lag_support + 1)
+    for matrix, lags in model.groups:
+        for l, d in lags:
+            qs[l] = matrix / d
+    return qs
+
+
 def per_lag_series(spec, model, seed=None) -> np.ndarray:
     """x_t = mu_t + sum_l Q_l eps_{t-l}, one product per lag ``l``.
 
     The innovations are those ``generate_series`` draws for ``seed``; each
-    non-None ``model.qs[l]`` takes its own product, however many lags share
-    a matrix.
+    non-None ``coefficients(model)[l]`` takes its own product, however many
+    lags share a matrix.
     """
     burn = model.lag_support
     eps = simulator._innovations(spec, spec.n + burn, spec.seed if seed is None else seed)
     x = model.means.copy()
-    for l, q in enumerate(model.qs):
+    for l, q in enumerate(coefficients(model)):
         if q is not None:
             x += eps[burn - l : burn - l + spec.n] @ q.T
     return x
+
+
+def autocovariance(model, h: int) -> np.ndarray:
+    """C(h) = sum_l Q_l Q_{l+h}^T of the model's unit-variance process.
+
+    C(h) vanishes beyond the model's lag support, and C(-h) is C(h)
+    transposed.
+    """
+    if abs(h) > model.lag_support:
+        return np.zeros((model.p, model.p))
+    if h < 0:
+        return autocovariance(model, -h).T
+    qs = coefficients(model)
+    acc = np.zeros((model.p, model.p))
+    for l, q in enumerate(qs):
+        mate = qs[l + h] if l + h < len(qs) else None
+        if q is None or mate is None:
+            continue
+        acc += q @ mate.T
+    return acc
+
+
+def trace_product(model, h1: int, h2: int) -> float:
+    """tr{C(h1) C(h2)}, the quantity the trace table estimates."""
+    if abs(h1) > model.lag_support or abs(h2) > model.lag_support:
+        return 0.0
+    return float(np.sum(autocovariance(model, h1) * autocovariance(model, h2).T))
+
+
+def oracle_mean_l(t: int, model, window: DependenceWindow) -> float:
+    """Expected split statistic at t under the model, leading terms only.
+
+    Evaluates the mean contrast of the two halves minus the lag correction
+    applied to the demeaned mean products. Zero for all t under a constant
+    mean; under a single change it is maximized exactly at the change point.
+    """
+    n = model.n
+    mu = model.means
+    diff = mu[:t].mean(axis=0) - mu[t:].mean(axis=0)
+    term1 = t * (n - t) / n**2 * float(diff @ diff)
+    dev = mu - mu.mean(axis=0)
+    m = window.m
+    v_b = np.array(
+        [float(np.sum(dev[: n - k] * dev[k:])) / n for k in range(m + 1)]
+    )
+    design = F_matrix(n, m)
+    term2 = float(f_vector(n, t, m) @ design.solve(v_b)) / n
+    return term1 - term2
+
+
+def oracle_variance(t, model, window: DependenceWindow) -> float:
+    """Exact leading-order variance of the split statistic at t (or of the
+    sum, at t = "aggregate").
+
+    Combines the trace term over the lag window with the mean-dependent
+    term over every lag the generator supports, using zero-extended
+    contrast lookups. With Gaussian innovations and a generator whose
+    dependence dies inside the window this is the exact variance.
+    """
+    n, m = model.n, window.m
+    B = b_aggregate(n, window) if t == "aggregate" else b_matrix(n, int(t), window)
+    cross = engine._contrast_cross_products(B, m)
+    trace_term = 0.0
+    for h1 in range(-m, m + 1):
+        for h2 in range(-m, m + 1):
+            trace_term += cross[h1 + m, h2 + m] * trace_product(model, h1, h2)
+
+    mean_term = 0.0
+    if np.any(model.means):
+        mu = model.means
+        r = B + B.T
+        support = min(model.lag_support, n - 1)
+        for h in range(-support, support + 1):
+            r0, r1 = max(0, -h), n - max(0, h)
+            lag_products = r[r0:r1].T @ r[r0 + h : r1 + h]
+            weights = mu @ autocovariance(model, h) @ mu.T
+            mean_term += float(np.sum(lag_products * weights))
+    return (trace_term + mean_term) / float(n) ** 4
 
 
 def random_instance(rng: np.random.Generator) -> tuple[np.ndarray, int]:

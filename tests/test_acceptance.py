@@ -30,7 +30,6 @@ from hdcp import (
     f_vector,
     generate_series,
     l_trace,
-    oracle_variance,
     run_boundary_curve,
     run_elbow_curve,
     run_multi_cp,
@@ -39,7 +38,7 @@ from hdcp import (
 from hdcp import test_at as split_test
 from hdcp import test_global as global_test
 from hdcp.cli import main as cli_main
-from oracles import assert_instance_matches, random_instance
+from oracles import assert_instance_matches, oracle_variance, random_instance, trace_product
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -260,7 +259,7 @@ def test_ac10_variance_oracle_agreement():
         acc += build_trace_table(compute_gram(x), w2).values
     acc /= 200
     truth = np.array(
-        [[model2.trace_product(h1, h2) for h2 in range(-2, 3)] for h1 in range(-2, 3)]
+        [[trace_product(model2, h1, h2) for h2 in range(-2, 3)] for h1 in range(-2, 3)]
     )
     rel = np.abs(acc / truth - 1.0).max()
     _report(

@@ -512,6 +512,8 @@ _MULTI = "design = multi_cp\nn = 40\np = 20\nm_true = 0\nm_used = 0\nreps = 4\n"
 _BOUNDARY = ("design = boundary_curve\nn = 40\np = 20\nm_true = 0\nm_used = 0\n"
              "deltas = 1.0\nreps = 4\n")
 _ELBOW = "design = elbow_curve\nn = 40\np = 20\nm_true = 0\nreps = 4\n"
+# the sparse perturbation is drawn only at m_true > 0
+_PERTURBED = _SIZE.replace("m_true = 0", "m_true = 1") + "perturb_sparsity = 0.5\n"
 
 
 @pytest.mark.parametrize(
@@ -535,11 +537,20 @@ _ELBOW = "design = elbow_curve\nn = 40\np = 20\nm_true = 0\nreps = 4\n"
         _MULTI.replace("n = 40", "n = 60")
         + "change_points = 30\ndeltas = 0, 2.0\ntolerance_pts = -5\n",
         _MULTI + "min_seg = -3\n",
+        _PERTURBED + "perturb_scale = -1\n",
+        _PERTURBED + "perturb_scale = nan\n",
+        _PERTURBED + "perturb_scale = inf\n",
+        _SIZE + "innovation = student_t\nt_dof = nan\n",
+        _SIZE + "innovation = student_t\nt_dof = inf\n",
+        _SIZE + "delta = nan\ntau = 20\n",
+        _BOUNDARY.replace("deltas = 1.0", "deltas = 1, inf") + "tau = 20\n",
     ],
     ids=["rho", "perturb_sparsity", "innovation", "alpha-size", "alpha-multi",
          "delta-without-tau", "tau-size", "tau-boundary", "deltas-missing",
          "change-points-order", "h-max", "drop-ratio", "reps", "no-orders",
-         "no-deltas", "tolerance-pts", "min-seg-floor"],
+         "no-deltas", "tolerance-pts", "min-seg-floor", "perturb-scale-negative",
+         "perturb-scale-nan", "perturb-scale-inf", "t-dof-nan", "t-dof-inf",
+         "delta-nan", "deltas-inf"],
 )
 def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, text):
     def no_replications(*args, **kwargs):

@@ -22,8 +22,6 @@ from hdcp import (
     generate_series,
     l_trace,
     mean_matrix,
-    oracle_mean_l,
-    oracle_variance,
     run_size_power,
     single_change_profile,
     simulator,
@@ -31,7 +29,14 @@ from hdcp import (
 from hdcp import test_global as global_test
 from hdcp.cli import build_design, parse_config
 from hdcp.engine import prepare_global
-from oracles import per_lag_series
+from oracles import (
+    autocovariance,
+    coefficients,
+    oracle_mean_l,
+    oracle_variance,
+    per_lag_series,
+    trace_product,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZE_POWER_CONFIGS = (
@@ -45,12 +50,13 @@ SIZE_POWER_CONFIGS = (
 def test_independent_process_has_no_lagged_covariance():
     spec = LinearProcessSpec(n=20, p=2, m_true=0, rho=0.6, seed=1)
     model = build_coefficients(spec)
-    assert model.qs[1] is None and model.qs[2] is None
+    qs = coefficients(model)
+    assert qs[1] is None and qs[2] is None
     np.testing.assert_allclose(
-        model.autocovariance(0), [[1.36, 1.2], [1.2, 1.36]], rtol=1e-12
+        autocovariance(model, 0), [[1.36, 1.2], [1.2, 1.36]], rtol=1e-12
     )
     for h in (1, 2, 3):
-        np.testing.assert_array_equal(model.autocovariance(h), np.zeros((2, 2)))
+        np.testing.assert_array_equal(autocovariance(model, h), np.zeros((2, 2)))
 
 
 def test_autocovariance_transpose_identity():
@@ -58,15 +64,15 @@ def test_autocovariance_transpose_identity():
     model = build_coefficients(spec)
     for h in range(0, model.lag_support + 1):
         np.testing.assert_allclose(
-            model.autocovariance(-h), model.autocovariance(h).T, rtol=1e-12
+            autocovariance(model, -h), autocovariance(model, h).T, rtol=1e-12
         )
 
 
 def test_perturbation_rows_have_requested_sparsity():
     spec = LinearProcessSpec(n=30, p=40, m_true=1, perturb_sparsity=0.1, seed=5)
     model = build_coefficients(spec)
-    q = model.qs[2]
-    assert q is model.qs[3]  # the two trailing lags share one matrix
+    q, lags = model.groups[1]
+    assert lags == ((2, 1), (3, 1))  # the two trailing lags share one matrix
     nnz = (q != 0).sum(axis=1)
     assert (nnz == 4).all()
     assert q.max() <= 0.05 and q.min() >= 0.0
@@ -75,7 +81,7 @@ def test_perturbation_rows_have_requested_sparsity():
 def test_zero_coefficients_reproduce_means_exactly():
     profile = MeanProfile((5,), (0.0, 1.0), support_size=3, sign_seed=9)
     means = mean_matrix(profile, 12, 4)
-    model = OracleModel(n=12, p=4, m_true=0, qs=(None, None, None), means=means)
+    model = OracleModel(n=12, p=4, m_true=0, means=means, groups=())
     spec = LinearProcessSpec(n=12, p=4, m_true=0, seed=2)
     x = generate_series(spec, profile, model=model)
     np.testing.assert_array_equal(x.values, means)
@@ -100,20 +106,42 @@ def test_generator_matches_the_per_lag_reference(m_true, innovation):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
 def test_coefficient_groups_hold_each_matrix_once():
+    # the model is its means and its coefficient groups, nothing more: one
+    # p x p array at m_true = 0 (the Toeplitz matrix), and two at m_true >= 1
+    # (the Toeplitz and the sparse matrix)
+    names = [f.name for f in dataclasses.fields(OracleModel)]
+    assert names == ["n", "p", "m_true", "means", "groups"]
+    for m_true in (0, 1, 2, 3):
+        spec = LinearProcessSpec(n=20, p=8, m_true=m_true, perturb_sparsity=0.25, seed=4)
+        held = {id(a) for a in _arrays(list(vars(build_coefficients(spec)).values()))
+                if a.shape == (8, 8)}
+        assert len(held) == (1 if m_true == 0 else 2)
     # lags 0..m_true share the Toeplitz matrix, lags m_true + 1 and
-    # m_true + 2 the sparse one; qs[l] is the matrix over the divisor
+    # m_true + 2 the sparse one; the reference's lag-l matrix is the
+    # group's matrix over the divisor
     spec = LinearProcessSpec(n=20, p=8, m_true=2, perturb_sparsity=0.25, seed=4)
     model = build_coefficients(spec)
     (decay, decay_lags), (perturb, perturb_lags) = model.groups
     assert decay_lags == ((0, 3), (1, 2), (2, 1))
     assert perturb_lags == ((3, 1), (4, 1))
-    assert perturb is model.qs[3]
+    qs = coefficients(model)
     for l, d in decay_lags:
-        assert (decay / d).tobytes() == model.qs[l].tobytes()
-    # a model built from qs alone takes one product per lag, as the reference
-    hand = OracleModel(n=20, p=8, m_true=2, qs=model.qs, means=model.means)
-    assert [lags for _, lags in hand.groups] == [((l, 1),) for l in range(5)]
+        assert (decay / d).tobytes() == qs[l].tobytes()
+    assert qs[3].tobytes() == qs[4].tobytes() == perturb.tobytes()
+    # a model of one-lag groups takes one product per lag, as the reference
+    hand = OracleModel(
+        n=20, p=8, m_true=2, means=model.means,
+        groups=tuple((q, ((l, 1),)) for l, q in enumerate(qs)),
+    )
     got = generate_series(spec, model=hand).values
     assert got.tobytes() == per_lag_series(spec, hand).tobytes()
 
@@ -149,7 +177,7 @@ def test_student_t_innovations_standardized():
     model = build_coefficients(spec)
     x = generate_series(spec, model=model)
     # var of each coordinate should match the Gaussian-case diagonal of C(0)
-    np.testing.assert_allclose(x.values.var(axis=0), np.diag(model.autocovariance(0)), rtol=0.15)
+    np.testing.assert_allclose(x.values.var(axis=0), np.diag(autocovariance(model, 0)), rtol=0.15)
     with pytest.raises(ValueError):
         LinearProcessSpec(n=10, p=2, m_true=0, innovation="student_t", t_dof=2.0)
 
@@ -159,7 +187,7 @@ def test_sample_covariance_approaches_model():
     model = build_coefficients(spec)
     x = generate_series(spec, model=model).values
     emp = np.cov(x, rowvar=False)
-    c0 = model.autocovariance(0)
+    c0 = autocovariance(model, 0)
     rel = np.linalg.norm(emp - c0) / np.linalg.norm(c0)
     assert rel < 0.2
 
@@ -199,7 +227,7 @@ def test_oracle_mean_hand_value():
     # contrast term 1, lag correction (1/4)(4/3)(1) = 1/3
     means = np.zeros((4, 1))
     means[2:] = 2.0
-    model = OracleModel(n=4, p=1, m_true=0, qs=(None, None, None), means=means)
+    model = OracleModel(n=4, p=1, m_true=0, means=means, groups=())
     got = oracle_mean_l(2, model, DependenceWindow(0))
     np.testing.assert_allclose(got, 2.0 / 3.0, rtol=1e-12)
 
@@ -208,7 +236,7 @@ def test_oracle_mean_equals_statistic_of_mean_matrix():
     # the expectation formula is the statistic evaluated at the means
     prof = MeanProfile((6, 14), (0.0, 1.0, -0.5), support_size=4, sign_seed=8)
     means = mean_matrix(prof, 20, 9)
-    model = OracleModel(n=20, p=9, m_true=1, qs=(None, None, None, None), means=means)
+    model = OracleModel(n=20, p=9, m_true=1, means=means, groups=())
     w = DependenceWindow(1)
     curve = l_trace(compute_gram(as_series(means)), w)
     for t in (1, 7, 13, 19):
@@ -232,7 +260,7 @@ def test_oracle_variance_independence_reduction():
     model = build_coefficients(spec)
     w = DependenceWindow(0)
     vmax = max(100**2 * oracle_variance(t, model, w) for t in range(1, 100))
-    target = 2.0 * model.trace_product(0, 0)
+    target = 2.0 * trace_product(model, 0, 0)
     assert abs(vmax - target) <= 0.05 * target
 
 

@@ -14,11 +14,10 @@ from hdcp import (
     build_coefficients,
     compute_gram,
     generate_series,
-    oracle_variance,
     variance_estimate,
 )
 from hdcp.engine import aggregate_variance
-from oracles import naive_variance
+from oracles import naive_variance, oracle_variance
 
 
 def test_zero_series_floored_degenerate():

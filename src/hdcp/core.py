@@ -96,8 +96,9 @@ class SeriesMatrix:
         The full range ``(1, n)`` returns this series itself (it is
         frozen), Gram included. Any other range cut from a series with a
         Gram gets its Gram now: a contiguous copy of the sub-block, with
-        its row sums taken again. One cut before that takes its own
-        product in ``compute_gram``.
+        its row sums taken again, holding the segment's row view of the
+        series. One cut before that takes its own product in
+        ``compute_gram``.
         """
         if not (1 <= lo <= hi <= self.n):
             raise IndexOutOfRange(f"segment [{lo}, {hi}] outside [1, {self.n}]")
@@ -107,7 +108,7 @@ class SeriesMatrix:
         object.__setattr__(sub, "values", self.values[lo - 1 : hi])
         if self._gram is not None:
             raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi].copy()
-            object.__setattr__(sub, "_gram", GramSummary.of(raw))
+            object.__setattr__(sub, "_gram", GramSummary.of(raw, (sub.values,)))
         return sub
 
 
@@ -169,22 +170,38 @@ class GramSummary:
     or one entry per Gram). A repeated call with the same Gram and M
     returns the stored result.
 
+    A Gram built from a series also holds, without a copy, the series'
+    n x p array: one per Gram in ``_values``, which is not a field. A
+    narrow series (see :mod:`hdcp.engine`) has its lag-grid products taken
+    from its p x p lag cross-products, which ``results`` then stores too.
+    A Gram built from inner products alone holds no arrays there.
+
     A Gram lives as long as the series that holds it (see
     ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB; the cached
-    results are O(n) per M.
+    results are O(n) per M, and the lag cross-products of a narrow series
+    p^2 per lag.
     """
 
     raw: np.ndarray
     row_sums: np.ndarray
+    # Not a dataclass field: the arrays of the series whose Grams ``raw``
+    # holds, one per Gram, set through object.__setattr__ and never compared.
+    _values = ()
 
     def __post_init__(self) -> None:
         self.raw.flags.writeable = False
         self.row_sums.flags.writeable = False
 
     @classmethod
-    def of(cls, raw: np.ndarray) -> "GramSummary":
-        """The summary of ``raw``, with its row sums taken along the last axis."""
-        return cls(raw=raw, row_sums=raw.sum(axis=-1))
+    def of(cls, raw: np.ndarray, values: tuple = ()) -> "GramSummary":
+        """The summary of ``raw``, with its row sums taken along the last axis.
+
+        ``values`` are the arrays of the series whose Grams ``raw`` holds,
+        one per Gram, or none.
+        """
+        gram = cls(raw=raw, row_sums=raw.sum(axis=-1))
+        object.__setattr__(gram, "_values", values)
+        return gram
 
     @property
     def n(self) -> int:

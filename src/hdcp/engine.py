@@ -1,10 +1,13 @@
 """Statistics for dependence-adjusted mean-change detection.
 
-Everything here is computed from a :class:`~hdcp.core.GramSummary`, never
-from the raw observations: with n observations of dimension p, one O(n^2 p)
-pass builds the inner-product matrices and all statistics afterwards cost
-O(n^2) per lag-grid product of the separated sums, and O(n^2 M^2) for a
-full variance, regardless of p.
+Everything here is computed from a :class:`~hdcp.core.GramSummary`: with
+n observations of dimension p, one O(n^2 p) pass builds the inner-product
+matrices and all statistics afterwards cost O(n^2) per lag-grid product of
+the separated sums, and O(n^2 M^2) for a full variance, regardless of p.
+The one exception reads the raw observations, which a Gram built from a
+series keeps: a narrow series, n >= 4p, takes its lag-grid products from
+its p x p lag cross-products, O(n p^2) per lag and O(p^2) per product
+(``_is_narrow``).
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
@@ -33,11 +36,15 @@ elbow's orders never build a lag design.
 
 The separated sums share work the same way. Every whole-grid sum they
 take is a sum of the lag-grid products A(a, b) = sum_{s,t} raw[s + a, t]
-raw[s, t + b], one O(n^2) dot each, which do not depend on M: the Gram
-stores each once, under one member of its orbit {(a, b), (b, a),
-(-a, -b), (-b, -a)}. Order M reads the (M + 1)^2 orbits of |a|, |b| <= M,
-so the elbow's orders 0..h_max take (h_max + 1)^2 products in all, and a
-trace table at an order the elbow probed takes none. A context per
+raw[s, t + b], which do not depend on M: the Gram stores each once, under
+one member of its orbit {(a, b), (b, a), (-a, -b), (-b, -a)}. Order M
+reads the (M + 1)^2 orbits of |a|, |b| <= M, so the elbow's orders
+0..h_max take (h_max + 1)^2 products in all, and a trace table at an
+order the elbow probed takes none. Each product is one O(n^2) dot over
+the Gram, or, for a narrow series, A(a, b) = tr(Γ(a) Γ(b)) with
+Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)': the Gram stores Γ(k) once
+per lag, one BLAS product each, so the elbow pays h_max + 1 of them and
+then O(p^2) per product. A context per
 (Gram, M) then corrects the O(nM) entries near the diagonal from the
 Gram's 6M + 1 middle diagonals, which it keeps as rows of one small
 array. No context forms an n x n array.
@@ -49,7 +56,8 @@ series costs one O(n^2 p) pass however often the elbow, the global test
 and binary segmentation ask for it. Per (Gram, M),
 ``GramSummary.results`` keeps the split curve of ``l_trace``, the table
 of ``build_trace_table`` (both read-only) and the value and count of each
-separated-sum term, and per Gram its lag-grid products; the context
+separated-sum term, and per Gram its lag-grid products and, when it is
+narrow, the lag cross-products they came from; the context
 arrays behind the terms are not kept. So the table at the order the
 elbow chose reuses the elbow's quadruple, triple and pair terms, and a
 repeated test of the same Gram and M returns the stored result.
@@ -62,8 +70,8 @@ a single Gram is the case without any, so each kernel has one copy. Each
 Gram's curve and trace table are stored under the keys ``l_trace`` and
 ``build_trace_table`` read, so a later ``test_global`` of the series
 finds them. They equal the single-series results bit for bit: each
-lag-grid product is taken one Gram at a time, as that Gram alone would
-take it.
+lag-grid product, and each lag cross-product of a narrow stack, is taken
+one Gram at a time, as that Gram alone would take it.
 
 Conventions, fixed for the whole package:
 
@@ -102,6 +110,18 @@ _COND_LIMIT = 1e12
 _PLAN_CACHE_SIZE = 32
 # entries per BLAS dot in ``_long_dot``
 _DOT_CHUNK = 8192
+# A series is narrow when _NARROW_RATIO * p <= n. Its lag-grid products
+# are then traces of its p x p lag cross-products (``_lag_cross_product``),
+# not O(n^2) dots over the Gram; see ``_is_narrow``. All orbits of
+# |a|, |b| <= K at n = 800, Gram vs lag cross-products, in process on a
+# 2-vCPU host (medians of 21):
+#   K = 0:  p = 50 0.27 vs 0.16 ms, 100 0.25 vs 0.31, 200 0.25 vs 0.69;
+#   K = 2:  p = 100 2.3 vs 1.1 ms, 150 2.4 vs 1.8, 200 2.3 vs 2.6, 250 2.4 vs 3.8;
+#   K = 10: p = 200 34 vs 14 ms, 300 35 vs 30, 400 37 vs 67.
+# So the crossover is near n / 10 at K = 0, n / 4.3 at K = 2 and n / 2.5
+# at K = 10. The rule serves the elbow (K = h_max, 10 by default); a
+# table at a small fixed M on a narrow series pays at most about 0.5 ms.
+_NARROW_RATIO = 4
 # entries per Gram in one row block of an n x n array (256 KiB of float64):
 # ``_split_curve`` centers the Gram and ``_contrast_cross_products`` reduces
 # the aggregate contrast a block of rows at a time (see ``_row_blocks``)
@@ -162,7 +182,9 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     """Reduce a series to its inner products and their row sums, in float64.
 
     A segment's Gram holds the segment's own products, so everything
-    derived from it (centering included) is segment-local.
+    derived from it (centering included) is segment-local. The Gram also
+    keeps the series' array, not a copy, for the lag cross-products of a
+    narrow series (see ``_is_narrow``).
 
     The Gram is built once per series and kept on it: a second call
     returns the same object. A segment cut by ``segment_view`` from a
@@ -175,7 +197,7 @@ def compute_gram(series: SeriesMatrix) -> GramSummary:
     if series._gram is None:
         # an overflow is raised below as NonFiniteEntry, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = GramSummary.of(_gram_product(series.values))
+            gram = GramSummary.of(_gram_product(series.values), (series.values,))
         _check_row_sums(gram.row_sums)
         object.__setattr__(series, "_gram", gram)
     return series._gram
@@ -192,6 +214,22 @@ def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # calls BLAS syrk, which computes one triangle and mirrors it, so the
     # product is exactly symmetric as it comes.
     return np.matmul(x, x.T, out=out)
+
+
+def _is_narrow(gram: GramSummary) -> bool:
+    """Whether the Gram's lag-grid products come from its series' lag
+    cross-products: it holds its series' arrays, and their n >= 4p.
+
+    A lag-grid product then costs O(p^2) after the h + 1 products Γ(k),
+    k <= h, of O(n p^2) each, against one O(n^2) dot over the Gram.
+    """
+    return bool(gram._values) and _NARROW_RATIO * gram._values[0].shape[1] <= gram.n
+
+
+def _lag_cross_product(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    # Γ(k) = x[k:]' x[:n - k] = sum_s x_{s+k} x_s', one BLAS product into
+    # ``out``; at k = 0 numpy takes x' x by syrk, so Γ(0) is exactly symmetric
+    return np.matmul(x[k:].T, x[: x.shape[0] - k], out=out)
 
 
 def _stored(gram: GramSummary, key: tuple, compute, *args):
@@ -680,16 +718,17 @@ class _SeparatedSums:
     (raw zero outside the series; see ``lag_product``): the pair term's is
     A(h1, h2), the triple term's is A(h, b) summed over |b| <= M, and the
     quadruple term's is A summed over the (2M + 1) x (2M + 1) grid. Each
-    A(a, b) is one O(n^2) dot, computed once per Gram and orbit and
-    stored, so a separation order pays only for the orbits its smaller
-    orders did not reach. Each term then removes or adds the O(nM) entries
-    near the diagonal that its index rules treat apart. Those entries are
-    read from ``band``: the diagonals ``raw[i, i + k]``, |k| <= 3M, as rows
-    of a (6M + 1) x n array, zero where i + k falls outside the series,
-    with their running sums over k. A sum of row i over any stretch of
-    offsets is then a difference of two of those rows, so clipped windows
-    at the series ends need no case of their own, and no term forms index
-    pairs. The corrections are:
+    A(a, b) is one O(n^2) dot, or for a narrow Gram tr(Γ(a) Γ(b)) over
+    its series' lag cross-products (``_lag_trace``), computed once
+    per Gram and orbit and stored, so a separation order pays only for
+    the orbits its smaller orders did not reach. Each term then removes
+    or adds the O(nM) entries near the diagonal that its index rules
+    treat apart. Those entries are read from ``band``: the diagonals
+    ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n array, zero
+    where i + k falls outside the series, with their running sums over k.
+    A sum of row i over any stretch of offsets is then a difference of two
+    of those rows, so clipped windows at the series ends need no case of
+    their own, and no term forms index pairs. The corrections are:
 
     - pair: the products on the forbidden diagonals, one ``einsum`` over
       rows of ``band``;
@@ -699,9 +738,10 @@ class _SeparatedSums:
       differ from the masked Gram's (see ``quad_term``).
 
     No context forms an n x n array: ``band`` is O(nM), the stored
-    products are scalars. Each term's value and count is stored on the
-    Gram per M (``GramSummary.results``), so every context of one
-    (Gram, M) computes a term once.
+    products are scalars and a lag cross-product is p x p, below n^2 / 16.
+    Each term's value and count is stored on the Gram per M
+    (``GramSummary.results``), so every context of one (Gram, M) computes
+    a term once.
 
     A Gram with leading axes (see ``prepare_global``) gives every array
     those axes too, and each term's value is then an array with one entry
@@ -715,6 +755,7 @@ class _SeparatedSums:
         self.raw = gram.raw
         self.plan = _plan(n, m)
         self.row_sums = gram.row_sums
+        self.narrow = _is_narrow(gram)
         self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -751,7 +792,19 @@ class _SeparatedSums:
         key = min((a, b), (b, a), (-a, -b), (-b, -a))
         return _stored(self.gram, ("lag",) + key, self._lag_product, *key)
 
+    def _lag_cross(self, k: int) -> np.ndarray:
+        # Γ(k) of each series of a narrow Gram, k >= 0: p x p, with the
+        # Gram's leading axes, stored once per Gram and lag by ``_lag_trace``
+        values = self.gram._values
+        p = values[0].shape[1]
+        out = np.empty(self.raw.shape[:-2] + (p, p), dtype=np.float64)
+        for x, gamma in zip(values, out.reshape((-1, p, p))):
+            _lag_cross_product(x, k, gamma)
+        return out
+
     def _lag_product(self, a: int, b: int) -> np.ndarray:
+        if self.narrow:
+            return self._lag_trace(a, b)
         # In the flat Gram, raw[s + a, t] and raw[s, t + b] are a n - b
         # entries apart for every (s, t). So A(a, b) is one dot of two
         # contiguous stretches of the flat Gram, less the pairs in which
@@ -773,6 +826,20 @@ class _SeparatedSums:
             elif b < 0:
                 total -= np.einsum("ij,ij->", g[s0 + a : s1 + a, :-b], g[s0 - 1 : s1 - 1, n + b :])
             sums.append(total)
+        return np.array(sums).reshape(self.raw.shape[:-2])
+
+    def _lag_trace(self, a: int, b: int) -> np.ndarray:
+        # A(a, b) = sum_{s,t} x_{s+a}'x_t x_s'x_{t+b} = tr(Γ(a) Γ(b)), exactly,
+        # and Γ(-k) = Γ(k)': a sum of p^2 products, read with the subscripts
+        # that transpose a negative lag's Γ. Each Gram of a stack is summed
+        # on its own, as it would be alone.
+        subscripts = ("ij" if a >= 0 else "ji") + "," + ("ji" if b >= 0 else "ij") + "->"
+        ga, gb = (
+            _stored(self.gram, ("lag_cross", k), self._lag_cross, k) for k in (abs(a), abs(b))
+        )
+        p = ga.shape[-1]
+        pairs = zip(ga.reshape((-1, p, p)), gb.reshape((-1, p, p)))
+        sums = [np.einsum(subscripts, x, y) for x, y in pairs]
         return np.array(sums).reshape(self.raw.shape[:-2])
 
     def _box(self) -> np.ndarray:
@@ -1056,12 +1123,13 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         for s, out in zip(series, raw):
             _gram_product(s.values, out=out)
-        stack = GramSummary.of(raw)
+        stack = GramSummary.of(raw, tuple(s.values for s in series))
         _check_row_sums(stack.row_sums)
         curves = _split_curve(stack, m)
         tables = _table_values(stack, m)
     for s, view, sums, curve, table in zip(series, stack.raw, stack.row_sums, curves, tables):
         gram = GramSummary(raw=view, row_sums=sums)
+        object.__setattr__(gram, "_values", (s.values,))
         gram.results[("l_trace", m)] = curve
         gram.results[("table", m)] = TraceTable(m=m, values=table)
         object.__setattr__(s, "_gram", gram)

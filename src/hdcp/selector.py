@@ -72,8 +72,10 @@ def lag_energy_curve(series: SeriesMatrix, h_max: int) -> LagEnergyCurve:
 
     The orders run one after another and share the Gram's lag-grid
     products: order h takes only the 2h + 1 orbits with max(|a|, |b|) = h,
-    so the curve takes (h_max + 1)^2 O(n^2) products in all, and no order
-    forms an n x n array. The cost grows as h_max^2; ``default_h_max``
+    so the curve takes (h_max + 1)^2 products in all, and no order forms an
+    n x n array. Each is one O(n^2) pass over the Gram, so the cost grows
+    as h_max^2; a narrow series (n >= 4p) instead pays one O(n p^2) lag
+    cross-product per order and O(p^2) per product. ``default_h_max``
     caps the depth at 10.
 
     Raises ``DimensionTooSmall`` before any order is probed when

@@ -61,7 +61,9 @@ class ProcessParams:
     - ``perturb_sparsity`` (0.05): share of nonzero entries per row of the
       sparse matrix at the two trailing lags, in [0, 1];
     - ``perturb_scale`` (0.05): upper end of those entries' uniform draws,
-      finite and nonnegative;
+      finite and nonnegative, and small enough that p (nnz scale)^2, with
+      nnz = floor(perturb_sparsity p) entries per row, is finite: above
+      that even unit innovations overflow the Gram;
     - ``innovation`` ("gaussian"): or "student_t", scaled to unit variance;
     - ``t_dof`` (8.0): Student-t degrees of freedom, finite and above 2;
     - ``seed`` (0): nonnegative master seed of every random stream.
@@ -86,6 +88,12 @@ class ProcessParams:
         if not 0.0 <= self.perturb_scale < math.inf:
             raise ValueError(
                 f"perturb_scale must be finite and nonnegative, got {self.perturb_scale}"
+            )
+        row_mass = math.floor(self.perturb_sparsity * self.p) * self.perturb_scale
+        if not math.isfinite(self.p * row_mass * row_mass):
+            raise ValueError(
+                f"perturb_scale {self.perturb_scale} is too large for p = {self.p}: "
+                "p (floor(perturb_sparsity p) perturb_scale)^2 would overflow float64"
             )
         if self.innovation not in ("gaussian", "student_t"):
             raise ValueError(f"unknown innovation {self.innovation!r}")
@@ -117,7 +125,8 @@ class MeanProfile:
     pattern on ``support_size`` coordinates (default floor(p^0.7)) drawn
     without replacement. Each regime draws its own support and signs from
     the ``sign_seed`` stream, so distinct nonzero regimes are nearly
-    orthogonal mean vectors. Every magnitude must be finite.
+    orthogonal mean vectors. Every magnitude must be finite, and
+    ``check_within`` also bounds it by the dimension.
     """
 
     change_points: tuple[int, ...] = ()
@@ -140,10 +149,19 @@ class MeanProfile:
         object.__setattr__(self, "change_points", cps)
         object.__setattr__(self, "deltas", deltas)
 
-    def check_within(self, n: int) -> None:
+    def check_within(self, n: int, p: int) -> None:
+        """Raise ``ValueError`` unless the profile fits a series of n x p:
+        every change point in 1..n - 1, and p delta^2 finite for every
+        regime magnitude delta, since a larger mean overflows the Gram."""
         for cp in self.change_points:
             if not 1 <= cp <= n - 1:
                 raise ValueError(f"change point {cp} outside {{1, ..., {n - 1}}}")
+        for delta in self.deltas:
+            if not math.isfinite(p * delta * delta):
+                raise ValueError(
+                    f"regime magnitude {delta} is too large for p = {p}: "
+                    "p delta^2 would overflow float64"
+                )
 
 
 def null_profile() -> MeanProfile:
@@ -160,7 +178,7 @@ def mean_matrix(profile: Optional[MeanProfile], n: int, p: int) -> np.ndarray:
     means = np.zeros((n, p), dtype=np.float64)
     if profile is None or all(d == 0.0 for d in profile.deltas):
         return means
-    profile.check_within(n)
+    profile.check_within(n, p)
     size = profile.support_size
     if size is None:
         size = int(math.floor(p**0.7))
@@ -377,7 +395,7 @@ class SizePowerDesign(LinearProcessSpec):
         super().__post_init__()
         _check_run(self.reps, "m_used", self.m_used, self.n, 3 * self.m_used + 4)
         self.inference_config()  # checks alpha
-        self.profile().check_within(self.n)
+        self.profile().check_within(self.n, self.p)
 
     def inference_config(self) -> InferenceConfig:
         return InferenceConfig(alpha=self.alpha)
@@ -464,7 +482,7 @@ class MultiCpDesign(LinearProcessSpec):
         if self.tolerance_pts < 0:
             raise ValueError(f"tolerance_pts must be nonnegative, got {self.tolerance_pts}")
         self.inference_config().segment_min_length(DependenceWindow(self.m_used))
-        self.profile().check_within(self.n)
+        self.profile().check_within(self.n, self.p)
 
     def inference_config(self) -> InferenceConfig:
         return InferenceConfig(
@@ -545,7 +563,7 @@ class BoundaryDesign(LinearProcessSpec):
         if not self.deltas:
             raise ValueError("deltas needs at least one value")
         for delta in self.deltas:
-            single_change_profile(self.tau, delta).check_within(self.n)
+            single_change_profile(self.tau, delta).check_within(self.n, self.p)
 
 
 @dataclass(frozen=True)
@@ -621,7 +639,7 @@ class ElbowDesign(ProcessParams):
             self.with_order(m)  # checks m_true >= 0
         if not 0.0 < self.drop_ratio < 1.0:
             raise ValueError(f"drop_ratio must be in (0, 1), got {self.drop_ratio}")
-        self.profile().check_within(self.n)
+        self.profile().check_within(self.n, self.p)
 
     def with_order(self, m_true: int) -> LinearProcessSpec:
         """The process of this design with dependence order ``m_true``."""

@@ -234,6 +234,39 @@ def test_detect_auto_records_elbow(change_file, tmp_path):
     assert (tmp_path / "rep.elbow.tsv").exists()
 
 
+def _assert_reports_agree(got, want, rtol, path="report"):
+    # the same keys, lengths and discrete values; floats within rtol
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_reports_agree(got[key], want[key], rtol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_reports_agree(g, w, rtol, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= rtol * abs(want), (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_zero_padded_twin_agrees(tmp_path):
+    # 600 x 20 is narrow (4p <= n), so the elbow's lag-grid products come
+    # from the series' lag cross-products; 180 zero columns leave every
+    # inner product as it is but make the input wide, so the twin takes
+    # them from its Gram
+    x = np.random.default_rng(1).standard_normal((600, 20))
+    reports = []
+    for name, values in (("long", x), ("padded", np.hstack([x, np.zeros((600, 180))]))):
+        np.savetxt(tmp_path / f"{name}.csv", values, delimiter=",")
+        out = tmp_path / f"{name}.json"
+        assert main(["detect", "--input", str(tmp_path / f"{name}.csv"), "--m", "auto",
+                     "--output", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert [r.pop("input")["p"] for r in reports] == [20, 200]
+    _assert_reports_agree(reports[1], reports[0], 1e-9)
+
+
 def test_detect_deterministic_bytes(change_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["detect", "--input", str(change_file), "--m", "0", "--output", str(out1)])
@@ -452,7 +485,8 @@ def test_detect_near_overflow_gram_is_a_data_error(tmp_path, capsys, m):
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("delta", [
     1e80,   # the Gram is finite, the trace table's separated sums overflow
-    1e200,  # the Gram overflows
+    3e153,  # p delta^2 is finite, the Gram's row sums overflow
+    1e200,  # p delta^2 overflows: the config is rejected before any replication
 ])
 def test_simulate_overflow_is_one_data_error_line(tmp_path, delta, workers):
     # every replication overflows, the first inside a whole chunk; a fresh
@@ -544,13 +578,17 @@ _PERTURBED = _SIZE.replace("m_true = 0", "m_true = 1") + "perturb_sparsity = 0.5
         _SIZE + "innovation = student_t\nt_dof = inf\n",
         _SIZE + "delta = nan\ntau = 20\n",
         _BOUNDARY.replace("deltas = 1.0", "deltas = 1, inf") + "tau = 20\n",
+        "design = size_power\nn = 30\np = 10\nm_true = 1\nm_used = 0\nreps = 2\n"
+        "delta = 1e308\ntau = 10\n",
+        "design = size_power\nn = 30\np = 10\nm_true = 1\nm_used = 0\nreps = 2\n"
+        "perturb_sparsity = 0.5\nperturb_scale = 1e308\n",
     ],
     ids=["rho", "perturb_sparsity", "innovation", "alpha-size", "alpha-multi",
          "delta-without-tau", "tau-size", "tau-boundary", "deltas-missing",
          "change-points-order", "h-max", "drop-ratio", "reps", "no-orders",
          "no-deltas", "tolerance-pts", "min-seg-floor", "perturb-scale-negative",
          "perturb-scale-nan", "perturb-scale-inf", "t-dof-nan", "t-dof-inf",
-         "delta-nan", "deltas-inf"],
+         "delta-nan", "deltas-inf", "delta-huge", "perturb-scale-huge"],
 )
 def test_invalid_simulate_config_is_data_error(tmp_path, capsys, monkeypatch, text):
     def no_replications(*args, **kwargs):

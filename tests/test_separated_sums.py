@@ -14,6 +14,12 @@ Every whole-grid sum is read from the Gram's lag-grid products
 A(a, b) = sum_{s,t} G[s + a, t] G[s, t + b], which are checked against a
 double loop, stored once per orbit and computed once per Gram. The cached
 (n, M) plan is checked bitwise, cold against warm.
+
+A narrow series (4p <= n) takes its lag-grid products from its p x p lag
+cross-products, any other Gram from its own entries. So each enumeration
+gate runs on two sources of one (n, M): a narrow one, p = 3, which takes
+the lag cross-products from n = 12 on, and a wide one, p = n, which never
+does; the wide cases carry the id suffix ``-wide``.
 """
 
 import tracemalloc
@@ -21,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdcp import as_series, compute_gram
+from hdcp import as_series, compute_gram, engine
 from hdcp.core import DependenceWindow, GramSummary
 from hdcp.engine import (
     _plan,
@@ -37,6 +43,12 @@ ORDERS = (0, 1, 2, 3, 5)
 CASES = [(n, m) for m in ORDERS for n in sorted({2 * (m + 2), 2 * (m + 2) + 1, 17, 30})]
 CASES += [(3 * 10 + 4, 10), (3 * 10 + 5, 10)]
 SHIFTED = [(n, m) for m in (0, 2, 10) for n in sorted({2 * (m + 2), 3 * m + 4, 3 * m + 5})]
+
+
+def _sourced(cases):
+    # each (n, M) from a narrow source (p = 3) and from a wide one (p = n)
+    narrow = [pytest.param(n, m, 3, id=f"{n}-{m}") for n, m in cases]
+    return narrow + [pytest.param(n, m, n, id=f"{n}-{m}-wide") for n, m in cases]
 
 
 def _far(a, b, m):
@@ -89,15 +101,15 @@ def brute_quad(g: np.ndarray, m: int) -> tuple[float, int]:
     return total, int(mask.sum())
 
 
-def _gram(n: int, m: int, shift: float = 0.7) -> GramSummary:
+def _gram(n: int, m: int, shift: float = 0.7, p: int = 3) -> GramSummary:
     rng = np.random.default_rng(1000 * n + m)
-    x = rng.standard_normal((n, 3)) + shift
+    x = rng.standard_normal((n, p)) + shift
     return compute_gram(as_series(x))
 
 
-@pytest.mark.parametrize("n,m", CASES)
-def test_quad_term_matches_enumeration(n, m):
-    gram = _gram(n, m)
+@pytest.mark.parametrize("n,m,p", _sourced(CASES))
+def test_quad_term_matches_enumeration(n, m, p):
+    gram = _gram(n, m, p=p)
     value, count = _SeparatedSums(gram, m).quad_term()
     want_value, want_count = brute_quad(gram.raw, m)
     assert isinstance(count, int)
@@ -105,9 +117,9 @@ def test_quad_term_matches_enumeration(n, m):
     np.testing.assert_allclose(value, want_value, rtol=1e-10)
 
 
-@pytest.mark.parametrize("n,m", CASES)
-def test_triple_term_matches_enumeration(n, m):
-    gram = _gram(n, m)
+@pytest.mark.parametrize("n,m,p", _sourced(CASES))
+def test_triple_term_matches_enumeration(n, m, p):
+    gram = _gram(n, m, p=p)
     ctx = _SeparatedSums(gram, m)
     for h in range(-m, m + 1):
         value, count = ctx.triple_term(h)
@@ -118,9 +130,9 @@ def test_triple_term_matches_enumeration(n, m):
         assert ctx.triple_term(-h)[1] == count
 
 
-@pytest.mark.parametrize("n,m", CASES)
-def test_pair_term_matches_enumeration(n, m):
-    gram = _gram(n, m)
+@pytest.mark.parametrize("n,m,p", _sourced(CASES))
+def test_pair_term_matches_enumeration(n, m, p):
+    gram = _gram(n, m, p=p)
     ctx = _SeparatedSums(gram, m)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
@@ -131,9 +143,9 @@ def test_pair_term_matches_enumeration(n, m):
             np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h1, h2}")
 
 
-@pytest.mark.parametrize("n,m", SHIFTED)
-def test_terms_match_enumeration_far_from_mean_zero(n, m):
-    gram = _gram(n, m, shift=50.0)
+@pytest.mark.parametrize("n,m,p", _sourced(SHIFTED))
+def test_terms_match_enumeration_far_from_mean_zero(n, m, p):
+    gram = _gram(n, m, shift=50.0, p=p)
     ctx = _SeparatedSums(gram, m)
     want = brute_quad(gram.raw, m)
     value, count = ctx.quad_term()
@@ -288,9 +300,9 @@ def _lag_keys(gram: GramSummary) -> list:
     return sorted(key[1:] for key in gram.results if key[0] == "lag")
 
 
-@pytest.mark.parametrize("n,m", CASES + SHIFTED)
-def test_lag_products_match_enumeration(n, m):
-    gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7)
+@pytest.mark.parametrize("n,m,p", _sourced(CASES + SHIFTED))
+def test_lag_products_match_enumeration(n, m, p):
+    gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7, p=p)
     _all_terms(gram, m)
     assert all(max(abs(a), abs(b)) <= m for a, b in _lag_keys(gram))
     ctx = _SeparatedSums(gram, m)
@@ -305,26 +317,58 @@ def test_lag_products_match_enumeration(n, m):
     assert len(_lag_keys(gram)) == (m + 1) ** 2
 
 
+def test_narrow_lag_products_match_the_gram_path():
+    # tr(Γ(a) Γ(b)) from the lag cross-products of a narrow series, against
+    # the dots over its Gram, which a Gram of inner products alone takes
+    x = np.random.default_rng(92).standard_normal((200, 20)) + 0.5
+    gram = compute_gram(as_series(x))
+    narrow = _SeparatedSums(gram, 10)
+    wide = _SeparatedSums(GramSummary.of(gram.raw), 10)
+    assert narrow.narrow and not wide.narrow
+    for a in range(-10, 11):
+        for b in range(-10, 11):
+            np.testing.assert_allclose(
+                narrow.lag_product(a, b), wide.lag_product(a, b), rtol=1e-12, err_msg=f"A{a, b}"
+            )
+    # Γ(0), Γ(1), ..., Γ(10), each one p x p array
+    crosses = sorted(key for key in gram.results if key[0] == "lag_cross")
+    assert crosses == [("lag_cross", k) for k in range(11)]
+    assert all(gram.results[key].shape == (20, 20) for key in crosses)
+
+
 def test_curve_computes_each_lag_product_once(monkeypatch):
     # the curve to h_max reaches every orbit of |a|, |b| <= h_max once; a
-    # table at an order it probed reads them all from the Gram
-    computed = []
+    # table at an order it probed reads them all from the Gram. A narrow
+    # series (p = 8) takes them from its h_max + 1 lag cross-products, a
+    # wide one (p = 30) takes none.
+    computed, crosses = [], []
     original = _SeparatedSums._lag_product
+    cross_product = engine._lag_cross_product
 
     def counted(self, a, b):
         computed.append((a, b))
         return original(self, a, b)
 
+    def counted_cross(x, k, out):
+        crosses.append(k)
+        return cross_product(x, k, out)
+
     monkeypatch.setattr(_SeparatedSums, "_lag_product", counted)
-    series = as_series(np.random.default_rng(91).standard_normal((90, 8)) + 0.3)
-    h_max = default_h_max(series.n)
-    lag_energy_curve(series, h_max)
-    assert len(computed) == (h_max + 1) ** 2
-    assert len(set(computed)) == len(computed)
-    gram = compute_gram(series)
-    for m in (0, 2, h_max):
-        build_trace_table(gram, DependenceWindow(m))
-    assert len(computed) == (h_max + 1) ** 2
+    monkeypatch.setattr(engine, "_lag_cross_product", counted_cross)
+    for p, want_crosses in ((8, list(range(default_h_max(90) + 1))), (30, [])):
+        computed.clear()
+        crosses.clear()
+        series = as_series(np.random.default_rng(91).standard_normal((90, p)) + 0.3)
+        h_max = default_h_max(series.n)
+        lag_energy_curve(series, h_max)
+        assert len(computed) == (h_max + 1) ** 2, p
+        assert len(set(computed)) == len(computed), p
+        assert crosses == want_crosses, p
+        gram = compute_gram(series)
+        for m in (0, 2, h_max):
+            build_trace_table(gram, DependenceWindow(m))
+        assert len(computed) == (h_max + 1) ** 2, p
+        assert crosses == want_crosses, p
 
 
 def test_trace_table_memory_above_the_gram():

@@ -18,6 +18,7 @@ from hdcp import (
     SizePowerDesign,
     as_series,
     build_coefficients,
+    build_trace_table,
     compute_gram,
     generate_series,
     l_trace,
@@ -324,6 +325,29 @@ def test_outcome_does_not_depend_on_position_in_a_chunk():
         chunked = [o for lo, hi in zip(cuts, cuts[1:]) for o in run(range(lo, hi))]
         for got, want in zip(chunked, alone):
             _assert_same_outcome(got, want)
+
+
+def test_narrow_chunk_stores_the_single_series_curves_and_tables():
+    # n = 100 >= 4p: each series' lag-grid products come from its own lag
+    # cross-products, in the stack as alone, so the stored curve and table
+    # are bitwise those of the single-series calls
+    design = SizePowerDesign(n=100, p=20, m_true=2, m_used=2, reps=simulator._CHUNK, seed=7)
+    model = build_coefficients(design, design.profile())
+    window = DependenceWindow(design.m_used)
+    values = [
+        generate_series(design, model=model, seed=[design.seed, rep]).values
+        for rep in range(design.reps)
+    ]
+    series = [SeriesMatrix(v) for v in values]
+    prepare_global(series, window)
+    for s, v in zip(series, values):
+        alone = compute_gram(SeriesMatrix(v))
+        stacked = compute_gram(s)
+        assert stacked._values[0] is s.values
+        assert l_trace(stacked, window).tobytes() == l_trace(alone, window).tobytes()
+        table = build_trace_table(stacked, window).values
+        assert table.tobytes() == build_trace_table(alone, window).values.tobytes()
+        assert ("lag_cross", 0) in alone.results
 
 
 def _traced_peak(design: SizePowerDesign) -> int:

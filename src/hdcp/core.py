@@ -55,7 +55,8 @@ class SeriesMatrix:
     A series keeps the Gram that :func:`hdcp.engine.compute_gram` built for
     it, so the Gram lives as long as the series. A proper segment cut by
     ``segment_view`` from a series with a Gram gets its Gram when it is
-    cut, as a copy of the source Gram's sub-block.
+    cut, as a view of the source Gram's sub-block, so segmenting a series
+    copies no Gram.
     """
 
     values: np.ndarray
@@ -95,10 +96,11 @@ class SeriesMatrix:
 
         The full range ``(1, n)`` returns this series itself (it is
         frozen), Gram included. Any other range cut from a series with a
-        Gram gets its Gram now: a contiguous copy of the sub-block, with
+        Gram gets its Gram now: a view of the sub-block, not a copy, with
         its row sums taken again, holding the segment's row view of the
-        series. One cut before that takes its own product in
-        ``compute_gram``.
+        series. The statistics read a strided Gram in place and give the
+        bits of a C-ordered copy of it. One cut before the source has a
+        Gram takes its own product in ``compute_gram``.
         """
         if not (1 <= lo <= hi <= self.n):
             raise IndexOutOfRange(f"segment [{lo}, {hi}] outside [1, {self.n}]")
@@ -107,7 +109,7 @@ class SeriesMatrix:
         sub = object.__new__(SeriesMatrix)
         object.__setattr__(sub, "values", self.values[lo - 1 : hi])
         if self._gram is not None:
-            raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi].copy()
+            raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi]
             object.__setattr__(sub, "_gram", GramSummary.of(raw, (sub.values,)))
         return sub
 
@@ -150,7 +152,8 @@ class GramSummary:
     Every statistic downstream is a function of this reduction. Fields:
 
     - ``raw[i, j]``  inner product of observations i and j, float64 and
-      exactly symmetric,
+      exactly symmetric; any strided array, such as a segment's view of
+      its source's Gram,
     - ``row_sums``  ``raw.sum(axis=-1)``, float64; divided by n they are the
       inner products of each observation with the series mean, which is
       what centering the Gram subtracts.
@@ -177,7 +180,8 @@ class GramSummary:
     A Gram built from inner products alone holds no arrays there.
 
     A Gram lives as long as the series that holds it (see
-    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB; the cached
+    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and a
+    segment's Gram only its row sums, as its ``raw`` is a view; the cached
     results are O(n) per M, and the lag cross-products of a narrow series
     p^2 per lag.
     """

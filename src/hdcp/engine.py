@@ -40,8 +40,9 @@ raw[s, t + b], which do not depend on M: the Gram stores each once, under
 one member of its orbit {(a, b), (b, a), (-a, -b), (-b, -a)}. Order M
 reads the (M + 1)^2 orbits of |a|, |b| <= M, so the elbow's orders
 0..h_max take (h_max + 1)^2 products in all, and a trace table at an
-order the elbow probed takes none. Each product is one O(n^2) dot over
-the Gram, or, for a narrow series, A(a, b) = tr(Γ(a) Γ(b)) with
+order the elbow probed takes none. Each product is one O(n^2) shifted
+sum over the Gram (``_shift_dot``), which reads two slices of it in place
+in any layout, or, for a narrow series, A(a, b) = tr(Γ(a) Γ(b)) with
 Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)': the Gram stores Γ(k) once
 per lag, one BLAS product each, so the elbow pays h_max + 1 of them and
 then O(p^2) per product. A context per
@@ -51,9 +52,11 @@ array. No context forms an n x n array.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the Gram on its series, and ``segment_view`` cuts
-a segment's Gram from its source's Gram when it cuts the segment, so one
-series costs one O(n^2 p) pass however often the elbow, the global test
-and binary segmentation ask for it. Per (Gram, M),
+a segment's Gram from its source's Gram when it cuts the segment, as a
+view of the sub-block, so one series costs one O(n^2 p) pass and one
+n x n array however often the elbow, the global test and binary
+segmentation ask for it. No sum over a Gram depends on its strides, so a
+view gives the bits of a C-ordered copy of its block. Per (Gram, M),
 ``GramSummary.results`` keeps the split curve of ``l_trace``, the table
 of ``build_trace_table`` (both read-only) and the value and count of each
 separated-sum term, and per Gram its lag-grid products and, when it is
@@ -108,11 +111,9 @@ _COND_LIMIT = 1e12
 # distinct (n, M) shape plans kept per process; one entry is O(nM + M^2)
 # floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
-# entries per BLAS dot in ``_long_dot``
-_DOT_CHUNK = 8192
 # A series is narrow when _NARROW_RATIO * p <= n. Its lag-grid products
 # are then traces of its p x p lag cross-products (``_lag_cross_product``),
-# not O(n^2) dots over the Gram; see ``_is_narrow``. All orbits of
+# not O(n^2) sums over the Gram; see ``_is_narrow``. All orbits of
 # |a|, |b| <= K at n = 800, Gram vs lag cross-products, in process on a
 # 2-vCPU host (medians of 21):
 #   K = 0:  p = 50 0.27 vs 0.16 ms, 100 0.25 vs 0.31, 200 0.25 vs 0.69;
@@ -221,7 +222,7 @@ def _is_narrow(gram: GramSummary) -> bool:
     cross-products: it holds its series' arrays, and their n >= 4p.
 
     A lag-grid product then costs O(p^2) after the h + 1 products Γ(k),
-    k <= h, of O(n p^2) each, against one O(n^2) dot over the Gram.
+    k <= h, of O(n p^2) each, against one O(n^2) shifted sum over the Gram.
     """
     return bool(gram._values) and _NARROW_RATIO * gram._values[0].shape[1] <= gram.n
 
@@ -422,14 +423,13 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _contrast_block(n: int, t: int) -> np.ndarray:
-    idx = np.arange(1, n + 1)
-    le = (idx <= t).astype(np.float64)
-    gt = 1.0 - le
-    return (
-        (n - t) / t * np.outer(le, le)
-        - 2.0 * np.outer(le, gt)
-        + t / (n - t) * np.outer(gt, gt)
-    )
+    # the mean contrast of split t: one constant on each of the four blocks
+    B = np.empty((n, n), dtype=np.float64)
+    B[:t, :t] = (n - t) / t
+    B[:t, t:] = -2.0
+    B[t:, :t] = 0.0
+    B[t:, t:] = t / (n - t)
+    return B
 
 
 def _apply_lag_terms(B: np.ndarray, coeff: np.ndarray, n: int) -> None:
@@ -475,12 +475,7 @@ def b_aggregate(n: int, window: DependenceWindow) -> np.ndarray:
     O(n^2 (M+1)) instead of n - 1 full constructions.
     """
     plan = _plan(n, window.m)
-    return _aggregate_values(n, plan.design, plan.weights)
-
-
-def _aggregate_values(n: int, design: DependenceDesign, weights: np.ndarray) -> np.ndarray:
-    # the n x n aggregate contrast from the lag design and the split weights
-    return _AggregateContrast(n, design, weights).rows(0, n)
+    return _AggregateContrast(n, plan.design, plan.weights).rows(0, n)
 
 
 class _AggregateContrast:
@@ -540,20 +535,6 @@ def _offset_pairs(rows: int, offsets: np.ndarray, n: int) -> tuple[np.ndarray, n
     j = np.arange(rows)[:, None] + offsets
     keep = (j >= 0) & (j < n)
     return np.nonzero(keep)[0], j[keep]
-
-
-def _long_dot(x: np.ndarray, y: np.ndarray) -> float:
-    """``x @ y`` of two contiguous vectors, as the sum of 8192-entry dots.
-
-    OpenBLAS splits a dot longer than 10,000 entries across its threads,
-    so its rounding would depend on their number; each 8192-entry dot is
-    taken by one thread. A lag-grid product's 640,000-entry dot at
-    n = 800 takes about 0.27 ms this way and 0.32 ms in ``einsum`` (one
-    core of a 2-vCPU Xeon host).
-    """
-    cut = x.shape[0] - x.shape[0] % _DOT_CHUNK
-    parts = _dot(x[:cut].reshape(-1, _DOT_CHUNK), y[:cut].reshape(-1, _DOT_CHUNK))
-    return parts.sum() + x[cut:] @ y[cut:]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -718,8 +699,11 @@ class _SeparatedSums:
     (raw zero outside the series; see ``lag_product``): the pair term's is
     A(h1, h2), the triple term's is A(h, b) summed over |b| <= M, and the
     quadruple term's is A summed over the (2M + 1) x (2M + 1) grid. Each
-    A(a, b) is one O(n^2) dot, or for a narrow Gram tr(Γ(a) Γ(b)) over
-    its series' lag cross-products (``_lag_trace``), computed once
+    A(a, b) is one O(n^2) shifted sum of the Gram against itself, row by
+    row over two slices read in place (``_shift_dot``), so the Gram may be
+    any strided view, such as a segment's sub-block of its source's Gram.
+    For a narrow Gram it is tr(Γ(a) Γ(b)) over its series' lag
+    cross-products (``_lag_trace``). It is computed once
     per Gram and orbit and stored, so a separation order pays only for
     the orbits its smaller orders did not reach. Each term then removes
     or adds the O(nM) entries near the diagonal that its index rules
@@ -805,27 +789,12 @@ class _SeparatedSums:
     def _lag_product(self, a: int, b: int) -> np.ndarray:
         if self.narrow:
             return self._lag_trace(a, b)
-        # In the flat Gram, raw[s + a, t] and raw[s, t + b] are a n - b
-        # entries apart for every (s, t). So A(a, b) is one dot of two
-        # contiguous stretches of the flat Gram, less the pairs in which
-        # t + b left [0, n) and wrapped into the next or the previous row
-        # (|b| entries per row, one small einsum); no n x n slice is copied.
-        # Each Gram of a stack is summed on its own, as it would be alone.
+        # raw[s + a, t] against raw[s, t + b]: the Gram against itself moved
+        # a rows and -b columns, summed by rows, so a view and a C-ordered
+        # copy give the same bits. Each Gram of a stack is summed on its own,
+        # as it would be alone.
         n = self.n
-        size, shift = n * n, a * n - b
-        start, stop = max(0, b, -shift), min(size, size + b, size - shift)
-        # the rows s of the wrapped pairs: row s + a exists, and so does row
-        # s + 1 (b > 0) or s - 1 (b < 0)
-        s0, s1 = max(-a, 1 if b < 0 else 0), min(n - a, n - 1 if b > 0 else n)
-        sums = []
-        for g in self.raw.reshape((-1, n, n)):
-            flat = g.reshape(size)
-            total = _long_dot(flat[start + shift : stop + shift], flat[start:stop])
-            if b > 0:
-                total -= np.einsum("ij,ij->", g[s0 + a : s1 + a, n - b :], g[s0 + 1 : s1 + 1, :b])
-            elif b < 0:
-                total -= np.einsum("ij,ij->", g[s0 + a : s1 + a, :-b], g[s0 - 1 : s1 - 1, n + b :])
-            sums.append(total)
+        sums = [_shift_dot(g, g, a, -b, by_row=True) for g in self.raw.reshape((-1, n, n))]
         return np.array(sums).reshape(self.raw.shape[:-2])
 
     def _lag_trace(self, a: int, b: int) -> np.ndarray:
@@ -1135,18 +1104,27 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
         object.__setattr__(s, "_gram", gram)
 
 
-def _shift_dot(src: np.ndarray, dst: np.ndarray, dr: int, dc: int) -> float:
-    # sum over i, j of src[i, j] * dst[i + dr, j + dc], zero outside dst's
-    # rows and outside the columns; einsum reads the strided slices in
-    # place; np.vdot would copy both and run threaded BLAS
+def _shift_dot(
+    src: np.ndarray, dst: np.ndarray, dr: int, dc: int, by_row: bool = False
+) -> float:
+    """Sum over i, j of ``src[i, j] * dst[i + dr, j + dc]``, zero outside
+    ``dst``'s rows and outside the columns.
+
+    ``einsum`` reads the two strided slices in place (``np.vdot`` would
+    copy both and run threaded BLAS). It takes slices that are each one
+    contiguous stretch as one sum, and others row by row, so its rounding
+    depends on the strides. With ``by_row`` each row is summed on its own
+    and then the row sums, so equal entries give equal bits in any layout.
+    """
     n = src.shape[1]
     r0, r1 = max(0, -dr), min(src.shape[0], dst.shape[0] - dr)
     c0, c1 = max(0, -dc), n - max(0, dc)
     if r0 >= r1 or c0 >= c1:
         return 0.0
-    return float(
-        np.einsum("ij,ij->", src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc])
-    )
+    x, y = src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    if by_row:
+        return float(np.einsum("ij,ij->i", x, y).sum())
+    return float(np.einsum("ij,ij->", x, y))
 
 
 def _contrast_rows(values, lo: int, hi: int, transposed: bool = False) -> np.ndarray:

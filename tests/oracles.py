@@ -110,8 +110,30 @@ def naive_b(n: int, t: int, m: int) -> np.ndarray:
     return B
 
 
+def outer_b_matrix(n: int, t: int, m: int) -> np.ndarray:
+    """``engine.b_matrix`` with its mean contrast summed from three outer
+    products of the split's indicator vectors.
+
+    The lag terms are the engine's own. Each block's constant is a product
+    with 1.0 plus two zeros, so the engine's block fill must match this
+    bitwise.
+    """
+    idx = np.arange(1, n + 1)
+    le = (idx <= t).astype(np.float64)
+    gt = 1.0 - le
+    B = (
+        (n - t) / t * np.outer(le, le)
+        - 2.0 * np.outer(le, gt)
+        + t / (n - t) * np.outer(gt, gt)
+    )
+    g = F_matrix(n, m).solve_transposed(f_vector(n, t, m))
+    engine._apply_lag_terms(B, g, n)
+    return B
+
+
 def outer_aggregate_values(n: int, design, weights: np.ndarray) -> np.ndarray:
-    """``engine._aggregate_values`` from two whole outer sums and a mask.
+    """``engine._AggregateContrast(n, design, weights).rows(0, n)`` from two
+    whole outer sums and a mask.
 
     The triangle below and on the diagonal, and the one above it, are each
     formed as a full n x n outer sum; the upper one is copied in through an

@@ -12,6 +12,7 @@ from hdcp import (
     TraceTable,
     as_series,
     b_aggregate,
+    b_matrix,
     build_trace_table,
     classify_errors,
     compute_gram,
@@ -23,7 +24,12 @@ from hdcp import (
 from hdcp import engine
 from hdcp.core import GramSummary
 from hdcp.engine import _plan
-from oracles import dense_cross_products, one_array_split_curve, outer_aggregate_values
+from oracles import (
+    dense_cross_products,
+    one_array_split_curve,
+    outer_aggregate_values,
+    outer_b_matrix,
+)
 
 
 def _window_for(n):
@@ -214,10 +220,26 @@ def test_gram_product_memory_above_its_input():
     assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_b_matrix_is_bitwise_the_outer_formula(m):
+    for n in range(max(4, 2 * (m + 2)), 41):
+        for t in range(1, n):
+            got = b_matrix(n, t, DependenceWindow(m))
+            assert got.tobytes() == outer_b_matrix(n, t, m).tobytes(), (n, t)
+
+
+def test_b_matrix_memory():
+    # the mean contrast is filled block by block into the one n x n array:
+    # 1.02 x n^2 float64 here; the sum of three outer products peaked at 2.03
+    n = 800
+    peak = _traced_peak(b_matrix, n, 300, DependenceWindow(2))
+    assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
 @pytest.mark.parametrize("n, m", [(6, 1), (100, 2), (101, 3), (800, 2), (800, 10)])
 def test_aggregate_values_is_bitwise_the_outer_formula(n, m):
     plan = _plan(n, m)
-    got = engine._aggregate_values(n, plan.design, plan.weights)
+    got = engine._AggregateContrast(n, plan.design, plan.weights).rows(0, n)
     want = outer_aggregate_values(n, plan.design, plan.weights)
     assert got.tobytes() == want.tobytes()
 
@@ -227,7 +249,7 @@ def test_aggregate_values_memory():
     # sum and an n^2 bool mask peaked at 2.16
     n = 800
     plan = _plan(n, 2)
-    peak = _traced_peak(engine._aggregate_values, n, plan.design, plan.weights)
+    peak = _traced_peak(lambda: engine._AggregateContrast(n, plan.design, plan.weights).rows(0, n))
     assert peak <= 1.5 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
 
 

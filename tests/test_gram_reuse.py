@@ -2,7 +2,7 @@
 
 ``compute_gram`` keeps the Gram on its series. ``segment_view`` returns
 the series itself for the full range, and cuts any other segment's Gram
-from its source's Gram, a copy of the sub-block, when it cuts the segment
+from its source's Gram, a view of the sub-block, when it cuts the segment
 (a segment of a segment included). ``l_trace``, ``build_trace_table`` and
 the separated-sum terms are stored on the Gram per separation order M.
 These tests pin that the O(n^2 p) product runs once per ``hdcp detect``
@@ -18,7 +18,7 @@ import pytest
 from hdcp import as_series, build_trace_table, compute_gram, l_trace, trace_product_estimate
 from hdcp import engine
 from hdcp.cli import main
-from hdcp.core import DependenceWindow
+from hdcp.core import DependenceWindow, GramSummary
 from hdcp.engine import _SeparatedSums
 from hdcp.inference import InferenceConfig, binary_segmentation
 from hdcp.inference import test_global as global_test
@@ -94,12 +94,19 @@ def test_segment_gram_is_a_sub_block(monkeypatch, n, p, lo, hi, inner):
     assert products == []
     fresh = compute_gram(as_series(values[lo - 1 : hi]))
 
-    assert sub.raw.flags.c_contiguous and not np.shares_memory(sub.raw, source.raw)
+    assert np.shares_memory(sub.raw, source.raw)
     scale = np.abs(fresh.raw).max()
     np.testing.assert_allclose(sub.raw, fresh.raw, rtol=1e-12, atol=1e-12 * scale)
     assert (sub.raw == sub.raw.T).all()
     total = float(np.abs(fresh.raw).sum())
     np.testing.assert_allclose(sub.row_sums, fresh.row_sums, rtol=0, atol=1e-12 * total)
+
+    # the strided view gives the bits of a C-ordered copy of its block
+    copy = GramSummary.of(np.ascontiguousarray(sub.raw), sub._values)
+    window = DependenceWindow(2)
+    assert l_trace(sub, window).tobytes() == l_trace(copy, window).tobytes()
+    table = build_trace_table(sub, window).values
+    assert table.tobytes() == build_trace_table(copy, window).values.tobytes()
 
 
 @pytest.mark.parametrize("m", ["1", "auto"])

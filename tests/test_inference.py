@@ -196,6 +196,6 @@ def test_cold_l_trace_builds_no_aggregate_cross_products(monkeypatch):
     assert calls == [3]
     assert aggregate_variance(table, n) == first and calls == [3]
     plan = _plan(n, 3)
-    B = engine._aggregate_values(n, plan.design, plan.weights)
+    B = engine._AggregateContrast(n, plan.design, plan.weights).rows(0, n)
     assert plan.cross.tobytes() == cross_products(B, 3).tobytes()
     assert plan.mass == float(np.einsum("ij,ij->", B, B))

@@ -19,7 +19,9 @@ A narrow series (4p <= n) takes its lag-grid products from its p x p lag
 cross-products, any other Gram from its own entries. So each enumeration
 gate runs on two sources of one (n, M): a narrow one, p = 3, which takes
 the lag cross-products from n = 12 on, and a wide one, p = n, which never
-does; the wide cases carry the id suffix ``-wide``.
+does; the wide cases carry the id suffix ``-wide``. The lag products are
+also checked on a segment's Gram, a strided view of its source's Gram
+(ids ``-cut``).
 """
 
 import tracemalloc
@@ -300,9 +302,27 @@ def _lag_keys(gram: GramSummary) -> list:
     return sorted(key[1:] for key in gram.results if key[0] == "lag")
 
 
-@pytest.mark.parametrize("n,m,p", _sourced(CASES + SHIFTED))
+def _cut_gram(n: int, m: int) -> GramSummary:
+    # rows 8..n + 7 of a wide series of n + 14 rows, cut by segment_view
+    # after the source's Gram: the segment's Gram is a strided view of it
+    x = np.random.default_rng(1000 * n + m).standard_normal((n + 14, n + 14)) + 0.7
+    source = as_series(x)
+    compute_gram(source)
+    gram = compute_gram(source.segment_view(8, n + 7))
+    assert np.shares_memory(gram.raw, source._gram.raw) and not gram.raw.flags.c_contiguous
+    return gram
+
+
+# p = None: the Gram of a segment cut from a longer wide series (``_cut_gram``)
+CUT = [pytest.param(n, m, None, id=f"{n}-{m}-cut") for n, m in [(17, 2), (30, 3), (34, 10)]]
+
+
+@pytest.mark.parametrize("n,m,p", _sourced(CASES + SHIFTED) + CUT)
 def test_lag_products_match_enumeration(n, m, p):
-    gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7, p=p)
+    if p is None:
+        gram = _cut_gram(n, m)
+    else:
+        gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7, p=p)
     _all_terms(gram, m)
     assert all(max(abs(a), abs(b)) <= m for a, b in _lag_keys(gram))
     ctx = _SeparatedSums(gram, m)

@@ -11,6 +11,7 @@ from .core import (
     IndexOutOfRange,
     NonFiniteEntry,
     NonPositiveBaseline,
+    RowSummary,
     Segment,
     SegmentRecord,
     SeriesMatrix,

@@ -52,15 +52,16 @@ class SeriesMatrix:
     caller's array is never aliased. ``_adopt`` holds a new array that
     nothing else writes to, such as a parsed input, without that copy.
 
-    A series keeps the Gram that :func:`hdcp.engine.compute_gram` built for
-    it, so the Gram lives as long as the series. A proper segment cut by
-    ``segment_view`` from a series with a Gram gets its Gram when it is
-    cut, as a view of the source Gram's sub-block, so segmenting a series
-    copies no Gram.
+    A series keeps the summary of its inner products that
+    :func:`hdcp.engine.compute_gram` built for it (a ``GramSummary``, or a
+    ``RowSummary`` when the series is narrow), so the summary lives as long
+    as the series. A proper segment cut by ``segment_view`` from a series
+    with a summary gets its own when it is cut, without a new product
+    (see ``segment_view``).
     """
 
     values: np.ndarray
-    # Not a dataclass field: the Gram kept on the series, set through
+    # Not a dataclass field: the summary kept on the series, set through
     # object.__setattr__ and never compared.
     _gram = None
 
@@ -95,12 +96,15 @@ class SeriesMatrix:
         """Sub-series for 1-based inclusive bounds, skipping re-validation.
 
         The full range ``(1, n)`` returns this series itself (it is
-        frozen), Gram included. Any other range cut from a series with a
-        Gram gets its Gram now: a view of the sub-block, not a copy, with
-        its row sums taken again, holding the segment's row view of the
-        series. The statistics read a strided Gram in place and give the
-        bits of a C-ordered copy of it. One cut before the source has a
-        Gram takes its own product in ``compute_gram``.
+        frozen), summary included. Any other range cut from a series with a
+        summary gets its own now. From a Gram it is a view of the
+        sub-block, not a copy, with its row sums taken again; the
+        statistics read a strided Gram in place and give the bits of a
+        C-ordered copy of it. From a narrow series' rows it is the
+        segment's rows, with its own row sums and its diagonals sliced from
+        the source's, while the segment is narrow too. A shorter segment,
+        or one cut before the source has a summary, takes its own in
+        ``compute_gram``.
         """
         if not (1 <= lo <= hi <= self.n):
             raise IndexOutOfRange(f"segment [{lo}, {hi}] outside [1, {self.n}]")
@@ -109,8 +113,7 @@ class SeriesMatrix:
         sub = object.__new__(SeriesMatrix)
         object.__setattr__(sub, "values", self.values[lo - 1 : hi])
         if self._gram is not None:
-            raw = self._gram.raw[lo - 1 : hi, lo - 1 : hi]
-            object.__setattr__(sub, "_gram", GramSummary.of(raw, (sub.values,)))
+            object.__setattr__(sub, "_gram", self._gram.segment(lo, hi))
         return sub
 
 
@@ -145,11 +148,32 @@ class DependenceWindow:
         return 2 * (self.m + 2)
 
 
+# A series is narrow when _NARROW_RATIO * p <= n (``_is_narrow``). Its
+# summary is then its rows (``RowSummary``), not its n x n Gram, and its
+# lag-grid products are traces of its p x p lag cross-products, not O(n^2)
+# sums over the Gram. All orbits of |a|, |b| <= K at n = 800, Gram vs lag
+# cross-products, in process on a 2-vCPU host (medians of 21):
+#   K = 0:  p = 50 0.27 vs 0.16 ms, 100 0.25 vs 0.31, 200 0.25 vs 0.69;
+#   K = 2:  p = 100 2.3 vs 1.1 ms, 150 2.4 vs 1.8, 200 2.3 vs 2.6, 250 2.4 vs 3.8;
+#   K = 10: p = 200 34 vs 14 ms, 300 35 vs 30, 400 37 vs 67.
+# So the crossover is near n / 10 at K = 0, n / 4.3 at K = 2 and n / 2.5
+# at K = 10. The rule serves the elbow (K = h_max, 10 by default); a
+# table at a small fixed M on a narrow series pays at most about 0.5 ms.
+_NARROW_RATIO = 4
+
+
+def _is_narrow(n: int, p: int) -> bool:
+    """Whether a series of n observations of dimension p is summarized by
+    its rows (``RowSummary``) rather than its Gram: n >= 4p."""
+    return _NARROW_RATIO * p <= n
+
+
 @dataclass(frozen=True)
 class GramSummary:
     """All inner products of a series, with their row sums.
 
-    Every statistic downstream is a function of this reduction. Fields:
+    The summary of a series that is not narrow (n < 4p, see
+    ``_is_narrow``); a narrow one has a ``RowSummary``. Fields:
 
     - ``raw[i, j]``  inner product of observations i and j, float64 and
       exactly symmetric; any strided array, such as a segment's view of
@@ -173,39 +197,23 @@ class GramSummary:
     or one entry per Gram). A repeated call with the same Gram and M
     returns the stored result.
 
-    A Gram built from a series also holds, without a copy, the series'
-    n x p array: one per Gram in ``_values``, which is not a field. A
-    narrow series (see :mod:`hdcp.engine`) has its lag-grid products taken
-    from its p x p lag cross-products, which ``results`` then stores too.
-    A Gram built from inner products alone holds no arrays there.
-
     A Gram lives as long as the series that holds it (see
     ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and a
     segment's Gram only its row sums, as its ``raw`` is a view; the cached
-    results are O(n) per M, and the lag cross-products of a narrow series
-    p^2 per lag.
+    results are O(n) per M.
     """
 
     raw: np.ndarray
     row_sums: np.ndarray
-    # Not a dataclass field: the arrays of the series whose Grams ``raw``
-    # holds, one per Gram, set through object.__setattr__ and never compared.
-    _values = ()
 
     def __post_init__(self) -> None:
         self.raw.flags.writeable = False
         self.row_sums.flags.writeable = False
 
     @classmethod
-    def of(cls, raw: np.ndarray, values: tuple = ()) -> "GramSummary":
-        """The summary of ``raw``, with its row sums taken along the last axis.
-
-        ``values`` are the arrays of the series whose Grams ``raw`` holds,
-        one per Gram, or none.
-        """
-        gram = cls(raw=raw, row_sums=raw.sum(axis=-1))
-        object.__setattr__(gram, "_values", values)
-        return gram
+    def of(cls, raw: np.ndarray) -> "GramSummary":
+        """The summary of ``raw``, with its row sums taken along the last axis."""
+        return cls(raw=raw, row_sums=raw.sum(axis=-1))
 
     @property
     def n(self) -> int:
@@ -214,6 +222,91 @@ class GramSummary:
     @functools.cached_property
     def results(self) -> dict:
         return {}
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """The inner products x_i'x_{i+k}, i < n - k, k >= 0, read-only."""
+        return np.diagonal(self.raw, k, -2, -1)
+
+    def segment(self, lo: int, hi: int) -> "GramSummary":
+        """The Gram of rows lo..hi (1-based, inclusive): a view of the sub-block."""
+        return GramSummary.of(self.raw[lo - 1 : hi, lo - 1 : hi])
+
+
+@dataclass(frozen=True)
+class RowSummary:
+    """The inner products of a narrow series (n >= 4p), held as its rows.
+
+    Every statistic reads the inner products through four things: their
+    row sums, their diagonals |k| <= 3M, the centered block sums of the
+    split curve, and the lag-grid products. From the rows each costs O(n p), and
+    the lag-grid products come from the p x p lag cross-products, so no
+    n x n array is formed. Fields:
+
+    - ``rows``  the series' n x p array itself, not a copy, read-only,
+    - ``row_sums``  x_i' sum_j x_j, float64: the Gram's row sums.
+
+    ``diagonal(k)`` gives the inner products x_i'x_{i+k}, one row dot each,
+    computed once per summary and stored in ``results`` with everything
+    :mod:`hdcp.engine` computes from the summary (as for a ``GramSummary``)
+    and the lag cross-products. A segment's summary (``segment``) takes its
+    own row sums and lag cross-products, and slices its diagonals from its
+    source's. It holds O(n p + p^2 h) for lags up to h.
+    """
+
+    rows: np.ndarray
+    row_sums: np.ndarray
+    # Not a dataclass field: (source summary, first row) of a segment, whose
+    # diagonals are slices of its source's; None for a whole series. Set
+    # through object.__setattr__ and never compared.
+    _cut = None
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
+        self.row_sums.flags.writeable = False
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cut: Optional[tuple] = None) -> "RowSummary":
+        """The summary of ``rows``, with its row sums taken from the column sums."""
+        # not warned about: compute_gram raises a non-finite sum as NonFiniteEntry
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = cls(rows=rows, row_sums=rows @ rows.sum(axis=0))
+        object.__setattr__(summary, "_cut", cut)
+        return summary
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
+
+    @functools.cached_property
+    def results(self) -> dict:
+        return {}
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """The inner products x_i'x_{i+k}, i < n - k, k >= 0, read-only."""
+        if self._cut is not None:
+            source, first = self._cut
+            return source.diagonal(k)[first : first + self.n - k]
+        diagonal = self.results.get(("diagonal", k))
+        if diagonal is None:
+            rows = self.rows
+            with np.errstate(over="ignore", invalid="ignore"):
+                diagonal = np.einsum("ij,ij->i", rows[: self.n - k], rows[k:])
+            diagonal.flags.writeable = False
+            self.results[("diagonal", k)] = diagonal
+        return diagonal
+
+    def segment(self, lo: int, hi: int) -> Optional["RowSummary"]:
+        """The summary of rows lo..hi (1-based, inclusive), or None when they
+        are not narrow: such a segment takes its own Gram."""
+        rows = self.rows[lo - 1 : hi]
+        if not _is_narrow(*rows.shape):
+            return None
+        source, first = self._cut if self._cut is not None else (self, 0)
+        return RowSummary.of(rows, (source, first + lo - 1))
+
+
+# the summary of a series' inner products: its Gram, or a narrow series' rows
+Summary = GramSummary | RowSummary
 
 
 @dataclass(frozen=True)

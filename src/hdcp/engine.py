@@ -1,23 +1,31 @@
 """Statistics for dependence-adjusted mean-change detection.
 
-Everything here is computed from a :class:`~hdcp.core.GramSummary`: with
-n observations of dimension p, one O(n^2 p) pass builds the inner-product
-matrices and all statistics afterwards cost O(n^2) per lag-grid product of
-the separated sums, and O(n^2 M^2) for a full variance, regardless of p.
-The one exception reads the raw observations, which a Gram built from a
-series keeps: a narrow series, n >= 4p, takes its lag-grid products from
-its p x p lag cross-products, O(n p^2) per lag and O(p^2) per product
-(``_is_narrow``).
+Everything here is computed from the summary of a series' inner products,
+which ``compute_gram`` builds in one of two forms and every statistic
+reads through the same few accessors: the row sums, the diagonals
+x_i'x_{i+k} (``diagonal``), the centered block sums of the split curve
+(``_split_curve``) and the lag-grid products of the separated sums. With
+n observations of dimension p:
+
+- a series with n < 4p has a :class:`~hdcp.core.GramSummary`: one
+  O(n^2 p) pass builds its n x n Gram, and every statistic afterwards
+  costs O(n^2) per lag-grid product of the separated sums, and
+  O(n^2 M^2) for a full variance, regardless of p;
+- a narrow series, n >= 4p (``core._is_narrow``), has a
+  :class:`~hdcp.core.RowSummary` and never forms its Gram: it holds its
+  rows, O(n p) each for the row sums, a diagonal and the block sums, and
+  takes its lag-grid products from its p x p lag cross-products, O(n p^2)
+  per lag and O(p^2) per product.
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
 serial correlation up to lag M. Both parts are invariant to a constant
 offset of the series, so both are read from the centered Gram, in float64,
 which is formed a block of rows at a time and never whole (see
-``_row_blocks``). Its null variance involves the
-unknown trace products tr{C(h1) C(h2)} of the lag-h autocovariances,
-estimated by a four-term U-statistic over index tuples forced to be more
-than M apart (``trace_product_estimate``).
+``_row_blocks``), or, for a narrow series, from its centered rows. Its
+null variance involves the unknown trace products tr{C(h1) C(h2)} of the
+lag-h autocovariances, estimated by a four-term U-statistic over index
+tuples forced to be more than M apart (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
 shared: ``_plan(n, M)`` holds it, with at most ``_PLAN_CACHE_SIZE`` (32)
@@ -43,27 +51,30 @@ reads the (M + 1)^2 orbits of |a|, |b| <= M, so the elbow's orders
 order the elbow probed takes none. Each product is one O(n^2) shifted
 sum over the Gram (``_shift_dot``), which reads two slices of it in place
 in any layout, or, for a narrow series, A(a, b) = tr(Γ(a) Γ(b)) with
-Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)': the Gram stores Γ(k) once
+Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)': the summary stores Γ(k) once
 per lag, one BLAS product each, so the elbow pays h_max + 1 of them and
 then O(p^2) per product. A context per
-(Gram, M) then corrects the O(nM) entries near the diagonal from the
-Gram's 6M + 1 middle diagonals, which it keeps as rows of one small
-array. No context forms an n x n array.
+(summary, M) then corrects the O(nM) entries near the diagonal from the
+6M + 1 middle diagonals, which it keeps as rows of one small array. No
+context forms an n x n array.
 
 Results live on the object that owns them, with no module-level cache.
-``compute_gram`` keeps the Gram on its series, and ``segment_view`` cuts
-a segment's Gram from its source's Gram when it cuts the segment, as a
-view of the sub-block, so one series costs one O(n^2 p) pass and one
-n x n array however often the elbow, the global test and binary
-segmentation ask for it. No sum over a Gram depends on its strides, so a
-view gives the bits of a C-ordered copy of its block. Per (Gram, M),
-``GramSummary.results`` keeps the split curve of ``l_trace``, the table
-of ``build_trace_table`` (both read-only) and the value and count of each
-separated-sum term, and per Gram its lag-grid products and, when it is
-narrow, the lag cross-products they came from; the context
-arrays behind the terms are not kept. So the table at the order the
-elbow chose reuses the elbow's quadruple, triple and pair terms, and a
-repeated test of the same Gram and M returns the stored result.
+``compute_gram`` keeps the summary on its series, and ``segment_view``
+cuts a segment's summary from its source's when it cuts the segment: a
+view of the Gram's sub-block, or the segment's rows with its own row sums
+and its diagonals sliced from its source's (a segment below 4p takes one
+product of its own rows). So one series costs at most one O(n^2 p) pass
+and one n x n array, and a narrow one none, however often the elbow, the
+global test and binary segmentation ask for it. No sum over a Gram
+depends on its strides, so a view gives the bits of a C-ordered copy of
+its block. Per (summary, M), ``results`` keeps the split curve of
+``l_trace``, the table of ``build_trace_table`` (both read-only) and the
+value and count of each separated-sum term, and per summary its lag-grid
+products and, when it is narrow, its diagonals and the lag
+cross-products; the context arrays behind the terms are not kept. So the
+table at the order the elbow chose reuses the elbow's quadruple, triple
+and pair terms, and a repeated test of the same summary and M returns
+the stored result.
 
 Series of one shape can share a pass. ``prepare_global`` builds the Grams
 of R series into the slices of one (R, n, n) stack and wraps it in one
@@ -73,8 +84,8 @@ a single Gram is the case without any, so each kernel has one copy. Each
 Gram's curve and trace table are stored under the keys ``l_trace`` and
 ``build_trace_table`` read, so a later ``test_global`` of the series
 finds them. They equal the single-series results bit for bit: each
-lag-grid product, and each lag cross-product of a narrow stack, is taken
-one Gram at a time, as that Gram alone would take it.
+lag-grid product is taken one Gram at a time, as that Gram alone would
+take it. Narrow series hold no Gram to stack, and each takes its own pass.
 
 Conventions, fixed for the whole package:
 
@@ -102,8 +113,11 @@ from .core import (
     GramSummary,
     IndexOutOfRange,
     NonFiniteEntry,
+    RowSummary,
     SeriesMatrix,
     SingularDesign,
+    Summary,
+    _is_narrow,
     validate_input,
 )
 
@@ -111,18 +125,6 @@ _COND_LIMIT = 1e12
 # distinct (n, M) shape plans kept per process; one entry is O(nM + M^2)
 # floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
-# A series is narrow when _NARROW_RATIO * p <= n. Its lag-grid products
-# are then traces of its p x p lag cross-products (``_lag_cross_product``),
-# not O(n^2) sums over the Gram; see ``_is_narrow``. All orbits of
-# |a|, |b| <= K at n = 800, Gram vs lag cross-products, in process on a
-# 2-vCPU host (medians of 21):
-#   K = 0:  p = 50 0.27 vs 0.16 ms, 100 0.25 vs 0.31, 200 0.25 vs 0.69;
-#   K = 2:  p = 100 2.3 vs 1.1 ms, 150 2.4 vs 1.8, 200 2.3 vs 2.6, 250 2.4 vs 3.8;
-#   K = 10: p = 200 34 vs 14 ms, 300 35 vs 30, 400 37 vs 67.
-# So the crossover is near n / 10 at K = 0, n / 4.3 at K = 2 and n / 2.5
-# at K = 10. The rule serves the elbow (K = h_max, 10 by default); a
-# table at a small fixed M on a narrow series pays at most about 0.5 ms.
-_NARROW_RATIO = 4
 # entries per Gram in one row block of an n x n array (256 KiB of float64):
 # ``_split_curve`` centers the Gram and ``_contrast_cross_products`` reduces
 # the aggregate contrast a block of rows at a time (see ``_row_blocks``)
@@ -179,34 +181,41 @@ class VarianceResult(NamedTuple):
     degenerate: bool
 
 
-def compute_gram(series: SeriesMatrix) -> GramSummary:
-    """Reduce a series to its inner products and their row sums, in float64.
+def compute_gram(series: SeriesMatrix) -> Summary:
+    """Reduce a series to the summary of its inner products, in float64.
 
-    A segment's Gram holds the segment's own products, so everything
-    derived from it (centering included) is segment-local. The Gram also
-    keeps the series' array, not a copy, for the lag cross-products of a
-    narrow series (see ``_is_narrow``).
+    A narrow series (n >= 4p, ``core._is_narrow``) is summarized by its
+    rows, O(n p), and never forms its n x n Gram (``RowSummary``); any
+    other by its Gram, one O(n^2 p) product, and its row sums
+    (``GramSummary``). A segment's summary holds the segment's own
+    products, so everything derived from it (centering included) is
+    segment-local.
 
-    The Gram is built once per series and kept on it: a second call
+    The summary is built once per series and kept on it: a second call
     returns the same object. A segment cut by ``segment_view`` from a
-    series that already had a Gram holds its Gram from the cut, so this
+    series that already had a summary holds its own from the cut, so this
     call only returns it.
 
     Raises ``NonFiniteEntry`` when the inner products or their row sums
     overflow float64.
     """
     if series._gram is None:
+        values = series.values
         # an overflow is raised below as NonFiniteEntry, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = GramSummary.of(_gram_product(series.values), (series.values,))
-        _check_row_sums(gram.row_sums)
+            if _is_narrow(*values.shape):
+                gram = RowSummary.of(values)
+            else:
+                gram = GramSummary.of(_gram_product(values))
+        _check_finite(gram)
         object.__setattr__(series, "_gram", gram)
     return series._gram
 
 
-def _check_row_sums(row_sums: np.ndarray) -> None:
-    # an inf or NaN anywhere in a Gram reaches its row's sum
-    if not np.isfinite(row_sums).all():
+def _check_finite(gram: Summary) -> None:
+    # an inf or NaN anywhere in a Gram reaches its row's sum, and by
+    # Cauchy-Schwarz no inner product outgrows the largest x_i'x_i
+    if not (np.isfinite(gram.row_sums).all() and np.isfinite(gram.diagonal(0)).all()):
         raise NonFiniteEntry("the inner products overflow float64; rescale the series")
 
 
@@ -217,23 +226,13 @@ def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(x, x.T, out=out)
 
 
-def _is_narrow(gram: GramSummary) -> bool:
-    """Whether the Gram's lag-grid products come from its series' lag
-    cross-products: it holds its series' arrays, and their n >= 4p.
-
-    A lag-grid product then costs O(p^2) after the h + 1 products Γ(k),
-    k <= h, of O(n p^2) each, against one O(n^2) shifted sum over the Gram.
-    """
-    return bool(gram._values) and _NARROW_RATIO * gram._values[0].shape[1] <= gram.n
+def _lag_cross_product(x: np.ndarray, k: int) -> np.ndarray:
+    # Γ(k) = x[k:]' x[:n - k] = sum_s x_{s+k} x_s', one BLAS product; at
+    # k = 0 numpy takes x' x by syrk, so Γ(0) is exactly symmetric
+    return np.matmul(x[k:].T, x[: x.shape[0] - k])
 
 
-def _lag_cross_product(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    # Γ(k) = x[k:]' x[:n - k] = sum_s x_{s+k} x_s', one BLAS product into
-    # ``out``; at k = 0 numpy takes x' x by syrk, so Γ(0) is exactly symmetric
-    return np.matmul(x[k:].T, x[: x.shape[0] - k], out=out)
-
-
-def _stored(gram: GramSummary, key: tuple, compute, *args):
+def _stored(gram: Summary, key: tuple, compute, *args):
     """``compute(*args)`` once per Gram and key; later calls return that result.
 
     Floating-point overflow inside ``compute`` is not warned about: a
@@ -322,16 +321,16 @@ def F_matrix(n: int, m: int) -> DependenceDesign:
     return DependenceDesign(F)
 
 
-def V_vector(gram: GramSummary, m: int) -> np.ndarray:
+def V_vector(gram: Summary, m: int) -> np.ndarray:
     """Centered lag sums: entry k averages products at lag k, k = 0..m.
 
     Entry k is the k-th diagonal sum of the centered Gram over n. The
     centered Gram gc[i, j] = raw[i, j] - a_i - a_j + sum(a) / n, with
     a = row_sums / n, holds the inner products of the observations less
-    the series mean. Its entries are taken one by one, so the m + 1
-    diagonals cost O(n M) and a constant offset of the series cancels
-    entry by entry. A stack of Grams (see ``prepare_global``) gives one
-    row of sums per Gram.
+    the series mean. Its entries are taken one by one from the summary's
+    diagonals, so the m + 1 diagonals cost O(n M) and a constant offset of
+    the series cancels entry by entry. A stack of Grams (see
+    ``prepare_global``) gives one row of sums per Gram.
     """
     n = gram.n
     if m >= n:
@@ -339,14 +338,13 @@ def V_vector(gram: GramSummary, m: int) -> np.ndarray:
     a = gram.row_sums / n
     mean_sq = (a.sum(axis=-1) / n)[..., None]
     vals = [
-        (np.diagonal(gram.raw, k, -2, -1) - a[..., : n - k] - a[..., k:] + mean_sq).sum(axis=-1)
-        / n
+        (gram.diagonal(k) - a[..., : n - k] - a[..., k:] + mean_sq).sum(axis=-1) / n
         for k in range(m + 1)
     ]
     return np.stack(vals, axis=-1)
 
 
-def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
+def l_trace(gram: Summary, window: DependenceWindow) -> np.ndarray:
     """Dependence-corrected split statistics for every t in 1..n-1.
 
     Entry t - 1 contrasts the means of the first t and last n - t
@@ -355,48 +353,72 @@ def l_trace(gram: GramSummary, window: DependenceWindow) -> np.ndarray:
     is read from the centered Gram (see ``V_vector``), whose entries
     carry no offset to cancel. It needs three block sums per split: the
     leading t x t block, the first t rows, and the whole matrix. They come
-    from O(n) cumulative sums of the centered row sums and lower-triangle
-    row sums, all float64; the lag design system is solved once. The
-    centered Gram is formed a block of at most ``_BLOCK_ENTRIES`` entries
-    per Gram at a time, so the curve adds no n x n array to the Gram, and
-    each row's sums are taken on that row alone, so the curve does not
-    depend on the block size. The checked design and the boundary weights
-    of all splits come from the (n, M) plan, so only the first call for a
-    shape builds them; the plan's O(n^2 M^2) aggregate cross-products wait
-    for ``aggregate_variance``.
+    from O(n) cumulative sums, all float64; the lag design system is
+    solved once. A Gram's come from three sums of each row of the centered
+    Gram: its total, its diagonal entry and its strictly-lower sum. The
+    Gram is centered a block of at most
+    ``_BLOCK_ENTRIES`` entries per Gram at a time, so the curve adds no
+    n x n array to the Gram, and each row's sums are taken on that row
+    alone, so the curve does not depend on the block size. A narrow
+    series centers its rows instead, and its block sums are dots of their
+    running sums, O(n p) in one n x p array. The checked design and
+    the boundary weights of all splits come from the (n, M) plan, so only
+    the first call for a shape builds them; the plan's O(n^2 M^2) aggregate
+    cross-products wait for ``aggregate_variance``.
 
     The curve is computed once per (Gram, M) and returned read-only.
     """
     return _stored(gram, ("l_trace", window.m), _split_curve, gram, window.m)
 
 
-def _split_curve(gram: GramSummary, m: int) -> np.ndarray:
+def _row_block_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(prefix, leading)`` of a narrow series' centered Gram, from its rows:
+    the sums over its first t rows, t = 0..n, and over its leading t x t
+    block, t = 1..n - 1.
+
+    The centered Gram is y y' for the centered rows y, so with the running
+    sums s_t = y_1 + ... + y_t the first t rows sum to s_t's' s_n and the
+    leading block to s_t's' s_t: one n x p array, O(n p).
+    """
+    running = rows - rows.mean(axis=0)
+    np.cumsum(running, axis=0, out=running)
+    prefix = np.zeros(rows.shape[0] + 1, dtype=np.float64)
+    np.matmul(running, running[-1], out=prefix[1:])
+    return prefix, np.einsum("ij,ij->i", running[:-1], running[:-1])
+
+
+def _split_curve(gram: Summary, m: int) -> np.ndarray:
     # every array below has the Gram's leading axes, if it has any
     n = gram.n
     plan = _plan(n, m)
     x = plan.design.solve(V_vector(gram, m))
 
-    # The centered Gram, a block of rows at a time: each row's total, its
-    # diagonal entry and, once its upper part is zeroed, its strictly-lower
-    # sum. Each row's sums are taken on the row alone, so the curve does not
-    # depend on the block size.
-    a = gram.row_sums / n
-    mean_sq = (a.sum(axis=-1) / n)[..., None, None]
-    totals, diagonal, lower = (np.empty(a.shape, dtype=np.float64) for _ in range(3))
-    for lo, hi in _row_blocks(n):
-        gc = gram.raw[..., lo:hi, :] - a[..., lo:hi, None]
-        gc -= a[..., None, :]
-        gc += mean_sq
-        totals[..., lo:hi] = gc.sum(axis=-1)
-        diagonal[..., lo:hi] = np.diagonal(gc, lo, -2, -1)
-        gc *= np.tri(hi - lo, n, lo - 1, dtype=bool)
-        lower[..., lo:hi] = gc.sum(axis=-1)
-        del gc  # before the next block is built
-    prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
-    np.cumsum(totals, axis=-1, out=prefix[..., 1:])
-    # the leading block grows by row t's lower part twice plus gc[t, t]
-    block = np.cumsum(2 * lower + diagonal, axis=-1)
-    ptt = block[..., :-1]
+    # P[t, n] (``prefix``) and P[t, t] (``ptt``), the sums of the centered
+    # Gram over its first t rows and over its leading t x t block
+    if isinstance(gram, RowSummary):
+        prefix, ptt = _row_block_sums(gram.rows)
+    else:
+        # The centered Gram, a block of rows at a time: each row's total,
+        # its diagonal entry and, once its upper part is zeroed, its
+        # strictly-lower sum. Each row's sums are taken on the row alone,
+        # so the curve does not depend on the block size.
+        a = gram.row_sums / n
+        mean_sq = (a.sum(axis=-1) / n)[..., None, None]
+        totals, diagonal, lower = (np.empty(a.shape, dtype=np.float64) for _ in range(3))
+        for lo, hi in _row_blocks(n):
+            gc = gram.raw[..., lo:hi, :] - a[..., lo:hi, None]
+            gc -= a[..., None, :]
+            gc += mean_sq
+            totals[..., lo:hi] = gc.sum(axis=-1)
+            diagonal[..., lo:hi] = np.diagonal(gc, lo, -2, -1)
+            gc *= np.tri(hi - lo, n, lo - 1, dtype=bool)
+            lower[..., lo:hi] = gc.sum(axis=-1)
+            del gc  # before the next block is built
+        prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
+        np.cumsum(totals, axis=-1, out=prefix[..., 1:])
+        # the leading block grows by row t's lower part twice plus gc[t, t]
+        block = np.cumsum(2 * lower + diagonal, axis=-1)
+        ptt = block[..., :-1]
     ptn = prefix[..., 1:n]
     # P[n, n] from the same running sum as P[t, n], so that their rounding
     # cancels in P[n, n] - 2 P[t, n] + P[t, t]; the centered rows sum to
@@ -681,7 +703,7 @@ def _plan(n: int, m: int) -> _ShapePlan:
 
 
 class _SeparatedSums:
-    """The separated trace-product sums of one Gram at one separation M.
+    """The separated trace-product sums of one summary at one separation M.
 
     One instance serves every (h1, h2) pair of a lag window. Counts are
     exact integers: the quadruple count in closed form, the pair count as
@@ -691,8 +713,10 @@ class _SeparatedSums:
     Windows are 0-based and half-open: index i excludes the indices in
     ``[lo[i], hi[i])``, its neighbours at distance <= M clipped to the
     series. What depends on (n, M) alone (windows, counts, forbidden
-    intervals) comes from the cached ``_plan(n, M)``; the float64 row sums
-    and the lag-grid products come from the Gram, shared across separations.
+    intervals) comes from the cached ``_plan(n, M)``; the float64 row sums,
+    the diagonals and the lag-grid products come from the summary, shared
+    across separations. ``raw`` below is the series' Gram, which a narrow
+    series never forms.
 
     Every whole-grid sum of the three terms is a sum of one Gram quantity,
     the lag-grid product ``A(a, b) = sum_{s,t} raw[s + a, t] raw[s, t + b]``
@@ -702,14 +726,15 @@ class _SeparatedSums:
     A(a, b) is one O(n^2) shifted sum of the Gram against itself, row by
     row over two slices read in place (``_shift_dot``), so the Gram may be
     any strided view, such as a segment's sub-block of its source's Gram.
-    For a narrow Gram it is tr(Γ(a) Γ(b)) over its series' lag
-    cross-products (``_lag_trace``). It is computed once
-    per Gram and orbit and stored, so a separation order pays only for
+    For a narrow series it is tr(Γ(a) Γ(b)) over its lag cross-products
+    (``_lag_trace``). It is computed once
+    per summary and orbit and stored, so a separation order pays only for
     the orbits its smaller orders did not reach. Each term then removes
     or adds the O(nM) entries near the diagonal that its index rules
-    treat apart. Those entries are read from ``band``: the diagonals
-    ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n array, zero
-    where i + k falls outside the series, with their running sums over k.
+    treat apart. Those entries are read from ``band``: the summary's
+    diagonals ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n
+    array, zero where i + k falls outside the series, with their running
+    sums over k.
     A sum of row i over any stretch of offsets is then a difference of two
     of those rows, so clipped windows at the series ends need no case of
     their own, and no term forms index pairs. The corrections are:
@@ -723,23 +748,22 @@ class _SeparatedSums:
 
     No context forms an n x n array: ``band`` is O(nM), the stored
     products are scalars and a lag cross-product is p x p, below n^2 / 16.
-    Each term's value and count is stored on the Gram per M
-    (``GramSummary.results``), so every context of one (Gram, M) computes
-    a term once.
+    Each term's value and count is stored on the summary per M
+    (``results``), so every context of one (summary, M) computes a term
+    once.
 
     A Gram with leading axes (see ``prepare_global``) gives every array
     those axes too, and each term's value is then an array with one entry
     per Gram.
     """
 
-    def __init__(self, gram: GramSummary, m: int):
+    def __init__(self, gram: Summary, m: int):
         self.n = n = gram.n
         self.m = m
         self.gram = gram
-        self.raw = gram.raw
         self.plan = _plan(n, m)
         self.row_sums = gram.row_sums
-        self.narrow = _is_narrow(gram)
+        self.narrow = isinstance(gram, RowSummary)
         self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -748,15 +772,16 @@ class _SeparatedSums:
         ``diag[3M + k, i] = raw[i, i + k]``, zero where i + k is outside
         [0, n); ``prefix[j]`` sums rows ``diag[:j]``, so
         ``prefix[3M + b + 1, i] - prefix[3M + a, i]`` sums raw[i, i + a:i + b + 1]
-        clipped to the series. Built on first use, O(nM).
+        clipped to the series. Built on first use from the summary's
+        diagonals, O(nM).
         """
         if self._band is None:
             n, k_max = self.n, 3 * self.m
-            lead = self.raw.shape[:-2]
+            lead = self.row_sums.shape[:-1]
             diag = np.zeros(lead + (2 * k_max + 1, n), dtype=np.float64)
             for k in range(min(k_max, n - 1) + 1):
                 # raw is symmetric: diagonal -k is diagonal k moved k columns on
-                values = np.diagonal(self.raw, k, -2, -1)
+                values = self.gram.diagonal(k)
                 diag[..., k_max + k, : n - k] = values
                 diag[..., k_max - k, k:] = values
             prefix = np.zeros(lead + (2 * k_max + 2, n), dtype=np.float64)
@@ -776,16 +801,6 @@ class _SeparatedSums:
         key = min((a, b), (b, a), (-a, -b), (-b, -a))
         return _stored(self.gram, ("lag",) + key, self._lag_product, *key)
 
-    def _lag_cross(self, k: int) -> np.ndarray:
-        # Γ(k) of each series of a narrow Gram, k >= 0: p x p, with the
-        # Gram's leading axes, stored once per Gram and lag by ``_lag_trace``
-        values = self.gram._values
-        p = values[0].shape[1]
-        out = np.empty(self.raw.shape[:-2] + (p, p), dtype=np.float64)
-        for x, gamma in zip(values, out.reshape((-1, p, p))):
-            _lag_cross_product(x, k, gamma)
-        return out
-
     def _lag_product(self, a: int, b: int) -> np.ndarray:
         if self.narrow:
             return self._lag_trace(a, b)
@@ -793,23 +808,22 @@ class _SeparatedSums:
         # a rows and -b columns, summed by rows, so a view and a C-ordered
         # copy give the same bits. Each Gram of a stack is summed on its own,
         # as it would be alone.
-        n = self.n
-        sums = [_shift_dot(g, g, a, -b, by_row=True) for g in self.raw.reshape((-1, n, n))]
-        return np.array(sums).reshape(self.raw.shape[:-2])
+        raw, n = self.gram.raw, self.n
+        sums = [_shift_dot(g, g, a, -b, by_row=True) for g in raw.reshape((-1, n, n))]
+        return np.array(sums).reshape(raw.shape[:-2])
 
-    def _lag_trace(self, a: int, b: int) -> np.ndarray:
+    def _lag_trace(self, a: int, b: int) -> float:
         # A(a, b) = sum_{s,t} x_{s+a}'x_t x_s'x_{t+b} = tr(Γ(a) Γ(b)), exactly,
         # and Γ(-k) = Γ(k)': a sum of p^2 products, read with the subscripts
-        # that transpose a negative lag's Γ. Each Gram of a stack is summed
-        # on its own, as it would be alone.
+        # that transpose a negative lag's Γ. Each Γ(k), k >= 0, is stored
+        # once per summary.
         subscripts = ("ij" if a >= 0 else "ji") + "," + ("ji" if b >= 0 else "ij") + "->"
+        rows = self.gram.rows
         ga, gb = (
-            _stored(self.gram, ("lag_cross", k), self._lag_cross, k) for k in (abs(a), abs(b))
+            _stored(self.gram, ("lag_cross", k), _lag_cross_product, rows, k)
+            for k in (abs(a), abs(b))
         )
-        p = ga.shape[-1]
-        pairs = zip(ga.reshape((-1, p, p)), gb.reshape((-1, p, p)))
-        sums = [np.einsum(subscripts, x, y) for x, y in pairs]
-        return np.array(sums).reshape(self.raw.shape[:-2])
+        return np.einsum(subscripts, ga, gb)
 
     def _box(self) -> np.ndarray:
         # A summed over |a|, |b| <= M, one ring max(|a|, |b|) = k at a time:
@@ -997,7 +1011,7 @@ def _combine_terms(
 
 
 def trace_product_estimate(
-    gram: GramSummary, h1: int, h2: int, window: DependenceWindow
+    gram: Summary, h1: int, h2: int, window: DependenceWindow
 ) -> float:
     """Estimate tr{C(h1) C(h2)} from the raw inner products, mean not removed.
 
@@ -1022,7 +1036,7 @@ def trace_product_estimate(
     return float(_combine_terms(parts, h1, h2))
 
 
-def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable:
+def build_trace_table(gram: Summary, window: DependenceWindow) -> TraceTable:
     """Fill the lag grid of trace-product estimates.
 
     Only canonical orbit representatives are computed; the mirrors
@@ -1039,16 +1053,16 @@ def build_trace_table(gram: GramSummary, window: DependenceWindow) -> TraceTable
     return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
 
 
-def _trace_table(gram: GramSummary, m: int) -> TraceTable:
+def _trace_table(gram: Summary, m: int) -> TraceTable:
     return TraceTable(m=m, values=_table_values(gram, m))
 
 
-def _table_values(gram: GramSummary, m: int) -> np.ndarray:
+def _table_values(gram: Summary, m: int) -> np.ndarray:
     # the (2M + 1) x (2M + 1) grid, with the Gram's leading axes
     ctx = _SeparatedSums(gram, m)
     quad = ctx.quad_term()
     triples = [ctx.triple_term(h) for h in range(m + 1)]
-    values = np.full(gram.raw.shape[:-2] + (2 * m + 1, 2 * m + 1), np.nan)
+    values = np.full(gram.row_sums.shape[:-1] + (2 * m + 1, 2 * m + 1), np.nan)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
             orbit = ((h1, h2), (h2, h1), (-h1, -h2), (-h2, -h1))
@@ -1069,14 +1083,16 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     """Reduce series of one shape and take what their global tests read, in
     one stacked pass.
 
-    Each series gets the Gram that ``compute_gram`` would keep on it, and
-    each Gram the split curve and trace table at ``window`` that ``l_trace``
-    and ``build_trace_table`` would store on it; a later ``test_global`` of
-    the series reads them. The R Grams are built into the slices of one
-    (R, n, n) stack, which one ``GramSummary`` with a leading axis holds,
-    and each series' ``GramSummary`` is a view of its slice. The curves
-    and tables are computed over the whole stack; every Gram's results
-    are those of the single-series calls, bit for bit.
+    Each series gets the summary that ``compute_gram`` would keep on it,
+    and each summary the split curve and trace table at ``window`` that
+    ``l_trace`` and ``build_trace_table`` would store on it; a later
+    ``test_global`` of the series reads them. The R Grams are built into
+    the slices of one (R, n, n) stack, which one ``GramSummary`` with a
+    leading axis holds, and each series' ``GramSummary`` is a view of its
+    slice. The curves and tables are computed over the whole stack; every
+    Gram's results are those of the single-series calls, bit for bit.
+    Narrow series hold no Gram to stack: each is summarized and takes its
+    curve and table on its own, through those calls.
 
     Raises ``ValueError`` unless the series share one shape and none holds
     a Gram yet, ``DimensionTooSmall`` as ``validate_input`` does,
@@ -1087,18 +1103,23 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     if any(s.values.shape != shape or s._gram is not None for s in series):
         raise ValueError("prepare_global takes series of one shape that hold no Gram yet")
     validate_input(series[0], window)
+    if _is_narrow(*shape):
+        for s in series:
+            gram = compute_gram(s)
+            l_trace(gram, window)
+            build_trace_table(gram, window)
+        return
     m = window.m
     raw = np.empty((len(series), shape[0], shape[0]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for s, out in zip(series, raw):
             _gram_product(s.values, out=out)
-        stack = GramSummary.of(raw, tuple(s.values for s in series))
-        _check_row_sums(stack.row_sums)
+        stack = GramSummary.of(raw)
+        _check_finite(stack)
         curves = _split_curve(stack, m)
         tables = _table_values(stack, m)
     for s, view, sums, curve, table in zip(series, stack.raw, stack.row_sums, curves, tables):
         gram = GramSummary(raw=view, row_sums=sums)
-        object.__setattr__(gram, "_values", (s.values,))
         gram.results[("l_trace", m)] = curve
         gram.results[("table", m)] = TraceTable(m=m, values=table)
         object.__setattr__(s, "_gram", gram)

@@ -21,11 +21,11 @@ from .core import (
     DependenceWindow,
     DimensionTooSmall,
     EmptySumRange,
-    GramSummary,
     IndexOutOfRange,
     Segment,
     SegmentRecord,
     SeriesMatrix,
+    Summary,
     TestOutcome,
     validate_input,
 )
@@ -89,7 +89,7 @@ def _outcome_from(statistic: float, variance: float, degenerate: bool, alpha: fl
 
 
 def _global_test_core(
-    gram: GramSummary, window: DependenceWindow, alpha: float
+    gram: Summary, window: DependenceWindow, alpha: float
 ) -> tuple[TestOutcome, np.ndarray]:
     curve = l_trace(gram, window)
     statistic = math.fsum(curve.tolist())
@@ -141,7 +141,7 @@ def estimate_single(series: SeriesMatrix, window: DependenceWindow) -> int:
     validate_input(series, window)
     gram = compute_gram(series)
     curve = l_trace(gram, window)
-    noise_floor = 1e-12 * (np.trace(gram.raw) / gram.n + 1.0)
+    noise_floor = 1e-12 * (gram.diagonal(0).sum() / gram.n + 1.0)
     if np.abs(curve).max() <= noise_floor:
         return 1
     return int(np.argmax(curve)) + 1

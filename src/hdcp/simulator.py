@@ -350,10 +350,11 @@ def worker_count() -> int:
 
 def _map_replications(worker, tasks, payload):
     global _PAYLOAD
-    workers = worker_count()
+    # no more processes than tasks, and none for a single task
+    workers = min(worker_count(), len(tasks))
     _PAYLOAD = payload
     try:
-        if workers == 1:
+        if workers <= 1:
             return [worker(task) for task in tasks]
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             return pool.map(worker, tasks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hdcp import DependenceWindow, as_series, compute_gram, engine, simulator
+from hdcp import DependenceWindow, GramSummary, as_series, compute_gram, engine, simulator
 from hdcp import (
     F_matrix,
     V_vector,
@@ -425,7 +425,11 @@ def assert_instance_matches(x: np.ndarray, m: int, rtol: float = 1e-8) -> None:
     window = DependenceWindow(m)
 
     raw, _ = naive_gram(x)
-    np.testing.assert_allclose(gram.raw, raw, rtol=rtol, atol=1e-10)
+    if isinstance(gram, GramSummary):
+        np.testing.assert_allclose(gram.raw, raw, rtol=rtol, atol=1e-10)
+    np.testing.assert_allclose(gram.row_sums, raw.sum(axis=1), rtol=rtol, atol=1e-10)
+    for k in range(n):
+        np.testing.assert_allclose(gram.diagonal(k), np.diagonal(raw, k), rtol=rtol, atol=1e-10)
 
     np.testing.assert_allclose(
         V_vector(gram, m), naive_v(x, m), rtol=rtol, atol=1e-12

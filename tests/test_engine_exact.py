@@ -84,8 +84,17 @@ def test_b_matrix_hand_values():
 
 
 def test_gram_two_point_example():
-    g = compute_gram(as_series([[0.0], [2.0], [1.0], [1.0]]))
+    # a zero column keeps the inner products and makes the series wide (4p > n)
+    g = compute_gram(as_series([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(g.raw[:2, :2], [[0.0, 0.0], [0.0, 4.0]], atol=1e-14)
+
+
+def test_narrow_two_point_example():
+    # one column: narrow (4p <= n), so the inner products are row dots
+    g = compute_gram(as_series([[0.0], [2.0], [1.0], [1.0]]))
+    np.testing.assert_allclose(g.diagonal(0), [0.0, 4.0, 1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(g.diagonal(1), [0.0, 2.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(g.row_sums, [0.0, 8.0, 4.0, 4.0], atol=1e-14)
 
 
 def test_gram_centering_and_symmetry():
@@ -109,7 +118,7 @@ def test_gram_row_sum_dtype_and_lag_sums(n, p):
     gram = compute_gram(as_series(x))
     assert gram.row_sums.dtype == np.float64
 
-    raw = gram.raw
+    raw = x @ x.T
     row_sums = raw.sum(axis=1)
     scaled = row_sums / n
     centered = (raw - (scaled[:, None] + scaled[None, :])) + float(row_sums.sum()) / n**2

@@ -23,5 +23,5 @@ def test_quadratic_form_identity():
         curve = l_trace(g, w)
         n = 15
         for t in (1, 7, 14):
-            quad = float((b_matrix(n, t, w) * g.raw).sum()) / n**2
+            quad = float((b_matrix(n, t, w) * (x @ x.T)).sum()) / n**2
             np.testing.assert_allclose(curve[t - 1], quad, rtol=1e-10, atol=1e-12)

@@ -26,6 +26,7 @@ from hdcp.core import GramSummary
 from hdcp.engine import _plan
 from oracles import (
     dense_cross_products,
+    naive_gram,
     one_array_split_curve,
     outer_aggregate_values,
     outer_b_matrix,
@@ -143,9 +144,9 @@ def test_l_trace_offset_invariant(n, p, shift, rtol):
 def test_l_trace_memory_above_the_gram():
     # the Gram is centered a block of rows at a time, so no n x n array is
     # formed: 0.08 x n^2 float64 here; the whole centered Gram and its
-    # n^2 bool mask peaked at 1.15
+    # n^2 bool mask peaked at 1.15. The series is wide (4p > n).
     n = 800
-    gram = compute_gram(as_series(np.random.default_rng(6).standard_normal((n, 10)) + 0.2))
+    gram = compute_gram(as_series(np.random.default_rng(6).standard_normal((n, 300)) + 0.2))
     tracemalloc.start()
     try:
         l_trace(gram, DependenceWindow(3))
@@ -153,6 +154,15 @@ def test_l_trace_memory_above_the_gram():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
+
+
+def test_narrow_l_trace_memory_above_its_rows():
+    # a narrow series centers its rows in place into their running sums, one
+    # n x p array: 1.14 x n p float64 here, with the n-long block sums
+    n, p = 800, 100
+    gram = compute_gram(as_series(np.random.default_rng(6).standard_normal((n, p)) + 0.2))
+    peak = _traced_peak(l_trace, gram, DependenceWindow(3))
+    assert peak <= 1.5 * n * p * 8, f"{peak / (n * p * 8):.2f} x n p float64"
 
 
 # the n at which the centered Gram is one block of rows exactly
@@ -164,16 +174,27 @@ _BLOCK_ROWS = int(np.sqrt(engine._BLOCK_ENTRIES))
 def test_split_curve_is_bitwise_the_one_array_curve(n, stacked):
     # each row's sums are taken on the row alone, so the row blocks do not
     # change a bit of the curve; under a +50 offset the centering cancels
-    # hardest
+    # hardest. The series are wide (4p > n), so they hold their Grams.
     assert len(engine._row_blocks(n)) == (1 if n <= _BLOCK_ROWS else 2 if n < 800 else 20)
     rng = np.random.default_rng(n)
-    grams = [compute_gram(as_series(rng.standard_normal((n, 12)) + 50.0)) for _ in range(3)]
+    p = n // 4 + 1
+    grams = [compute_gram(as_series(rng.standard_normal((n, p)) + 50.0)) for _ in range(3)]
     gram = GramSummary.of(np.stack([g.raw for g in grams])) if stacked else grams[0]
     got = engine._split_curve(gram, 2)
     assert got.tobytes() == one_array_split_curve(gram, 2).tobytes()
     if stacked:
         for g, curve in zip(grams, got):
             assert curve.tobytes() == l_trace(g, DependenceWindow(2)).tobytes()
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS, 800])
+def test_narrow_split_curve_matches_the_one_array_curve(n):
+    # a narrow series (4p <= n) centers its rows, not its Gram; its curve
+    # agrees with the one-array curve of its naive Gram under a +50 offset
+    x = np.random.default_rng(n).standard_normal((n, 12)) + 50.0
+    got = engine._split_curve(compute_gram(as_series(x)), 2)
+    want = one_array_split_curve(GramSummary.of(naive_gram(x)[0]), 2)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def _traced_peak(compute, *args):

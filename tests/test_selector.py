@@ -88,9 +88,10 @@ def test_curve_memory_above_the_gram():
     # no n x n array: the deepest order h holds its band arrays ((12 h + 3) n
     # floats) and, while its triple term runs, the term's weights
     # ((5 h + 1) n) and the plan's index arrays of the triple count's 2h
-    # overlap offsets (about 10 h n); about 278 n floats at h = 10
+    # overlap offsets (about 10 h n); about 278 n floats at h = 10. The
+    # series is wide (4p > n); a narrow one adds h + 1 lag cross-products.
     n = 800
-    series = as_series(np.random.default_rng(4).standard_normal((n, 10)) + 0.2)
+    series = as_series(np.random.default_rng(4).standard_normal((n, 300)) + 0.2)
     h_max = default_h_max(n)
     compute_gram(series)
     tracemalloc.start()

@@ -15,13 +15,15 @@ A(a, b) = sum_{s,t} G[s + a, t] G[s, t + b], which are checked against a
 double loop, stored once per orbit and computed once per Gram. The cached
 (n, M) plan is checked bitwise, cold against warm.
 
-A narrow series (4p <= n) takes its lag-grid products from its p x p lag
-cross-products, any other Gram from its own entries. So each enumeration
-gate runs on two sources of one (n, M): a narrow one, p = 3, which takes
-the lag cross-products from n = 12 on, and a wide one, p = n, which never
-does; the wide cases carry the id suffix ``-wide``. The lag products are
-also checked on a segment's Gram, a strided view of its source's Gram
-(ids ``-cut``).
+A narrow series (4p <= n) is summarized by its rows: it takes its
+lag-grid products from its p x p lag cross-products and its diagonals
+from row dots, and forms no Gram. Any other series takes both from its
+Gram. So each enumeration gate runs on two sources of one (n, M): a
+narrow one, p = 3, which takes the rows from n = 12 on, and a wide one,
+p = n, which never does; the wide cases carry the id suffix ``-wide``.
+The enumeration reads the inner products ``x @ x.T`` of the source. The
+lag products are also checked on a segment's Gram, a strided view of its
+source's Gram (ids ``-cut``).
 """
 
 import tracemalloc
@@ -103,17 +105,22 @@ def brute_quad(g: np.ndarray, m: int) -> tuple[float, int]:
     return total, int(mask.sum())
 
 
-def _gram(n: int, m: int, shift: float = 0.7, p: int = 3) -> GramSummary:
+def _source(n: int, m: int, shift: float = 0.7, p: int = 3) -> tuple:
+    # the summary of a seeded series and its inner products, for enumeration
     rng = np.random.default_rng(1000 * n + m)
     x = rng.standard_normal((n, p)) + shift
-    return compute_gram(as_series(x))
+    return compute_gram(as_series(x)), x @ x.T
+
+
+def _gram(n: int, m: int, shift: float = 0.7, p: int = 3):
+    return _source(n, m, shift, p)[0]
 
 
 @pytest.mark.parametrize("n,m,p", _sourced(CASES))
 def test_quad_term_matches_enumeration(n, m, p):
-    gram = _gram(n, m, p=p)
+    gram, raw = _source(n, m, p=p)
     value, count = _SeparatedSums(gram, m).quad_term()
-    want_value, want_count = brute_quad(gram.raw, m)
+    want_value, want_count = brute_quad(raw, m)
     assert isinstance(count, int)
     assert count == want_count
     np.testing.assert_allclose(value, want_value, rtol=1e-10)
@@ -121,11 +128,11 @@ def test_quad_term_matches_enumeration(n, m, p):
 
 @pytest.mark.parametrize("n,m,p", _sourced(CASES))
 def test_triple_term_matches_enumeration(n, m, p):
-    gram = _gram(n, m, p=p)
+    gram, raw = _source(n, m, p=p)
     ctx = _SeparatedSums(gram, m)
     for h in range(-m, m + 1):
         value, count = ctx.triple_term(h)
-        want_value, want_count = brute_triple(gram.raw, m, h)
+        want_value, want_count = brute_triple(raw, m, h)
         assert isinstance(count, int)
         assert count == want_count, h
         np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h}")
@@ -134,12 +141,12 @@ def test_triple_term_matches_enumeration(n, m, p):
 
 @pytest.mark.parametrize("n,m,p", _sourced(CASES))
 def test_pair_term_matches_enumeration(n, m, p):
-    gram = _gram(n, m, p=p)
+    gram, raw = _source(n, m, p=p)
     ctx = _SeparatedSums(gram, m)
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
             value, count = ctx.pair_term(h1, h2)
-            want_value, want_count = brute_pair(gram.raw, m, h1, h2)
+            want_value, want_count = brute_pair(raw, m, h1, h2)
             assert isinstance(count, int)
             assert count == want_count, (h1, h2)
             np.testing.assert_allclose(value, want_value, rtol=1e-10, err_msg=f"h={h1, h2}")
@@ -147,20 +154,20 @@ def test_pair_term_matches_enumeration(n, m, p):
 
 @pytest.mark.parametrize("n,m,p", _sourced(SHIFTED))
 def test_terms_match_enumeration_far_from_mean_zero(n, m, p):
-    gram = _gram(n, m, shift=50.0, p=p)
+    gram, raw = _source(n, m, shift=50.0, p=p)
     ctx = _SeparatedSums(gram, m)
-    want = brute_quad(gram.raw, m)
+    want = brute_quad(raw, m)
     value, count = ctx.quad_term()
     assert count == want[1]
     np.testing.assert_allclose(value, want[0], rtol=1e-10)
     for h in range(-m, m + 1):
-        want = brute_triple(gram.raw, m, h)
+        want = brute_triple(raw, m, h)
         value, count = ctx.triple_term(h)
         assert count == want[1], h
         np.testing.assert_allclose(value, want[0], rtol=1e-10, err_msg=f"h={h}")
     for h1 in range(-m, m + 1):
         for h2 in range(-m, m + 1):
-            want = brute_pair(gram.raw, m, h1, h2)
+            want = brute_pair(raw, m, h1, h2)
             value, count = ctx.pair_term(h1, h2)
             assert count == want[1], (h1, h2)
             np.testing.assert_allclose(value, want[0], rtol=1e-10, err_msg=f"h={h1, h2}")
@@ -321,8 +328,9 @@ CUT = [pytest.param(n, m, None, id=f"{n}-{m}-cut") for n, m in [(17, 2), (30, 3)
 def test_lag_products_match_enumeration(n, m, p):
     if p is None:
         gram = _cut_gram(n, m)
+        raw = gram.raw
     else:
-        gram = _gram(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7, p=p)
+        gram, raw = _source(n, m, shift=50.0 if (n, m) in SHIFTED else 0.7, p=p)
     _all_terms(gram, m)
     assert all(max(abs(a), abs(b)) <= m for a, b in _lag_keys(gram))
     ctx = _SeparatedSums(gram, m)
@@ -331,7 +339,7 @@ def test_lag_products_match_enumeration(n, m, p):
             orbit = [ctx.lag_product(*ab) for ab in ((a, b), (b, a), (-a, -b), (-b, -a))]
             assert len({np.float64(v).tobytes() for v in orbit}) == 1, (a, b)
             np.testing.assert_allclose(
-                orbit[0], naive_lag_product(gram.raw, a, b), rtol=1e-10, err_msg=f"A{a, b}"
+                orbit[0], naive_lag_product(raw, a, b), rtol=1e-10, err_msg=f"A{a, b}"
             )
     # one stored product per orbit of the lags |a|, |b| <= M
     assert len(_lag_keys(gram)) == (m + 1) ** 2
@@ -343,7 +351,7 @@ def test_narrow_lag_products_match_the_gram_path():
     x = np.random.default_rng(92).standard_normal((200, 20)) + 0.5
     gram = compute_gram(as_series(x))
     narrow = _SeparatedSums(gram, 10)
-    wide = _SeparatedSums(GramSummary.of(gram.raw), 10)
+    wide = _SeparatedSums(GramSummary.of(x @ x.T), 10)
     assert narrow.narrow and not wide.narrow
     for a in range(-10, 11):
         for b in range(-10, 11):
@@ -369,9 +377,9 @@ def test_curve_computes_each_lag_product_once(monkeypatch):
         computed.append((a, b))
         return original(self, a, b)
 
-    def counted_cross(x, k, out):
+    def counted_cross(x, k):
         crosses.append(k)
-        return cross_product(x, k, out)
+        return cross_product(x, k)
 
     monkeypatch.setattr(_SeparatedSums, "_lag_product", counted)
     monkeypatch.setattr(engine, "_lag_cross_product", counted_cross)
@@ -391,15 +399,27 @@ def test_curve_computes_each_lag_product_once(monkeypatch):
         assert crosses == want_crosses, p
 
 
-def test_trace_table_memory_above_the_gram():
-    # the table forms no n x n array, only O(nM) band arrays: at n = 800,
-    # M = 2 about 0.07 n^2 float64, so one n x n array would break the bound
-    n = 800
-    gram = compute_gram(as_series(np.random.default_rng(5).standard_normal((n, 10))))
+def _table_peak(n: int, p: int) -> float:
+    # the traced peak of a fresh M = 2 table, in n x n float64
+    gram = compute_gram(as_series(np.random.default_rng(5).standard_normal((n, p))))
     tracemalloc.start()
     try:
         build_trace_table(gram, DependenceWindow(2))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / (n**2 * 8)
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * n**2 * 8, f"{peak / (n**2 * 8):.3f} x n^2 float64"
+
+
+def test_trace_table_memory_above_the_gram():
+    # the table forms no n x n array, only O(nM) band arrays: at n = 800,
+    # M = 2 about 0.07 n^2 float64 on a wide series (4p > n), so one n x n
+    # array would break the bound
+    peak = _table_peak(800, 300)
+    assert peak < 0.25, f"{peak:.3f} x n^2 float64"
+
+
+def test_narrow_trace_table_memory():
+    # a narrow series adds its M + 1 lag cross-products, p x p each: about
+    # 0.12 n^2 float64 at n = 800, p = 100
+    peak = _table_peak(800, 100)
+    assert peak < 0.25, f"{peak:.3f} x n^2 float64"

@@ -328,9 +328,9 @@ def test_outcome_does_not_depend_on_position_in_a_chunk():
 
 
 def test_narrow_chunk_stores_the_single_series_curves_and_tables():
-    # n = 100 >= 4p: each series' lag-grid products come from its own lag
-    # cross-products, in the stack as alone, so the stored curve and table
-    # are bitwise those of the single-series calls
+    # n = 100 >= 4p: each series is summarized by its own rows, as alone,
+    # with no Gram to stack, so the stored curve and table are bitwise
+    # those of the single-series calls
     design = SizePowerDesign(n=100, p=20, m_true=2, m_used=2, reps=simulator._CHUNK, seed=7)
     model = build_coefficients(design, design.profile())
     window = DependenceWindow(design.m_used)
@@ -343,7 +343,7 @@ def test_narrow_chunk_stores_the_single_series_curves_and_tables():
     for s, v in zip(series, values):
         alone = compute_gram(SeriesMatrix(v))
         stacked = compute_gram(s)
-        assert stacked._values[0] is s.values
+        assert stacked.rows is s.values
         assert l_trace(stacked, window).tobytes() == l_trace(alone, window).tobytes()
         table = build_trace_table(stacked, window).values
         assert table.tobytes() == build_trace_table(alone, window).values.tobytes()
@@ -393,6 +393,42 @@ def test_run_size_power_reproducible_across_workers(monkeypatch):
     monkeypatch.setenv("HDCP_WORKERS", "3")
     parallel = run_size_power(design)
     assert base == parallel
+
+
+def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
+    # the fork context's Pool is replaced, so no process is started; it
+    # maps in this process and records the size it was asked for
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return [worker(task) for task in tasks]
+
+    class Context:
+        pass
+
+    Context.Pool = Pool
+    monkeypatch.setattr(simulator.multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setenv("HDCP_WORKERS", "3")
+    assert simulator._map_replications(abs, [-1, -2], None) == [1, 2]
+    assert simulator._map_replications(abs, range(-5, 0), None) == [5, 4, 3, 2, 1]
+    assert sizes == [2, 3]
+    # two replications are one chunk: it runs here, with no pool
+    monkeypatch.setenv("HDCP_WORKERS", "2")
+    design = SizePowerDesign(n=40, p=20, m_true=0, m_used=0, reps=2, seed=99)
+    assert len(range(0, design.reps, simulator._CHUNK)) == 1
+    run_size_power(design)
+    assert simulator._map_replications(abs, [-1], None) == [1]
+    assert sizes == [2, 3]
 
 
 def test_run_size_power_requires_tau_with_delta():

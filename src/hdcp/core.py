@@ -168,12 +168,87 @@ def _is_narrow(n: int, p: int) -> bool:
     return _NARROW_RATIO * p <= n
 
 
+# entries per Gram in one row block of an n x n array (256 KiB of float64):
+# ``GramSummary.block_sums`` centers the Gram and the engine reduces the
+# aggregate contrast a block of rows at a time (see ``_row_blocks``)
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """The row ranges [lo, hi) that cover an n x n array in blocks of
+    ``_BLOCK_ENTRIES`` entries, one row at least."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+
+
+def _shift_dot(
+    src: np.ndarray, dst: np.ndarray, dr: int, dc: int, by_row: bool = False
+) -> float:
+    """Sum over i, j of ``src[i, j] * dst[i + dr, j + dc]``, zero outside
+    ``dst``'s rows and outside the columns.
+
+    ``einsum`` reads the two strided slices in place (``np.vdot`` would
+    copy both and run threaded BLAS). It takes slices that are each one
+    contiguous stretch as one sum, and others row by row, so its rounding
+    depends on the strides. With ``by_row`` each row is summed on its own
+    and then the row sums, so equal entries give equal bits in any layout.
+    """
+    n = src.shape[1]
+    r0, r1 = max(0, -dr), min(src.shape[0], dst.shape[0] - dr)
+    c0, c1 = max(0, -dc), n - max(0, dc)
+    if r0 >= r1 or c0 >= c1:
+        return 0.0
+    x, y = src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    if by_row:
+        return float(np.einsum("ij,ij->i", x, y).sum())
+    return float(np.einsum("ij,ij->", x, y))
+
+
+def _lag_cross_product(x: np.ndarray, k: int) -> np.ndarray:
+    # Γ(k) = x[k:]' x[:n - k] = sum_s x_{s+k} x_s', one BLAS product; at
+    # k = 0 numpy takes x' x by syrk, so Γ(0) is exactly symmetric
+    return np.matmul(x[k:].T, x[: x.shape[0] - k])
+
+
+class _Stored:
+    """What :mod:`hdcp.engine` computes from a summary, stored on it.
+
+    ``results``, built on first read and then cached, holds it keyed by
+    kind: the split curve and the trace table of each separation order M
+    (read-only arrays), the value and count of each separated-sum term of
+    each M, and the lag-grid products that those terms share across every
+    M (scalars, or one entry per Gram of a stack), with what the summary
+    itself stores there. A repeated call with the same summary and M
+    returns the stored result. A plain mixin, so a summary's dataclass
+    fields stay the arrays it holds.
+    """
+
+    @functools.cached_property
+    def results(self) -> dict:
+        return {}
+
+    def stored(self, key: tuple, compute, *args):
+        """``compute(*args)`` once per summary and key; later calls return that result.
+
+        Floating-point overflow inside ``compute`` is not warned about: a
+        non-finite result is raised as ``NonFiniteEntry`` where it is read.
+        """
+        results = self.results
+        value = results.get(key)
+        if value is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = results[key] = compute(*args)
+        return value
+
+
 @dataclass(frozen=True)
-class GramSummary:
+class GramSummary(_Stored):
     """All inner products of a series, with their row sums.
 
     The summary of a series that is not narrow (n < 4p, see
-    ``_is_narrow``); a narrow one has a ``RowSummary``. Fields:
+    ``_is_narrow``); a narrow one has a ``RowSummary``. One O(n^2 p) pass
+    builds the n x n Gram, and every statistic afterwards reads it,
+    regardless of p. Fields:
 
     - ``raw[i, j]``  inner product of observations i and j, float64 and
       exactly symmetric; any strided array, such as a segment's view of
@@ -186,19 +261,12 @@ class GramSummary:
     (R, n) hold the Grams of R series of one length, which
     :func:`hdcp.engine.prepare_global` reduces in one pass. Every member
     below then has the same leading axes, and each Gram's slice of it is
-    bitwise what that Gram alone would hold.
+    bitwise what that Gram alone would hold. No sum over a Gram depends on
+    its strides, so a view gives the bits of a C-ordered copy of its block.
 
     ``raw`` and ``row_sums`` are read-only, so nothing cached from them can
-    go stale. ``results``, built on first read and then cached, holds what
-    :mod:`hdcp.engine` computed from this Gram, keyed by kind: the split
-    curve and the trace table of each separation order M (read-only
-    arrays), the value and count of each separated-sum term of each M, and
-    the lag-grid products that those terms share across every M (scalars,
-    or one entry per Gram). A repeated call with the same Gram and M
-    returns the stored result.
-
-    A Gram lives as long as the series that holds it (see
-    ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and a
+    go stale (``results``). A Gram lives as long as the series that holds
+    it (see ``SeriesMatrix``). At n = 800 the two fields hold 5.1 MB, and a
     segment's Gram only its row sums, as its ``raw`` is a view; the cached
     results are O(n) per M.
     """
@@ -219,13 +287,51 @@ class GramSummary:
     def n(self) -> int:
         return self.raw.shape[-1]
 
-    @functools.cached_property
-    def results(self) -> dict:
-        return {}
-
     def diagonal(self, k: int) -> np.ndarray:
         """The inner products x_i'x_{i+k}, i < n - k, k >= 0, read-only."""
         return np.diagonal(self.raw, k, -2, -1)
+
+    def block_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(prefix, leading)`` of the centered Gram: the sums over its first
+        t rows, t = 0..n, and over its leading t x t block, t = 1..n - 1.
+
+        The centered Gram gc[i, j] = raw[i, j] - a_i - a_j + sum(a) / n,
+        with a = row_sums / n, is formed a block of at most
+        ``_BLOCK_ENTRIES`` entries per Gram at a time, so it adds no n x n
+        array to the Gram. Each row gives its total, its diagonal entry
+        and, once its upper part is zeroed, its strictly-lower sum, taken on
+        the row alone, so the sums do not depend on the block size.
+        """
+        n = self.n
+        a = self.row_sums / n
+        mean_sq = (a.sum(axis=-1) / n)[..., None, None]
+        totals, diagonal, lower = (np.empty(a.shape, dtype=np.float64) for _ in range(3))
+        for lo, hi in _row_blocks(n):
+            gc = self.raw[..., lo:hi, :] - a[..., lo:hi, None]
+            gc -= a[..., None, :]
+            gc += mean_sq
+            totals[..., lo:hi] = gc.sum(axis=-1)
+            diagonal[..., lo:hi] = np.diagonal(gc, lo, -2, -1)
+            gc *= np.tri(hi - lo, n, lo - 1, dtype=bool)
+            lower[..., lo:hi] = gc.sum(axis=-1)
+            del gc  # before the next block is built
+        prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
+        np.cumsum(totals, axis=-1, out=prefix[..., 1:])
+        # the leading block grows by row t's lower part twice plus gc[t, t]
+        block = np.cumsum(2 * lower + diagonal, axis=-1)
+        return prefix, block[..., :-1]
+
+    def lag_product(self, a: int, b: int) -> np.ndarray:
+        """A(a, b) = sum over s, t of raw[s + a, t] * raw[s, t + b], raw zero
+        outside: one O(n^2) shifted sum per Gram, one entry per Gram.
+
+        The Gram against itself moved a rows and -b columns, summed by rows,
+        so a view and a C-ordered copy give the same bits. Each Gram of a
+        stack is summed on its own, as it would be alone.
+        """
+        raw, n = self.raw, self.n
+        sums = [_shift_dot(g, g, a, -b, by_row=True) for g in raw.reshape((-1, n, n))]
+        return np.array(sums).reshape(raw.shape[:-2])
 
     def segment(self, lo: int, hi: int) -> "GramSummary":
         """The Gram of rows lo..hi (1-based, inclusive): a view of the sub-block."""
@@ -233,23 +339,23 @@ class GramSummary:
 
 
 @dataclass(frozen=True)
-class RowSummary:
+class RowSummary(_Stored):
     """The inner products of a narrow series (n >= 4p), held as its rows.
 
     Every statistic reads the inner products through four things: their
     row sums, their diagonals |k| <= 3M, the centered block sums of the
-    split curve, and the lag-grid products. From the rows each costs O(n p), and
-    the lag-grid products come from the p x p lag cross-products, so no
-    n x n array is formed. Fields:
+    split curve, and the lag-grid products. From the rows each of the first
+    three costs O(n p), and the lag-grid products come from the p x p lag
+    cross-products, O(n p^2) per lag and O(p^2) per product, so no n x n
+    array is formed. Fields:
 
     - ``rows``  the series' n x p array itself, not a copy, read-only,
     - ``row_sums``  x_i' sum_j x_j, float64: the Gram's row sums.
 
     ``diagonal(k)`` gives the inner products x_i'x_{i+k}, one row dot each,
-    computed once per summary and stored in ``results`` with everything
-    :mod:`hdcp.engine` computes from the summary (as for a ``GramSummary``)
-    and the lag cross-products. A segment's summary (``segment``) takes its
-    own row sums and lag cross-products, and slices its diagonals from its
+    computed once per summary and stored in ``results``, as are the lag
+    cross-products. A segment's summary (``segment``) takes its own row
+    sums and lag cross-products, and slices its diagonals from its
     source's. It holds O(n p + p^2 h) for lags up to h.
     """
 
@@ -277,23 +383,49 @@ class RowSummary:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @functools.cached_property
-    def results(self) -> dict:
-        return {}
-
     def diagonal(self, k: int) -> np.ndarray:
         """The inner products x_i'x_{i+k}, i < n - k, k >= 0, read-only."""
         if self._cut is not None:
             source, first = self._cut
             return source.diagonal(k)[first : first + self.n - k]
-        diagonal = self.results.get(("diagonal", k))
-        if diagonal is None:
-            rows = self.rows
-            with np.errstate(over="ignore", invalid="ignore"):
-                diagonal = np.einsum("ij,ij->i", rows[: self.n - k], rows[k:])
-            diagonal.flags.writeable = False
-            self.results[("diagonal", k)] = diagonal
+        return self.stored(("diagonal", k), self._row_dots, k)
+
+    def _row_dots(self, k: int) -> np.ndarray:
+        rows = self.rows
+        diagonal = np.einsum("ij,ij->i", rows[: self.n - k], rows[k:])
+        diagonal.flags.writeable = False
         return diagonal
+
+    def block_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(prefix, leading)`` of the centered Gram, from the rows: the sums
+        over its first t rows, t = 0..n, and over its leading t x t block,
+        t = 1..n - 1.
+
+        The centered Gram is y y' for the centered rows y, so with the running
+        sums s_t = y_1 + ... + y_t the first t rows sum to s_t's' s_n and the
+        leading block to s_t's' s_t: one n x p array, O(n p).
+        """
+        rows = self.rows
+        running = rows - rows.mean(axis=0)
+        np.cumsum(running, axis=0, out=running)
+        prefix = np.zeros(rows.shape[0] + 1, dtype=np.float64)
+        np.matmul(running, running[-1], out=prefix[1:])
+        return prefix, np.einsum("ij,ij->i", running[:-1], running[:-1])
+
+    def lag_product(self, a: int, b: int) -> float:
+        """A(a, b) = sum over s, t of x_{s+a}'x_t x_s'x_{t+b} = tr(Γ(a) Γ(b)),
+        exactly, with Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)'.
+
+        A sum of p^2 products, read with the subscripts that transpose a
+        negative lag's Γ. Each Γ(k), k >= 0, is one BLAS product, stored
+        once per summary.
+        """
+        subscripts = ("ij" if a >= 0 else "ji") + "," + ("ji" if b >= 0 else "ij") + "->"
+        ga, gb = (
+            self.stored(("lag_cross", k), _lag_cross_product, self.rows, k)
+            for k in (abs(a), abs(b))
+        )
+        return np.einsum(subscripts, ga, gb)
 
     def segment(self, lo: int, hi: int) -> Optional["RowSummary"]:
         """The summary of rows lo..hi (1-based, inclusive), or None when they

@@ -1,31 +1,22 @@
 """Statistics for dependence-adjusted mean-change detection.
 
-Everything here is computed from the summary of a series' inner products,
-which ``compute_gram`` builds in one of two forms and every statistic
-reads through the same few accessors: the row sums, the diagonals
-x_i'x_{i+k} (``diagonal``), the centered block sums of the split curve
-(``_split_curve``) and the lag-grid products of the separated sums. With
-n observations of dimension p:
-
-- a series with n < 4p has a :class:`~hdcp.core.GramSummary`: one
-  O(n^2 p) pass builds its n x n Gram, and every statistic afterwards
-  costs O(n^2) per lag-grid product of the separated sums, and
-  O(n^2 M^2) for a full variance, regardless of p;
-- a narrow series, n >= 4p (``core._is_narrow``), has a
-  :class:`~hdcp.core.RowSummary` and never forms its Gram: it holds its
-  rows, O(n p) each for the row sums, a diagonal and the block sums, and
-  takes its lag-grid products from its p x p lag cross-products, O(n p^2)
-  per lag and O(p^2) per product.
+Everything here is computed from the summary of a series' inner products
+(``compute_gram``), and every statistic reads it through four things: the
+row sums, the diagonals x_i'x_{i+k} (``diagonal``), the centered block
+sums of the split curve (``block_sums``) and the lag-grid products of the
+separated sums (``lag_product``). How the summary holds them, and what
+each costs, is its own concern: a series with n < 4p has a
+:class:`~hdcp.core.GramSummary`, a narrow one a
+:class:`~hdcp.core.RowSummary`, and no statistic asks which.
 
 The per-split statistic ``l_trace`` contrasts the mean before and after each
 candidate split and subtracts a correction that removes the bias caused by
 serial correlation up to lag M. Both parts are invariant to a constant
 offset of the series, so both are read from the centered Gram, in float64,
-which is formed a block of rows at a time and never whole (see
-``_row_blocks``), or, for a narrow series, from its centered rows. Its
-null variance involves the unknown trace products tr{C(h1) C(h2)} of the
-lag-h autocovariances, estimated by a four-term U-statistic over index
-tuples forced to be more than M apart (``trace_product_estimate``).
+which no summary forms whole (see ``block_sums``). Its null variance
+involves the unknown trace products tr{C(h1) C(h2)} of the lag-h
+autocovariances, estimated by a four-term U-statistic over index tuples
+forced to be more than M apart (``trace_product_estimate``).
 
 What depends on the shape (n, M) alone is built once per process and
 shared: ``_plan(n, M)`` holds it, with at most ``_PLAN_CACHE_SIZE`` (32)
@@ -44,19 +35,14 @@ elbow's orders never build a lag design.
 
 The separated sums share work the same way. Every whole-grid sum they
 take is a sum of the lag-grid products A(a, b) = sum_{s,t} raw[s + a, t]
-raw[s, t + b], which do not depend on M: the Gram stores each once, under
-one member of its orbit {(a, b), (b, a), (-a, -b), (-b, -a)}. Order M
-reads the (M + 1)^2 orbits of |a|, |b| <= M, so the elbow's orders
-0..h_max take (h_max + 1)^2 products in all, and a trace table at an
-order the elbow probed takes none. Each product is one O(n^2) shifted
-sum over the Gram (``_shift_dot``), which reads two slices of it in place
-in any layout, or, for a narrow series, A(a, b) = tr(Γ(a) Γ(b)) with
-Γ(k) = sum_s x_{s+k} x_s' and Γ(-k) = Γ(k)': the summary stores Γ(k) once
-per lag, one BLAS product each, so the elbow pays h_max + 1 of them and
-then O(p^2) per product. A context per
-(summary, M) then corrects the O(nM) entries near the diagonal from the
-6M + 1 middle diagonals, which it keeps as rows of one small array. No
-context forms an n x n array.
+raw[s, t + b], which do not depend on M: the summary computes each
+(``lag_product``) and stores it once, under one member of its orbit
+{(a, b), (b, a), (-a, -b), (-b, -a)}. Order M reads the (M + 1)^2 orbits
+of |a|, |b| <= M, so the elbow's orders 0..h_max take (h_max + 1)^2
+products in all, and a trace table at an order the elbow probed takes
+none. A context per (summary, M) then corrects the O(nM) entries near the
+diagonal from the 6M + 1 middle diagonals, which it keeps as rows of one
+small array. No context forms an n x n array.
 
 Results live on the object that owns them, with no module-level cache.
 ``compute_gram`` keeps the summary on its series, and ``segment_view``
@@ -65,16 +51,14 @@ view of the Gram's sub-block, or the segment's rows with its own row sums
 and its diagonals sliced from its source's (a segment below 4p takes one
 product of its own rows). So one series costs at most one O(n^2 p) pass
 and one n x n array, and a narrow one none, however often the elbow, the
-global test and binary segmentation ask for it. No sum over a Gram
-depends on its strides, so a view gives the bits of a C-ordered copy of
-its block. Per (summary, M), ``results`` keeps the split curve of
-``l_trace``, the table of ``build_trace_table`` (both read-only) and the
-value and count of each separated-sum term, and per summary its lag-grid
-products and, when it is narrow, its diagonals and the lag
-cross-products; the context arrays behind the terms are not kept. So the
-table at the order the elbow chose reuses the elbow's quadruple, triple
-and pair terms, and a repeated test of the same summary and M returns
-the stored result.
+global test and binary segmentation ask for it. Per (summary, M),
+``results`` keeps the split curve of ``l_trace``, the table of
+``build_trace_table`` (both read-only) and the value and count of each
+separated-sum term, and per summary its lag-grid products, beside what
+the summary itself stores there; the context arrays behind the terms are
+not kept. So the table at the order the elbow chose reuses the elbow's
+quadruple, triple and pair terms, and a repeated test of the same summary
+and M returns the stored result.
 
 Series of one shape can share a pass. ``prepare_global`` builds the Grams
 of R series into the slices of one (R, n, n) stack and wraps it in one
@@ -118,6 +102,8 @@ from .core import (
     SingularDesign,
     Summary,
     _is_narrow,
+    _row_blocks,
+    _shift_dot,
     validate_input,
 )
 
@@ -125,10 +111,6 @@ _COND_LIMIT = 1e12
 # distinct (n, M) shape plans kept per process; one entry is O(nM + M^2)
 # floats, so even the full cache is small next to one Gram
 _PLAN_CACHE_SIZE = 32
-# entries per Gram in one row block of an n x n array (256 KiB of float64):
-# ``_split_curve`` centers the Gram and ``_contrast_cross_products`` reduces
-# the aggregate contrast a block of rows at a time (see ``_row_blocks``)
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -185,11 +167,9 @@ def compute_gram(series: SeriesMatrix) -> Summary:
     """Reduce a series to the summary of its inner products, in float64.
 
     A narrow series (n >= 4p, ``core._is_narrow``) is summarized by its
-    rows, O(n p), and never forms its n x n Gram (``RowSummary``); any
-    other by its Gram, one O(n^2 p) product, and its row sums
-    (``GramSummary``). A segment's summary holds the segment's own
-    products, so everything derived from it (centering included) is
-    segment-local.
+    rows (``RowSummary``), any other by its Gram (``GramSummary``). A
+    segment's summary holds the segment's own products, so everything
+    derived from it (centering included) is segment-local.
 
     The summary is built once per series and kept on it: a second call
     returns the same object. A segment cut by ``segment_view`` from a
@@ -224,26 +204,6 @@ def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # calls BLAS syrk, which computes one triangle and mirrors it, so the
     # product is exactly symmetric as it comes.
     return np.matmul(x, x.T, out=out)
-
-
-def _lag_cross_product(x: np.ndarray, k: int) -> np.ndarray:
-    # Γ(k) = x[k:]' x[:n - k] = sum_s x_{s+k} x_s', one BLAS product; at
-    # k = 0 numpy takes x' x by syrk, so Γ(0) is exactly symmetric
-    return np.matmul(x[k:].T, x[: x.shape[0] - k])
-
-
-def _stored(gram: Summary, key: tuple, compute, *args):
-    """``compute(*args)`` once per Gram and key; later calls return that result.
-
-    Floating-point overflow inside ``compute`` is not warned about: a
-    non-finite result is raised as ``NonFiniteEntry`` where it is read.
-    """
-    results = gram.results
-    value = results.get(key)
-    if value is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = results[key] = compute(*args)
-    return value
 
 
 def _f_columns(n: int, t: np.ndarray, m: int) -> np.ndarray:
@@ -353,38 +313,15 @@ def l_trace(gram: Summary, window: DependenceWindow) -> np.ndarray:
     is read from the centered Gram (see ``V_vector``), whose entries
     carry no offset to cancel. It needs three block sums per split: the
     leading t x t block, the first t rows, and the whole matrix. They come
-    from O(n) cumulative sums, all float64; the lag design system is
-    solved once. A Gram's come from three sums of each row of the centered
-    Gram: its total, its diagonal entry and its strictly-lower sum. The
-    Gram is centered a block of at most
-    ``_BLOCK_ENTRIES`` entries per Gram at a time, so the curve adds no
-    n x n array to the Gram, and each row's sums are taken on that row
-    alone, so the curve does not depend on the block size. A narrow
-    series centers its rows instead, and its block sums are dots of their
-    running sums, O(n p) in one n x p array. The checked design and
-    the boundary weights of all splits come from the (n, M) plan, so only
-    the first call for a shape builds them; the plan's O(n^2 M^2) aggregate
-    cross-products wait for ``aggregate_variance``.
+    from the summary's O(n) running sums (``block_sums``), all float64,
+    and no n x n array is added; the lag design system is solved once. The
+    checked design and the boundary weights of all splits come from the
+    (n, M) plan, so only the first call for a shape builds them; the plan's
+    O(n^2 M^2) aggregate cross-products wait for ``aggregate_variance``.
 
     The curve is computed once per (Gram, M) and returned read-only.
     """
-    return _stored(gram, ("l_trace", window.m), _split_curve, gram, window.m)
-
-
-def _row_block_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(prefix, leading)`` of a narrow series' centered Gram, from its rows:
-    the sums over its first t rows, t = 0..n, and over its leading t x t
-    block, t = 1..n - 1.
-
-    The centered Gram is y y' for the centered rows y, so with the running
-    sums s_t = y_1 + ... + y_t the first t rows sum to s_t's' s_n and the
-    leading block to s_t's' s_t: one n x p array, O(n p).
-    """
-    running = rows - rows.mean(axis=0)
-    np.cumsum(running, axis=0, out=running)
-    prefix = np.zeros(rows.shape[0] + 1, dtype=np.float64)
-    np.matmul(running, running[-1], out=prefix[1:])
-    return prefix, np.einsum("ij,ij->i", running[:-1], running[:-1])
+    return gram.stored(("l_trace", window.m), _split_curve, gram, window.m)
 
 
 def _split_curve(gram: Summary, m: int) -> np.ndarray:
@@ -395,30 +332,7 @@ def _split_curve(gram: Summary, m: int) -> np.ndarray:
 
     # P[t, n] (``prefix``) and P[t, t] (``ptt``), the sums of the centered
     # Gram over its first t rows and over its leading t x t block
-    if isinstance(gram, RowSummary):
-        prefix, ptt = _row_block_sums(gram.rows)
-    else:
-        # The centered Gram, a block of rows at a time: each row's total,
-        # its diagonal entry and, once its upper part is zeroed, its
-        # strictly-lower sum. Each row's sums are taken on the row alone,
-        # so the curve does not depend on the block size.
-        a = gram.row_sums / n
-        mean_sq = (a.sum(axis=-1) / n)[..., None, None]
-        totals, diagonal, lower = (np.empty(a.shape, dtype=np.float64) for _ in range(3))
-        for lo, hi in _row_blocks(n):
-            gc = gram.raw[..., lo:hi, :] - a[..., lo:hi, None]
-            gc -= a[..., None, :]
-            gc += mean_sq
-            totals[..., lo:hi] = gc.sum(axis=-1)
-            diagonal[..., lo:hi] = np.diagonal(gc, lo, -2, -1)
-            gc *= np.tri(hi - lo, n, lo - 1, dtype=bool)
-            lower[..., lo:hi] = gc.sum(axis=-1)
-            del gc  # before the next block is built
-        prefix = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.float64)
-        np.cumsum(totals, axis=-1, out=prefix[..., 1:])
-        # the leading block grows by row t's lower part twice plus gc[t, t]
-        block = np.cumsum(2 * lower + diagonal, axis=-1)
-        ptt = block[..., :-1]
+    prefix, ptt = gram.block_sums()
     ptn = prefix[..., 1:n]
     # P[n, n] from the same running sum as P[t, n], so that their rounding
     # cancels in P[n, n] - 2 P[t, n] + P[t, t]; the centered rows sum to
@@ -435,13 +349,6 @@ def _split_curve(gram: Summary, m: int) -> np.ndarray:
     curve = term1 - (plan.weights @ x[..., None])[..., 0] / n
     curve.flags.writeable = False
     return curve
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """The row ranges [lo, hi) that cover an n x n array in blocks of
-    ``_BLOCK_ENTRIES`` entries, one row at least."""
-    rows = max(1, _BLOCK_ENTRIES // n)
-    return [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
 
 
 def _contrast_block(n: int, t: int) -> np.ndarray:
@@ -715,23 +622,19 @@ class _SeparatedSums:
     series. What depends on (n, M) alone (windows, counts, forbidden
     intervals) comes from the cached ``_plan(n, M)``; the float64 row sums,
     the diagonals and the lag-grid products come from the summary, shared
-    across separations. ``raw`` below is the series' Gram, which a narrow
-    series never forms.
+    across separations. Below, raw[i, j] = x_i'x_j, whichever summary
+    holds the inner products.
 
-    Every whole-grid sum of the three terms is a sum of one Gram quantity,
-    the lag-grid product ``A(a, b) = sum_{s,t} raw[s + a, t] raw[s, t + b]``
-    (raw zero outside the series; see ``lag_product``): the pair term's is
-    A(h1, h2), the triple term's is A(h, b) summed over |b| <= M, and the
-    quadruple term's is A summed over the (2M + 1) x (2M + 1) grid. Each
-    A(a, b) is one O(n^2) shifted sum of the Gram against itself, row by
-    row over two slices read in place (``_shift_dot``), so the Gram may be
-    any strided view, such as a segment's sub-block of its source's Gram.
-    For a narrow series it is tr(Γ(a) Γ(b)) over its lag cross-products
-    (``_lag_trace``). It is computed once
-    per summary and orbit and stored, so a separation order pays only for
-    the orbits its smaller orders did not reach. Each term then removes
-    or adds the O(nM) entries near the diagonal that its index rules
-    treat apart. Those entries are read from ``band``: the summary's
+    Every whole-grid sum of the three terms is a sum of one quantity of
+    the summary, the lag-grid product
+    ``A(a, b) = sum_{s,t} raw[s + a, t] raw[s, t + b]`` (raw zero outside
+    the series; see ``lag_product``): the pair term's is A(h1, h2), the
+    triple term's is A(h, b) summed over |b| <= M, and the quadruple
+    term's is A summed over the (2M + 1) x (2M + 1) grid. Each A(a, b) is
+    computed once per summary and orbit and stored, so a separation order
+    pays only for the orbits its smaller orders did not reach. Each term
+    then removes or adds the O(nM) entries near the diagonal that its index
+    rules treat apart. Those entries are read from ``band``: the summary's
     diagonals ``raw[i, i + k]``, |k| <= 3M, as rows of a (6M + 1) x n
     array, zero where i + k falls outside the series, with their running
     sums over k.
@@ -746,11 +649,10 @@ class _SeparatedSums:
     - quadruple: the 4M + 1 middle diagonals of the window sums, where they
       differ from the masked Gram's (see ``quad_term``).
 
-    No context forms an n x n array: ``band`` is O(nM), the stored
-    products are scalars and a lag cross-product is p x p, below n^2 / 16.
-    Each term's value and count is stored on the summary per M
-    (``results``), so every context of one (summary, M) computes a term
-    once.
+    No context forms an n x n array: ``band`` is O(nM) and the stored
+    products are scalars. Each term's value and count is stored on the
+    summary per M (``results``), so every context of one (summary, M)
+    computes a term once.
 
     A Gram with leading axes (see ``prepare_global``) gives every array
     those axes too, and each term's value is then an array with one entry
@@ -763,7 +665,6 @@ class _SeparatedSums:
         self.gram = gram
         self.plan = _plan(n, m)
         self.row_sums = gram.row_sums
-        self.narrow = isinstance(gram, RowSummary)
         self._band: tuple[np.ndarray, np.ndarray] | None = None
 
     def band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -794,36 +695,12 @@ class _SeparatedSums:
 
         By the symmetry of the Gram A(a, b) = A(b, a), and shifting s and t
         gives A(a, b) = A(-a, -b). So the orbit {(a, b), (b, a), (-a, -b),
-        (-b, -a)} shares one value, stored once per Gram under its least
-        member: it does not depend on M, and the (h + 1)^2 orbits of the
-        lags |a|, |b| <= h serve every order up to h.
+        (-b, -a)} shares one value, which the summary computes and stores
+        once under its least member: it does not depend on M, and the
+        (h + 1)^2 orbits of the lags |a|, |b| <= h serve every order up to h.
         """
         key = min((a, b), (b, a), (-a, -b), (-b, -a))
-        return _stored(self.gram, ("lag",) + key, self._lag_product, *key)
-
-    def _lag_product(self, a: int, b: int) -> np.ndarray:
-        if self.narrow:
-            return self._lag_trace(a, b)
-        # raw[s + a, t] against raw[s, t + b]: the Gram against itself moved
-        # a rows and -b columns, summed by rows, so a view and a C-ordered
-        # copy give the same bits. Each Gram of a stack is summed on its own,
-        # as it would be alone.
-        raw, n = self.gram.raw, self.n
-        sums = [_shift_dot(g, g, a, -b, by_row=True) for g in raw.reshape((-1, n, n))]
-        return np.array(sums).reshape(raw.shape[:-2])
-
-    def _lag_trace(self, a: int, b: int) -> float:
-        # A(a, b) = sum_{s,t} x_{s+a}'x_t x_s'x_{t+b} = tr(Γ(a) Γ(b)), exactly,
-        # and Γ(-k) = Γ(k)': a sum of p^2 products, read with the subscripts
-        # that transpose a negative lag's Γ. Each Γ(k), k >= 0, is stored
-        # once per summary.
-        subscripts = ("ij" if a >= 0 else "ji") + "," + ("ji" if b >= 0 else "ij") + "->"
-        rows = self.gram.rows
-        ga, gb = (
-            _stored(self.gram, ("lag_cross", k), _lag_cross_product, rows, k)
-            for k in (abs(a), abs(b))
-        )
-        return np.einsum(subscripts, ga, gb)
+        return self.gram.stored(("lag",) + key, self.gram.lag_product, *key)
 
     def _box(self) -> np.ndarray:
         # A summed over |a|, |b| <= M, one ring max(|a|, |b|) = k at a time:
@@ -842,7 +719,7 @@ class _SeparatedSums:
         elementwise; with d = s - t that forbids |d|, |d - h2|, |d + h1|
         and |d + h1 - h2| from being <= M.
         """
-        return _stored(self.gram, ("pair", self.m, h1, h2), self._pair, h1, h2)
+        return self.gram.stored(("pair", self.m, h1, h2), self._pair, h1, h2)
 
     def _pair(self, h1: int, h2: int) -> tuple[float, int]:
         plan = self.plan.pair(h1, h2)
@@ -871,7 +748,7 @@ class _SeparatedSums:
         once per (Gram, M).
         """
         h = abs(h)
-        return _stored(self.gram, ("triple", self.m, h), self._triple, h)
+        return self.gram.stored(("triple", self.m, h), self._triple, h)
 
     def _triple(self, h: int) -> tuple[float, int]:
         # For each admissible (s, t) the inner r-sum is own[s], the row sum
@@ -944,7 +821,7 @@ class _SeparatedSums:
         rows(O) a difference of W's row prefix, each weighted by sums of
         raw[q, r] over the band read from ``band``: O(nM) work in all.
         """
-        return _stored(self.gram, ("quad", self.m), self._quad)
+        return self.gram.stored(("quad", self.m), self._quad)
 
     def _quad(self) -> tuple[float, int]:
         plan = self.plan
@@ -1050,7 +927,7 @@ def build_trace_table(gram: Summary, window: DependenceWindow) -> TraceTable:
     reads the Gram's stored lag-grid products, so a table at an order no
     larger than one the elbow probed computes none.
     """
-    return _stored(gram, ("table", window.m), _trace_table, gram, window.m)
+    return gram.stored(("table", window.m), _trace_table, gram, window.m)
 
 
 def _trace_table(gram: Summary, m: int) -> TraceTable:
@@ -1123,29 +1000,6 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
         gram.results[("l_trace", m)] = curve
         gram.results[("table", m)] = TraceTable(m=m, values=table)
         object.__setattr__(s, "_gram", gram)
-
-
-def _shift_dot(
-    src: np.ndarray, dst: np.ndarray, dr: int, dc: int, by_row: bool = False
-) -> float:
-    """Sum over i, j of ``src[i, j] * dst[i + dr, j + dc]``, zero outside
-    ``dst``'s rows and outside the columns.
-
-    ``einsum`` reads the two strided slices in place (``np.vdot`` would
-    copy both and run threaded BLAS). It takes slices that are each one
-    contiguous stretch as one sum, and others row by row, so its rounding
-    depends on the strides. With ``by_row`` each row is summed on its own
-    and then the row sums, so equal entries give equal bits in any layout.
-    """
-    n = src.shape[1]
-    r0, r1 = max(0, -dr), min(src.shape[0], dst.shape[0] - dr)
-    c0, c1 = max(0, -dc), n - max(0, dc)
-    if r0 >= r1 or c0 >= c1:
-        return 0.0
-    x, y = src[r0:r1, c0:c1], dst[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    if by_row:
-        return float(np.einsum("ij,ij->i", x, y).sum())
-    return float(np.einsum("ij,ij->", x, y))
 
 
 def _contrast_rows(values, lo: int, hi: int, transposed: bool = False) -> np.ndarray:

@@ -21,8 +21,8 @@ from hdcp import (
     select_m,
     variance_estimate,
 )
-from hdcp import engine
-from hdcp.core import GramSummary
+from hdcp import core, engine
+from hdcp.core import GramSummary, RowSummary
 from hdcp.engine import _plan
 from oracles import (
     dense_cross_products,
@@ -166,7 +166,7 @@ def test_narrow_l_trace_memory_above_its_rows():
 
 
 # the n at which the centered Gram is one block of rows exactly
-_BLOCK_ROWS = int(np.sqrt(engine._BLOCK_ENTRIES))
+_BLOCK_ROWS = int(np.sqrt(core._BLOCK_ENTRIES))
 
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 800])
@@ -175,7 +175,7 @@ def test_split_curve_is_bitwise_the_one_array_curve(n, stacked):
     # each row's sums are taken on the row alone, so the row blocks do not
     # change a bit of the curve; under a +50 offset the centering cancels
     # hardest. The series are wide (4p > n), so they hold their Grams.
-    assert len(engine._row_blocks(n)) == (1 if n <= _BLOCK_ROWS else 2 if n < 800 else 20)
+    assert len(core._row_blocks(n)) == (1 if n <= _BLOCK_ROWS else 2 if n < 800 else 20)
     rng = np.random.default_rng(n)
     p = n // 4 + 1
     grams = [compute_gram(as_series(rng.standard_normal((n, p)) + 50.0)) for _ in range(3)]
@@ -192,9 +192,16 @@ def test_narrow_split_curve_matches_the_one_array_curve(n):
     # a narrow series (4p <= n) centers its rows, not its Gram; its curve
     # agrees with the one-array curve of its naive Gram under a +50 offset
     x = np.random.default_rng(n).standard_normal((n, 12)) + 50.0
+    raw = naive_gram(x)[0]
     got = engine._split_curve(compute_gram(as_series(x)), 2)
-    want = one_array_split_curve(GramSummary.of(naive_gram(x)[0]), 2)
+    want = one_array_split_curve(GramSummary.of(raw), 2)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    # the block sums the curve reads agree between the two summaries too;
+    # the Gram's cancel its uncentered entries, and the first-rows sums are
+    # zero up to that rounding, so their floor scales with a Gram row sum
+    from_rows = RowSummary.of(x).block_sums()
+    for got, want in zip(from_rows, GramSummary.of(raw).block_sums()):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * raw.sum(axis=1).max())
 
 
 def _traced_peak(compute, *args):

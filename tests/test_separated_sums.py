@@ -31,8 +31,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdcp import as_series, compute_gram, engine
-from hdcp.core import DependenceWindow, GramSummary
+from hdcp import as_series, compute_gram, core
+from hdcp.core import DependenceWindow, GramSummary, RowSummary
 from hdcp.engine import (
     _plan,
     _SeparatedSums,
@@ -352,7 +352,7 @@ def test_narrow_lag_products_match_the_gram_path():
     gram = compute_gram(as_series(x))
     narrow = _SeparatedSums(gram, 10)
     wide = _SeparatedSums(GramSummary.of(x @ x.T), 10)
-    assert narrow.narrow and not wide.narrow
+    assert isinstance(narrow.gram, RowSummary) and isinstance(wide.gram, GramSummary)
     for a in range(-10, 11):
         for b in range(-10, 11):
             np.testing.assert_allclose(
@@ -370,19 +370,24 @@ def test_curve_computes_each_lag_product_once(monkeypatch):
     # series (p = 8) takes them from its h_max + 1 lag cross-products, a
     # wide one (p = 30) takes none.
     computed, crosses = [], []
-    original = _SeparatedSums._lag_product
-    cross_product = engine._lag_cross_product
+    cross_product = core._lag_cross_product
 
-    def counted(self, a, b):
-        computed.append((a, b))
-        return original(self, a, b)
+    def counted_in(summary):
+        original = summary.lag_product
+
+        def counted(self, a, b):
+            computed.append((a, b))
+            return original(self, a, b)
+
+        monkeypatch.setattr(summary, "lag_product", counted)
 
     def counted_cross(x, k):
         crosses.append(k)
         return cross_product(x, k)
 
-    monkeypatch.setattr(_SeparatedSums, "_lag_product", counted)
-    monkeypatch.setattr(engine, "_lag_cross_product", counted_cross)
+    counted_in(GramSummary)
+    counted_in(RowSummary)
+    monkeypatch.setattr(core, "_lag_cross_product", counted_cross)
     for p, want_crosses in ((8, list(range(default_h_max(90) + 1))), (30, [])):
         computed.clear()
         crosses.clear()

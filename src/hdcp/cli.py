@@ -25,9 +25,8 @@ byte order mark is ignored. On POSIX hosts with two or more usable CPUs,
 the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in
 two processes, each taking about half of the rows, or in one where no
 pipe or process can be made; there is no setting for this, and the array
-is the same either way. ``detect`` releases the parsed array once the
-series holds its copy, so the statistics run beside one copy of the
-input.
+is the same either way. The series adopts the parsed array, so the
+statistics run beside one copy of the input.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 3 numerical failure (``SingularDesign``), 2 data error: any other
@@ -304,14 +303,16 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
     """``_loadtxt`` of ``[start, cut)`` here and of ``[cut, end)`` in a child.
 
     Both parts go through the same C reader, so the stacked rows are
-    bitwise those of one pass. The forked child sends its part's shape
-    and then its float64 bytes through a pipe, straight into the lower
-    rows of the result. Raises ValueError when either part is rejected or
-    the parts differ in columns; a DataError of this process's part
-    propagates, while the child's only fails its part, so that the row
-    loop's read reports it. The child is reaped before this returns; on an
-    error here it is killed first, so the row loop does not wait for a
-    part it will not read. Where the pipe or the child cannot be made
+    bitwise those of one pass. This process's part becomes the result:
+    once the forked child has sent its part's shape through a pipe, the
+    part grows in place to the full row count, and the child's float64
+    bytes are read straight into its new lower rows. Raises ValueError
+    when either part is rejected or the parts differ in columns; a
+    DataError of this process's part propagates, while the child's only
+    fails its part, so that the row loop's read reports it. The child is
+    reaped before this returns; on an error here it is killed first, so
+    the row loop does not wait for a part it will not read. Where the
+    pipe or the child cannot be made
     (EMFILE, EAGAIN, ENOMEM), the whole input is parsed here.
     """
     fds = ()
@@ -335,14 +336,17 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
         _send_part(write_end, source, cut, delim)
     os.close(write_end)
     try:
-        top = _loadtxt(source, start, cut, delim)
+        # the reader returns a view for a one-column part; the growth
+        # below needs a C-ordered array that owns its buffer
+        matrix = np.require(_loadtxt(source, start, cut, delim), np.float64, "CO")
         shape = np.zeros(2, dtype=np.int64)
         _receive(read_end, shape)
-        if shape[1] != top.shape[1]:
+        if shape[1] != matrix.shape[1]:
             raise ValueError("the two parts differ in columns")
-        matrix = np.empty((len(top) + shape[0], shape[1]))
-        matrix[: len(top)] = top
-        _receive(read_end, matrix[len(top) :])
+        top = len(matrix)
+        # realloc, no second buffer; nothing else refers to this array
+        matrix.resize((top + shape[0], shape[1]), refcheck=False)
+        _receive(read_end, matrix[top:])
     except BaseException:
         os.kill(pid, signal.SIGKILL)  # its part is not wanted; do not wait for it
         raise

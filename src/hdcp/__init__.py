@@ -50,28 +50,40 @@ from .selector import (
     lag_energy_curve,
     select_m,
 )
-from .simulator import (
-    BoundaryDesign,
-    BoundaryResult,
-    ElbowDesign,
-    ElbowResult,
-    LinearProcessSpec,
-    MeanProfile,
-    MultiCpDesign,
-    MultiCpResult,
-    OracleModel,
-    ProcessParams,
-    SizePowerDesign,
-    SizePowerResult,
-    build_coefficients,
-    generate_series,
-    mean_matrix,
-    null_profile,
-    run_boundary_curve,
-    run_elbow_curve,
-    run_multi_cp,
-    run_size_power,
-    single_change_profile,
-)
+
+# The simulator's names resolve on first access (PEP 562), so that
+# ``hdcp detect`` neither compiles the simulator nor imports multiprocessing.
+_SIMULATOR_NAMES = frozenset({
+    "BoundaryDesign",
+    "BoundaryResult",
+    "ElbowDesign",
+    "ElbowResult",
+    "LinearProcessSpec",
+    "MeanProfile",
+    "MultiCpDesign",
+    "MultiCpResult",
+    "OracleModel",
+    "ProcessParams",
+    "SizePowerDesign",
+    "SizePowerResult",
+    "build_coefficients",
+    "generate_series",
+    "mean_matrix",
+    "null_profile",
+    "run_boundary_curve",
+    "run_elbow_curve",
+    "run_multi_cp",
+    "run_size_power",
+    "single_change_profile",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -25,8 +25,11 @@ byte order mark is ignored. On POSIX hosts with two or more usable CPUs,
 the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in
 two processes, each taking about half of the rows, or in one where no
 pipe or process can be made; there is no setting for this, and the array
-is the same either way. The series adopts the parsed array, so the
-statistics run beside one copy of the input.
+is the same either way. A narrow series (n >= 4p) adopts the parsed
+array. Any other keeps its Gram and not its rows: it is summed from
+blocks of 256 columns, and from a split parse each block stacks this
+process's rows on the child's, read from the pipe, so the child's rows
+are never held here and the statistics run beside no copy of the input.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 3 numerical failure (``SingularDesign``), 2 data error: any other
@@ -54,16 +57,41 @@ import stat
 import sys
 import warnings
 from pathlib import Path
-from typing import Literal, NoReturn, Optional, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Iterator,
+    Literal,
+    NoReturn,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
 from . import __version__
-from .core import DependenceWindow, HdcpError, SeriesMatrix, SingularDesign, validate_input
-from .engine import compute_gram, l_trace
+from .core import (
+    DependenceWindow,
+    HdcpError,
+    SeriesMatrix,
+    SingularDesign,
+    _check_shape,
+    _first_non_finite,
+    _is_narrow,
+    _non_finite_at,
+    validate_input,
+)
+from .engine import (
+    _block_buffers,
+    _column_blocks,
+    _column_ranges,
+    _gram_summary,
+    compute_gram,
+    l_trace,
+)
 from .inference import InferenceConfig, binary_segmentation, test_global
 from .selector import default_h_max, lag_energy_curve, select_m
-from .simulator import DESIGNS, worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,6 +160,9 @@ _BLOCK = 1 << 16
 # faster in 11/21, a tie), 2.4 MB 60 -> 46 ms (16/21), 3.2 MB 82 -> 56 ms
 # (18/21), 6.5 MB 143 -> 100 ms (17/21), 9.7 MB 230 -> 152 ms (18/21).
 _SPLIT_FROM_BYTES = 3_000_000
+# ``load_matrix`` reads the child's rows of a column block this many bytes
+# at a time into its array: a few rows of the widest block
+_PIECE = 1 << 14
 
 
 def _usable_cpus() -> int:
@@ -224,8 +255,80 @@ def _settled(source: _Source, start: int, pattern: re.Pattern) -> Optional[re.Ma
         size *= 2
 
 
-def _read_fast(source: _Source, delimiter: Optional[str]) -> Optional[np.ndarray]:
-    """The matrix by numpy's C reader, or None where only the row loop applies."""
+class _ToArray:
+    """What ``load_matrix`` makes of the parsed rows: their n x p array."""
+
+    @staticmethod
+    def whole(matrix: np.ndarray) -> np.ndarray:
+        return matrix
+
+    @staticmethod
+    def split(part: np.ndarray, rows: int, fd: int) -> np.ndarray:
+        """``part`` grown in place by the child's ``rows`` rows, which are
+        read from ``fd`` a block of columns at a time, in pieces of at most
+        ``_PIECE`` bytes."""
+        top, p = part.shape
+        # realloc, no second buffer; nothing else refers to this array
+        part.resize((top + rows, p), refcheck=False)
+        buf = np.empty(_PIECE // 8, dtype=np.float64)
+        for c0, c1 in _column_ranges(p):
+            step = len(buf) // (c1 - c0)
+            for r in range(top, top + rows, step):
+                piece = buf[: min(step, top + rows - r) * (c1 - c0)].reshape(-1, c1 - c0)
+                _receive(fd, piece)
+                part[r : r + len(piece), c0:c1] = piece
+        return part
+
+
+class _ToSeries:
+    """What ``hdcp detect`` makes of the parsed rows: their series.
+
+    A narrow series (``core._is_narrow``) holds its rows, as
+    ``SeriesMatrix._adopt`` does. Any other holds its Gram, built from its
+    column blocks, and not its rows (``SeriesMatrix._of_gram``): from a
+    split parse, each block is this process's part of its columns stacked on
+    the child's, read from the pipe, so the child's part is never held
+    here. The checks and messages are those of ``SeriesMatrix(matrix)``.
+    """
+
+    @staticmethod
+    def whole(matrix: np.ndarray) -> SeriesMatrix:
+        series = SeriesMatrix._adopt(matrix)
+        if _is_narrow(*matrix.shape):
+            return series
+        blocks = _column_blocks(series.values)
+        return SeriesMatrix._of_gram(_gram_summary(*matrix.shape, blocks), series.p)
+
+    @staticmethod
+    def split(part: np.ndarray, rows: int, fd: int) -> SeriesMatrix:
+        top, p = part.shape
+        if _is_narrow(top + rows, p):
+            return SeriesMatrix._adopt(_ToArray.split(part, rows, fd))
+        _check_shape(top + rows, p)
+        gram = _gram_summary(top + rows, p, _streamed_blocks(part, rows, fd))
+        return SeriesMatrix._of_gram(gram, p)
+
+
+def _streamed_blocks(part: np.ndarray, rows: int, fd: int) -> Iterator[np.ndarray]:
+    """The column blocks of ``part`` stacked on the child's ``rows`` rows,
+    each read from ``fd`` into the block's lower rows. After the last block,
+    raises ``NonFiniteEntry`` at the first non-finite entry in row order."""
+    top, p = part.shape
+    first = None
+    for c0, c1, block in _block_buffers(top + rows, p):
+        block[:top] = part[:, c0:c1]
+        _receive(fd, block[top:])
+        bad = _first_non_finite(block)
+        if bad is not None and (first is None or (bad[0], c0 + bad[1]) < first):
+            first = bad[0], c0 + bad[1]
+        yield block
+    if first is not None:
+        raise _non_finite_at(*first)
+
+
+def _read_fast(source: _Source, delimiter: Optional[str], take: type = _ToArray):
+    """What ``take`` makes of the rows parsed by numpy's C reader, or None
+    where only the row loop applies."""
     head = _settled(source, 0, _HEAD)
     first = head.group(1)
     # each part's reads check its own bytes, from the first data row on;
@@ -244,11 +347,12 @@ def _read_fast(source: _Source, delimiter: Optional[str]) -> Optional[np.ndarray
     del head  # and the bytes it matched
     cut = _split_point(source, start)
     try:
-        if cut is None:
-            return _loadtxt(source, start, source.size, delim)
-        return _read_split(source, start, cut, delim)
+        if cut is not None:
+            return _read_split(source, start, cut, delim, take)
+        matrix = _loadtxt(source, start, source.size, delim)
     except ValueError:
         return None
+    return take.whole(matrix)
 
 
 def _split_point(source: _Source, start: int) -> Optional[int]:
@@ -299,21 +403,20 @@ def _loadtxt(source: _Source, start: int, end: int, delim: Optional[str]) -> np.
     return np.loadtxt(stream, delimiter=delim, comments=None, ndmin=2)
 
 
-def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> np.ndarray:
-    """``_loadtxt`` of ``[start, cut)`` here and of ``[cut, end)`` in a child.
+def _read_split(source: _Source, start: int, cut: int, delim: Optional[str], take: type):
+    """``_loadtxt`` of ``[start, cut)`` here and of ``[cut, end)`` in a child,
+    and what ``take`` makes of the two parts.
 
     Both parts go through the same C reader, so the stacked rows are
-    bitwise those of one pass. This process's part becomes the result:
-    once the forked child has sent its part's shape through a pipe, the
-    part grows in place to the full row count, and the child's float64
-    bytes are read straight into its new lower rows. Raises ValueError
-    when either part is rejected or the parts differ in columns; a
-    DataError of this process's part propagates, while the child's only
-    fails its part, so that the row loop's read reports it. The child is
-    reaped before this returns; on an error here it is killed first, so
-    the row loop does not wait for a part it will not read. Where the
-    pipe or the child cannot be made
-    (EMFILE, EAGAIN, ENOMEM), the whole input is parsed here.
+    bitwise those of one pass. Once the forked child has sent its part's
+    shape through a pipe, ``take.split`` reads the part, sent as its column
+    blocks (``_column_ranges``), beside this process's part. Raises
+    ValueError when either part is rejected or the parts differ in columns;
+    any other error here propagates, while the child's only fails its part,
+    so that the row loop's read reports it. The child is reaped before this
+    returns; on an error here it is killed first, so the row loop does not
+    wait for a part it will not read. Where the pipe or the child cannot be
+    made (EMFILE, EAGAIN, ENOMEM), the whole input is parsed here.
     """
     fds = ()
     try:
@@ -330,23 +433,20 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
     except OSError:
         for fd in fds:
             os.close(fd)
-        return _loadtxt(source, start, source.size, delim)
+        return take.whole(_loadtxt(source, start, source.size, delim))
     if pid == 0:
         os.close(read_end)
         _send_part(write_end, source, cut, delim)
     os.close(write_end)
     try:
-        # the reader returns a view for a one-column part; the growth
-        # below needs a C-ordered array that owns its buffer
-        matrix = np.require(_loadtxt(source, start, cut, delim), np.float64, "CO")
+        # the reader returns a view for a one-column part; growing it in
+        # place needs a C-ordered array that owns its buffer
+        part = np.require(_loadtxt(source, start, cut, delim), np.float64, "CO")
         shape = np.zeros(2, dtype=np.int64)
         _receive(read_end, shape)
-        if shape[1] != matrix.shape[1]:
+        if shape[1] != part.shape[1]:
             raise ValueError("the two parts differ in columns")
-        top = len(matrix)
-        # realloc, no second buffer; nothing else refers to this array
-        matrix.resize((top + shape[0], shape[1]), refcheck=False)
-        _receive(read_end, matrix[top:])
+        result = take.split(part, int(shape[0]), read_end)
     except BaseException:
         os.kill(pid, signal.SIGKILL)  # its part is not wanted; do not wait for it
         raise
@@ -355,23 +455,29 @@ def _read_split(source: _Source, start: int, cut: int, delim: Optional[str]) -> 
         _, status = os.waitpid(pid, 0)
     if status:
         raise ValueError("the child's part was rejected")
-    return matrix
+    return result
 
 
 def _send_part(fd: int, source: _Source, start: int, delim: Optional[str]) -> NoReturn:
-    """In the forked child: parse the input from ``start`` on, send it to ``fd``, exit."""
+    """In the forked child: parse the input from ``start`` on, send its shape
+    and then its column blocks, each C-ordered, to ``fd``, and exit."""
     code = 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning fails the part, unprinted
-            part = np.ascontiguousarray(_loadtxt(source, start, source.size, delim))
-        for buf in (np.array(part.shape, dtype=np.int64), part):
-            view = memoryview(buf).cast("B")
-            while view:
-                view = view[os.write(fd, view) :]
+            part = _loadtxt(source, start, source.size, delim)
+        _send(fd, np.array(part.shape, dtype=np.int64))
+        for c0, c1 in _column_ranges(part.shape[1]):
+            _send(fd, np.ascontiguousarray(part[:, c0:c1]))
         code = 0
     finally:
         os._exit(code)
+
+
+def _send(fd: int, buf: np.ndarray) -> None:
+    view = memoryview(buf).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def _receive(fd: int, buf: np.ndarray) -> None:
@@ -441,6 +547,11 @@ def load_matrix(path: str, delimiter: Optional[str] = None, hasher=None) -> np.n
     the rest in a forked child. There is no setting for this, and the
     array is the same either way.
     """
+    return _load(path, delimiter, hasher, _ToArray)
+
+
+def _load(path: str, delimiter: Optional[str], hasher, take: type):
+    """What ``take`` makes of the rows of ``path``, parsed as ``load_matrix`` parses them."""
     if hasher is None:
         hasher = hashlib.sha256()
     with open(path, "rb", buffering=0) as file:
@@ -450,11 +561,13 @@ def load_matrix(path: str, delimiter: Optional[str] = None, hasher=None) -> np.n
             data = file.read()
             hasher.update(data)
             source = _Bytes(data)
-        matrix = _read_fast(source, delimiter)
-        if matrix is None:
+        result = _read_fast(source, delimiter, take)
+        if result is None:
             text = _read(source, 0, source.size).decode("utf-8-sig")
             matrix = _read_rows(path, text, delimiter)
-    return matrix
+            del text  # before ``take`` builds anything from the rows
+            result = take.whole(matrix)
+    return result
 
 
 def _json_dump(obj, path: Optional[str]) -> str:
@@ -473,8 +586,9 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 
 def cmd_detect(args) -> int:
     hasher = hashlib.sha256()
-    # the series holds the parsed array itself: the input is held once
-    series = SeriesMatrix._adopt(load_matrix(args.input, args.delimiter, hasher))
+    # a wide series holds its Gram and not its rows, a narrow one the parsed
+    # array itself: the input is held once, or not at all
+    series = _load(args.input, args.delimiter, hasher, _ToSeries)
 
     warnings: list[str] = []
     elbow_report = None
@@ -509,7 +623,7 @@ def cmd_detect(args) -> int:
         fwer_mode=args.fwer,
         min_segment_len=args.min_seg,
     )
-    # a --min-seg below the floor fails here, before the Gram is built
+    # a --min-seg below the floor fails here, before any statistic is taken
     min_segment_len = cfg.segment_min_length(window)
 
     gram = compute_gram(series)
@@ -634,6 +748,8 @@ def build_design(cfg: dict):
     and an absent optional key keeps the default. Each value is parsed by
     the field's type.
     """
+    from .simulator import DESIGNS  # detect does not import the simulator
+
     cfg = dict(cfg)
     name = cfg.pop("design").lower()
     if name not in DESIGNS:
@@ -656,6 +772,8 @@ def build_design(cfg: dict):
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import DESIGNS, worker_count
+
     try:
         worker_count()
     except ValueError as exc:

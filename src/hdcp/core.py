@@ -50,7 +50,8 @@ class SeriesMatrix:
     Entries must be finite and ``n >= 4``. The array is copied and made
     read-only so instances are safe to share across workers, and the
     caller's array is never aliased. ``_adopt`` holds a new array that
-    nothing else writes to, such as a parsed input, without that copy.
+    nothing else writes to, such as a parsed input, without that copy, and
+    ``_of_gram`` holds a series' Gram in place of its rows.
 
     A series keeps the summary of its inner products that
     :func:`hdcp.engine.compute_gram` built for it (a ``GramSummary``, or a
@@ -78,6 +79,21 @@ class SeriesMatrix:
         """
         series = object.__new__(cls)
         series._hold(np.ascontiguousarray(_checked(np.asarray(arr, dtype=np.float64))))
+        return series
+
+    @classmethod
+    def _of_gram(cls, gram: "GramSummary", p: int) -> "SeriesMatrix":
+        """The series of ``gram``'s n observations of dimension p, holding
+        the Gram and not the rows.
+
+        ``values`` is a read-only (n, p) view of one NaN: its shape is the
+        series', and a product taken from it is not finite, so
+        ``compute_gram`` would raise ``NonFiniteEntry`` rather than
+        summarize it. The caller has made ``_checked``'s checks on the rows.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "values", np.broadcast_to(np.float64(np.nan), (gram.n, p)))
+        object.__setattr__(series, "_gram", gram)
         return series
 
     def _hold(self, arr: np.ndarray) -> None:
@@ -121,15 +137,32 @@ def _checked(arr: np.ndarray) -> np.ndarray:
     """``arr``, after the checks every series passes: 2-D, n >= 4, p >= 1, finite."""
     if arr.ndim != 2:
         raise DimensionTooSmall(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    n, p = arr.shape
+    _check_shape(*arr.shape)
+    bad = _first_non_finite(arr)
+    if bad is not None:
+        raise _non_finite_at(*bad)
+    return arr
+
+
+def _check_shape(n: int, p: int) -> None:
     if n < 4:
         raise DimensionTooSmall(f"need at least 4 time points, got n={n}")
     if p < 1:
         raise DimensionTooSmall("need at least one coordinate (p >= 1)")
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteEntry(f"non-finite entry at row {i + 1}, column {j + 1}")
-    return arr
+
+
+def _first_non_finite(arr: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column), 0-based, of the first non-finite entry of a 2-D array
+    in row order, or None when every entry is finite."""
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    i, j = np.argwhere(~finite)[0]
+    return int(i), int(j)
+
+
+def _non_finite_at(i: int, j: int) -> NonFiniteEntry:
+    return NonFiniteEntry(f"non-finite entry at row {i + 1}, column {j + 1}")
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,14 @@ view of the Gram's sub-block, or the segment's rows with its own row sums
 and its diagonals sliced from its source's (a segment below 4p takes one
 product of its own rows). So one series costs at most one O(n^2 p) pass
 and one n x n array, and a narrow one none, however often the elbow, the
-global test and binary segmentation ask for it. Per (summary, M),
-``results`` keeps the split curve of ``l_trace``, the table of
-``build_trace_table`` (both read-only) and the value and count of each
-separated-sum term, and per summary its lag-grid products, beside what
-the summary itself stores there; the context arrays behind the terms are
-not kept. So the table at the order the elbow chose reuses the elbow's
+global test and binary segmentation ask for it. The pass is fed column
+blocks (``_gram_product``), so it needs no n x p array: ``hdcp detect``
+sums a wide input's Gram as the blocks are parsed, and keeps no rows.
+Per (summary, M), ``results`` keeps the split curve of ``l_trace``, the
+table of ``build_trace_table`` (both read-only) and the value and count
+of each separated-sum term, and per summary its lag-grid products,
+beside what the summary itself stores there; the context arrays behind
+the terms are not kept. So the table at the order the elbow chose reuses the elbow's
 quadruple, triple and pair terms, and a repeated test of the same summary
 and M returns the stored result.
 
@@ -86,7 +88,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,15 +183,27 @@ def compute_gram(series: SeriesMatrix) -> Summary:
     """
     if series._gram is None:
         values = series.values
-        # an overflow is raised below as NonFiniteEntry, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            if _is_narrow(*values.shape):
-                gram = RowSummary.of(values)
-            else:
-                gram = GramSummary.of(_gram_product(values))
-        _check_finite(gram)
+        if _is_narrow(*values.shape):
+            gram = RowSummary.of(values)
+            _check_finite(gram)
+        else:
+            gram = _gram_summary(*values.shape, _column_blocks(values))
         object.__setattr__(series, "_gram", gram)
     return series._gram
+
+
+def _gram_summary(n: int, p: int, blocks: Iterable[np.ndarray]) -> GramSummary:
+    """The ``GramSummary`` of an n x p series given as its column blocks
+    (see ``_gram_product``), which may come from anywhere, such as a pipe.
+
+    Raises ``NonFiniteEntry`` when the inner products or their row sums
+    overflow float64, and whatever ``blocks`` raises.
+    """
+    # an overflow is raised below as NonFiniteEntry, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = GramSummary.of(_gram_product(n, p, blocks))
+    _check_finite(gram)
+    return gram
 
 
 def _check_finite(gram: Summary) -> None:
@@ -199,11 +213,70 @@ def _check_finite(gram: Summary) -> None:
         raise NonFiniteEntry("the inner products overflow float64; rescale the series")
 
 
-def _gram_product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # The one O(n^2 p) pass, into ``out`` when given. For ``x @ x.T`` numpy
-    # calls BLAS syrk, which computes one triangle and mirrors it, so the
-    # product is exactly symmetric as it comes.
-    return np.matmul(x, x.T, out=out)
+# A Gram of more than _GRAM_COLUMNS columns is summed over blocks of that
+# many columns, each in slabs of _GRAM_ROWS rows (``_gram_product``).
+_GRAM_COLUMNS = 256
+_GRAM_ROWS = 128
+
+
+def _column_ranges(p: int) -> list[tuple[int, int]]:
+    """The column ranges [c0, c1) of the blocks of an n x p series."""
+    return [(c0, min(p, c0 + _GRAM_COLUMNS)) for c0 in range(0, p, _GRAM_COLUMNS)]
+
+
+def _block_buffers(n: int, p: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(c0, c1, buffer)`` for each column block [c0, c1) of an n x p
+    series, in order: an uninitialized n x (c1 - c0) C-ordered array for
+    the block, one allocation reused for every block."""
+    flat = np.empty(n * min(p, _GRAM_COLUMNS), dtype=np.float64)
+    for c0, c1 in _column_ranges(p):
+        yield c0, c1, flat[: n * (c1 - c0)].reshape(n, c1 - c0)
+
+
+def _column_blocks(x: np.ndarray) -> Iterator[np.ndarray]:
+    """The column blocks of ``x`` as ``_gram_product`` reads them: ``x``
+    itself when it has at most ``_GRAM_COLUMNS`` columns, else a copy of
+    each block in turn into ``_block_buffers``, where a block read from a
+    pipe is held too."""
+    if x.shape[1] <= _GRAM_COLUMNS:
+        yield x
+        return
+    for c0, c1, block in _block_buffers(*x.shape):
+        np.copyto(block, x[:, c0:c1])
+        yield block
+
+
+def _gram_product(
+    n: int, p: int, blocks: Iterable[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """The one O(n^2 p) pass: the n x n Gram of an n x p series from its
+    column blocks (``_block_buffers``), into ``out`` when given.
+
+    With p <= ``_GRAM_COLUMNS`` the one block is the series, and its Gram is
+    ``x @ x.T``, for which numpy calls BLAS syrk: one triangle, mirrored, so
+    exactly symmetric. A wider series never needs to be held whole: each
+    block x_c, C-ordered, adds its upper row slabs x_c[r:r + S] x_c[r:]' (S =
+    ``_GRAM_ROWS``), and the upper triangle is mirrored once at the end. So
+    the Gram is exactly symmetric, and its bits depend on the block values
+    alone, not on where they were read from.
+    """
+    if p <= _GRAM_COLUMNS:
+        (x,) = blocks
+        return np.matmul(x, x.T, out=out)
+    if out is None:
+        out = np.zeros((n, n), dtype=np.float64)
+    else:
+        out[...] = 0.0
+    for x in blocks:
+        for r in range(0, n, _GRAM_ROWS):
+            out[r : r + _GRAM_ROWS, r:] += x[r : r + _GRAM_ROWS] @ x[r:].T
+    for r in range(0, n, _GRAM_ROWS):
+        s = min(n, r + _GRAM_ROWS)
+        out[s:, r:s] = out[r:s, s:].T
+        diagonal = out[r:s, r:s]
+        lower = np.tri(s - r, k=-1, dtype=bool)
+        diagonal[lower] = diagonal.T[lower]
+    return out
 
 
 def _f_columns(n: int, t: np.ndarray, m: int) -> np.ndarray:
@@ -990,7 +1063,7 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     raw = np.empty((len(series), shape[0], shape[0]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for s, out in zip(series, raw):
-            _gram_product(s.values, out=out)
+            _gram_product(*shape, _column_blocks(s.values), out=out)
         stack = GramSummary.of(raw)
         _check_finite(stack)
         curves = _split_curve(stack, m)

@@ -174,9 +174,9 @@ def test_detect_parses_the_bytes_it_hashes(tmp_path, forks, monkeypatch, capsys)
     edits = []
     read_fast = cli._read_fast
 
-    def change_then_read(source, delimiter):
+    def change_then_read(*args):
         path.write_bytes(edits.pop() if edits else original)
-        return read_fast(source, delimiter)
+        return read_fast(*args)
 
     monkeypatch.setattr(cli, "_read_fast", change_then_read)
     assert main(["detect", "--input", str(path), "--m", "0"]) == EXIT_OK
@@ -520,22 +520,25 @@ def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, m
     assert err == "data error: min_segment_len=3 below the feasibility floor 2(M+2)=8\n"
 
 
-def test_detect_series_holds_the_parsed_array(change_file, tmp_path, monkeypatch):
-    # the input is held once: the series is the parsed array, not a copy
+def test_detect_series_holds_the_parsed_array(tmp_path, monkeypatch):
+    # a narrow input is held once: the series is the parsed array, not a
+    # copy (a wide one holds its Gram and no rows; see test_gram_reuse)
+    path = tmp_path / "narrow.csv"
+    np.savetxt(path, np.random.default_rng(70).standard_normal((120, 20)), delimiter=",")
     parsed, series = [], []
-    compute_gram = cli.compute_gram
+    loadtxt, compute_gram = cli._loadtxt, cli.compute_gram
 
     def loaded(*args):
-        parsed.append(load_matrix(*args))
+        parsed.append(loadtxt(*args))
         return parsed[-1]
 
     def gram_of(s):
         series.append(s)
         return compute_gram(s)
 
-    monkeypatch.setattr(cli, "load_matrix", loaded)
+    monkeypatch.setattr(cli, "_loadtxt", loaded)
     monkeypatch.setattr(cli, "compute_gram", gram_of)
-    code = main(["detect", "--input", str(change_file), "--m", "1", "--output", str(tmp_path / "r.json")])
+    code = main(["detect", "--input", str(path), "--m", "1", "--output", str(tmp_path / "r.json")])
     assert code == EXIT_OK
     assert len(parsed) == len(series) == 1
     assert np.shares_memory(series[0].values, parsed[0])

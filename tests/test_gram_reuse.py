@@ -31,8 +31,9 @@ from hdcp import (
     trace_product_estimate,
 )
 from hdcp import engine
+from hdcp import cli
 from hdcp.cli import main
-from hdcp.core import DependenceWindow, GramSummary, RowSummary
+from hdcp.core import DependenceWindow, GramSummary, NonFiniteEntry, RowSummary
 from hdcp.engine import _SeparatedSums
 from hdcp.inference import InferenceConfig, binary_segmentation
 from hdcp.inference import test_global as global_test
@@ -51,9 +52,9 @@ def _count_products(monkeypatch):
     shapes = []
     product = engine._gram_product
 
-    def counted(x):
-        shapes.append(x.shape)
-        return product(x)
+    def counted(n, p, blocks, out=None):
+        shapes.append((n, p))
+        return product(n, p, blocks, out=out)
 
     monkeypatch.setattr(engine, "_gram_product", counted)
     return shapes
@@ -197,15 +198,65 @@ def test_narrow_segment_slices_its_sources_diagonals(monkeypatch, n, p, lo, hi, 
 
 @pytest.mark.parametrize("m", ["1", "auto"])
 def test_one_product_per_detect_call(tmp_path, monkeypatch, m):
+    # one block of columns (p <= 256), and three summed as they are read
+    for p in (30, 600):
+        path = tmp_path / "series.csv"
+        np.savetxt(path, _values(90, p, 5, shift=1.5), delimiter=",")
+        out = tmp_path / "report.json"
+        products = _count_products(monkeypatch)
+        assert main(["detect", "--input", str(path), "--m", m, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        # the elbow (with auto), the global test and at least three segments
+        assert sum(s["outcome"] is not None for s in report["segments"]) >= 3, p
+        assert products == [(90, p)]
+
+
+@pytest.mark.parametrize("n, p", [(130, 600), (129, 257), (40, 1000), (300, 513)])
+def test_wide_gram_is_summed_from_column_blocks(n, p):
+    # more than _GRAM_COLUMNS columns: blocks of 256 columns (the last one
+    # partial), row slabs of 128 (the last one partial, or one slab); the
+    # sum is exactly symmetric and agrees with the naive Gram to rounding
+    x = _values(n, p, n + p)
+    raw = compute_gram(as_series(x)).raw
+    assert (raw == raw.T).all()
+    want, _ = naive_gram(x)
+    np.testing.assert_allclose(raw, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    # each block is summed from a C-ordered copy: the same bits from any
+    # layout of the rows
+    for layout in (np.asfortranarray(x), x[::-1].copy()[::-1]):
+        got = engine._gram_product(n, p, engine._column_blocks(layout))
+        assert got.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("p", [60, 256])
+def test_gram_of_at_most_one_block_is_the_single_product(p):
+    x = _values(100, p, p)
+    assert compute_gram(as_series(x)).raw.tobytes() == (x @ x.T).tobytes()
+
+
+@pytest.mark.parametrize("p", [300, 600])
+def test_wide_detect_series_holds_no_rows(tmp_path, monkeypatch, p):
+    # a wide input's series keeps its Gram and an (n, p) view of one NaN in
+    # place of its rows; a product taken from that view is not finite
     path = tmp_path / "series.csv"
-    np.savetxt(path, _values(90, 30, 5, shift=1.5), delimiter=",")
-    out = tmp_path / "report.json"
-    products = _count_products(monkeypatch)
-    assert main(["detect", "--input", str(path), "--m", m, "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
-    # the elbow (with auto), the global test and at least three segments
-    assert sum(s["outcome"] is not None for s in report["segments"]) >= 3
-    assert products == [(90, 30)]
+    x = _values(60, p, p, shift=1.5)
+    np.savetxt(path, x, delimiter=",")
+    held = []
+    gram_of = cli.compute_gram
+
+    def recorded(series):
+        held.append(series)
+        return gram_of(series)
+
+    monkeypatch.setattr(cli, "compute_gram", recorded)
+    assert main(["detect", "--input", str(path), "--m", "1", "--output", str(tmp_path / "r.json")]) == 0
+    values = held[0].values
+    assert values.shape == (60, p) and values.strides == (0, 0)
+    assert values.base.nbytes == 8 and np.isnan(values.base)
+    assert not values.flags.writeable
+    assert compute_gram(as_series(x)).raw.tobytes() == held[0]._gram.raw.tobytes()
+    with pytest.raises(NonFiniteEntry):
+        engine._gram_summary(60, p, engine._column_blocks(values))
 
 
 def test_narrow_detect_takes_no_product(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 The lag design solve and the normal tail of the aggregated statistic use
 numpy and the standard library. These tests pin them to the scipy routines
 that computed them before, and check that importing the package and its
-command line loads no scipy module.
+command line loads no scipy module, and the command line no simulator.
 """
 
 import math
@@ -35,6 +35,25 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_command_line_imports_no_simulator():
+    # hdcp detect needs neither the simulator nor multiprocessing, which
+    # only the simulator imports; the package's simulator names still
+    # resolve, on first access
+    code = (
+        "import sys, hdcp.cli\n"
+        "print([m for m in ('hdcp.simulator', 'multiprocessing') if m in sys.modules])\n"
+        "from hdcp import generate_series, simulator\n"
+        "print(generate_series is simulator.generate_series)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hdcp.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[]", "True"]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hdcp.no_such_name
 
 
 def test_pvalue_matches_scipy_normal_tail():

@@ -5,7 +5,9 @@ From ``cli._SPLIT_FROM_BYTES`` on, with ``cli._WORKERS`` at 2 and
 data row after the middle itself and the rest in a forked child. Most tests
 set the threshold to 0, so that small inputs take that path. They pin that
 the array is bitwise the row loop's, that errors still carry the row loop's
-message, and that no child outlives the call.
+message, and that no child outlives the call; and that ``hdcp detect``
+sums a wide input's Gram from the child's column blocks as they arrive,
+with the report of a parse in one process.
 """
 
 import errno
@@ -85,6 +87,10 @@ _SPLIT_CASES = [
     # lines longer than the first block read: the layout waits for them whole
     ("long-rows", b"".join(b",".join([b"%d.5" % i] * 30_000) + b"\n" for i in range(4)), True, True),
     ("long-header", b",".join([b"a"] * 40_000) + b"\n" + b"1.5e0," * 39_999 + b"2\n", False, True),
+    # three column blocks, the last one partial: the child sends its part
+    # block by block, and this process writes each into its array
+    ("wide", b"".join(b",".join(b"%d.%d" % (i, j) for j in range(600)) + b"\n" for i in range(9)),
+     True, True),
 ]
 
 
@@ -157,16 +163,23 @@ def test_split_part_in_any_layout_grows_to_the_row_loops_array(tmp_path, split, 
 
 
 def test_detect_holds_one_copy_of_the_input_at_the_gram(tmp_path, split, monkeypatch):
-    # the file's bytes and the parsed array are gone once the series holds
-    # its copy: 1.03 x n p float64 here, against 5.22 with the bytes (3.2
-    # bytes of input per float64) and both arrays kept
-    path, unit = _large_input(tmp_path)
-    held = []
+    # while the Gram of a wide input is summed, this process holds its half
+    # of the rows, the Gram, one block of columns and one row slab of the
+    # product: the child's half is read into the block a block at a time,
+    # and the file's bytes are read in place. 100 x 1600 here, so in units
+    # of n p float64 the half is 0.5, the Gram 0.06, the block (100 x 256)
+    # 0.16 and the slab (100 x 100) 0.06. The peak reads 0.85, and 1.34
+    # with the child's half held here as rows
+    n = 100
+    path, unit = _large_input(tmp_path, n=n, p=1600)
+    peaks = []
     product = engine._gram_product
 
-    def recorded(x):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return product(x)
+    def recorded(*args, **kwargs):
+        tracemalloc.reset_peak()
+        gram = product(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return gram
 
     monkeypatch.setattr(engine, "_gram_product", recorded)
     main(["detect", "--input", str(path), "--m", "2", "--output", str(tmp_path / "warm.json")])
@@ -175,8 +188,54 @@ def test_detect_holds_one_copy_of_the_input_at_the_gram(tmp_path, split, monkeyp
         assert main(["detect", "--input", str(path), "--m", "2", "--output", str(tmp_path / "r.json")]) == 0
     finally:
         tracemalloc.stop()
-    assert held[1] <= 1.1 * unit, f"{held[1] / unit:.2f} x n p float64"
+    held = unit / 2 + n * n * 8 + (engine._GRAM_COLUMNS + min(engine._GRAM_ROWS, n)) * n * 8
+    assert peaks[1] <= 1.2 * held, f"{peaks[1] / held:.2f} x the half, the Gram, a block and a slab"
     assert len(split) == 2
+
+
+def test_wide_detect_report_matches_one_process(tmp_path, split, monkeypatch):
+    # 600 columns, three blocks with a partial last one: split, each Gram
+    # block is this process's rows of the block stacked on the child's,
+    # read from the pipe; in one process it is cut from the parsed array
+    path = tmp_path / "wide.csv"
+    values = np.random.default_rng(11).standard_normal((150, 600))
+    values[90:, :60] += 1.0
+    np.savetxt(path, values, delimiter=",")
+    reports = []
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        out = tmp_path / f"report_{workers}.json"
+        assert main(["detect", "--input", str(path), "--m", "1", "--output", str(out), "--trace"]) == 0
+        reports.append([out.read_bytes(), out.with_suffix(".ltrace.tsv").read_bytes()])
+    assert len(split) == 1
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["change_points"]
+
+
+@pytest.mark.parametrize("entries, message", [
+    # in the child's part, a later block than an entry of a later row
+    ([(120, 500, "nan"), (140, 3, "inf")], "row 120, column 500"),
+    # in this process's part and in the child's, in one block
+    ([(130, 10, "-inf"), (20, 300, "nan")], "row 20, column 300"),
+    # in the child's part, its last row and last column
+    ([(150, 600, "nan")], "row 150, column 600"),
+], ids=["childs-part", "both-parts", "last-entry"])
+def test_non_finite_entry_of_a_wide_split_is_a_data_error(tmp_path, split, monkeypatch, capsys,
+                                                          entries, message):
+    # the child's part reaches this process only as Gram blocks; the entry
+    # reported is still the first in row order, as in one process
+    path = tmp_path / "wide.csv"
+    values = np.random.default_rng(12).standard_normal((150, 600)).astype(object)
+    for row, column, text in entries:
+        values[row - 1, column - 1] = text
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in values))
+    errors = []
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_WORKERS", workers)
+        assert main(["detect", "--input", str(path), "--m", "1"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert len(split) == 1
+    assert errors[0] == errors[1] == f"data error: non-finite entry at {message}\n"
 
 
 @pytest.mark.parametrize("data, parts", [

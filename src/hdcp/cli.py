@@ -26,10 +26,13 @@ the C reader parses inputs of at least 3 MB (``_SPLIT_FROM_BYTES``) in
 two processes, each taking about half of the rows, or in one where no
 pipe or process can be made; there is no setting for this, and the array
 is the same either way. A narrow series (n >= 4p) adopts the parsed
-array. Any other keeps its Gram and not its rows: it is summed from
-blocks of 256 columns, and from a split parse each block stacks this
+array. Any other keeps its Gram and not its rows. With at most 256
+columns it is the one product of the parsed array. A wider one is summed
+from blocks of 256 columns, and from a split parse each block stacks this
 process's rows on the child's, read from the pipe, so the child's rows
-are never held here and the statistics run beside no copy of the input.
+are never held here. Either way the statistics run beside no copy of the
+input. A fixed ``--m`` is checked, with ``--min-seg`` against its floor,
+before the input is read.
 
 Exit codes: 0 ran to completion (whatever the test decided), 1 usage
 error, 3 numerical failure (``SingularDesign``), 2 data error: any other
@@ -83,6 +86,7 @@ from .core import (
     validate_input,
 )
 from .engine import (
+    _GRAM_COLUMNS,
     _block_buffers,
     _column_blocks,
     _column_ranges,
@@ -264,12 +268,15 @@ class _ToArray:
 
     @staticmethod
     def split(part: np.ndarray, rows: int, fd: int) -> np.ndarray:
-        """``part`` grown in place by the child's ``rows`` rows, which are
-        read from ``fd`` a block of columns at a time, in pieces of at most
-        ``_PIECE`` bytes."""
+        """``part`` grown in place by the child's ``rows`` rows, read from
+        ``fd``: into its tail when they are one block of columns, else a
+        block at a time, in pieces of at most ``_PIECE`` bytes."""
         top, p = part.shape
         # realloc, no second buffer; nothing else refers to this array
         part.resize((top + rows, p), refcheck=False)
+        if p <= _GRAM_COLUMNS:
+            _receive(fd, part[top:])
+            return part
         buf = np.empty(_PIECE // 8, dtype=np.float64)
         for c0, c1 in _column_ranges(p):
             step = len(buf) // (c1 - c0)
@@ -285,10 +292,12 @@ class _ToSeries:
 
     A narrow series (``core._is_narrow``) holds its rows, as
     ``SeriesMatrix._adopt`` does. Any other holds its Gram, built from its
-    column blocks, and not its rows (``SeriesMatrix._of_gram``): from a
-    split parse, each block is this process's part of its columns stacked on
-    the child's, read from the pipe, so the child's part is never held
-    here. The checks and messages are those of ``SeriesMatrix(matrix)``.
+    column blocks (``_column_blocks``), and not its rows
+    (``SeriesMatrix._of_gram``). With one block, the Gram is taken from the
+    whole array, grown in place from a split parse. With more, each block
+    of a split parse is this process's part of its columns stacked on the
+    child's, read from the pipe, so the child's part is never held here.
+    The checks and messages are those of ``SeriesMatrix(matrix)``.
     """
 
     @staticmethod
@@ -302,8 +311,8 @@ class _ToSeries:
     @staticmethod
     def split(part: np.ndarray, rows: int, fd: int) -> SeriesMatrix:
         top, p = part.shape
-        if _is_narrow(top + rows, p):
-            return SeriesMatrix._adopt(_ToArray.split(part, rows, fd))
+        if _is_narrow(top + rows, p) or p <= _GRAM_COLUMNS:
+            return _ToSeries.whole(_ToArray.split(part, rows, fd))
         _check_shape(top + rows, p)
         gram = _gram_summary(top + rows, p, _streamed_blocks(part, rows, fd))
         return SeriesMatrix._of_gram(gram, p)
@@ -585,6 +594,21 @@ def _write_plot_data(path: Path, header: tuple[str, str], cols) -> None:
 
 
 def cmd_detect(args) -> int:
+    cfg = InferenceConfig(
+        alpha=args.alpha,
+        fwer_mode=args.fwer,
+        min_segment_len=args.min_seg,
+    )
+    if args.m != "auto":
+        try:
+            m_used = int(args.m)
+        except ValueError:
+            raise UsageError(f"--m must be an integer or 'auto', got {args.m!r}") from None
+        if m_used < 0:
+            raise UsageError("--m must be nonnegative")
+        # a --min-seg below the floor fails here, before the input is read
+        cfg.segment_min_length(DependenceWindow(m_used))
+
     hasher = hashlib.sha256()
     # a wide series holds its Gram and not its rows, a narrow one the parsed
     # array itself: the input is held once, or not at all
@@ -608,22 +632,10 @@ def cmd_detect(args) -> int:
             "saturated": chosen.saturated,
             "drop_ratio": args.drop_ratio,
         }
-    else:
-        try:
-            m_used = int(args.m)
-        except ValueError:
-            raise UsageError(f"--m must be an integer or 'auto', got {args.m!r}") from None
-        if m_used < 0:
-            raise UsageError("--m must be nonnegative")
 
     window = DependenceWindow(m_used)
     validate_input(series, window)
-    cfg = InferenceConfig(
-        alpha=args.alpha,
-        fwer_mode=args.fwer,
-        min_segment_len=args.min_seg,
-    )
-    # a --min-seg below the floor fails here, before any statistic is taken
+    # with --m auto, a --min-seg below the floor of the M chosen fails here
     min_segment_len = cfg.segment_min_length(window)
 
     gram = compute_gram(series)

@@ -51,9 +51,10 @@ view of the Gram's sub-block, or the segment's rows with its own row sums
 and its diagonals sliced from its source's (a segment below 4p takes one
 product of its own rows). So one series costs at most one O(n^2 p) pass
 and one n x n array, and a narrow one none, however often the elbow, the
-global test and binary segmentation ask for it. The pass is fed column
-blocks (``_gram_product``), so it needs no n x p array: ``hdcp detect``
-sums a wide input's Gram as the blocks are parsed, and keeps no rows.
+global test and binary segmentation ask for it. The pass takes a series
+held whole as one BLAS product, or sums it from column blocks
+(``_gram_product``), which needs no n x p array: ``hdcp detect`` sums a
+wide input's Gram as the blocks are parsed, and keeps no rows.
 Per (summary, M), ``results`` keeps the split curve of ``l_trace``, the
 table of ``build_trace_table`` (both read-only) and the value and count
 of each separated-sum term, and per summary its lag-grid products,
@@ -87,6 +88,7 @@ Conventions, fixed for the whole package:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -187,14 +189,15 @@ def compute_gram(series: SeriesMatrix) -> Summary:
             gram = RowSummary.of(values)
             _check_finite(gram)
         else:
-            gram = _gram_summary(*values.shape, _column_blocks(values))
+            gram = _gram_summary(*values.shape, [values])
         object.__setattr__(series, "_gram", gram)
     return series._gram
 
 
 def _gram_summary(n: int, p: int, blocks: Iterable[np.ndarray]) -> GramSummary:
-    """The ``GramSummary`` of an n x p series given as its column blocks
-    (see ``_gram_product``), which may come from anywhere, such as a pipe.
+    """The ``GramSummary`` of an n x p series given whole or as its column
+    blocks (see ``_gram_product``), which may come from anywhere, such as a
+    pipe.
 
     Raises ``NonFiniteEntry`` when the inner products or their row sums
     overflow float64, and whatever ``blocks`` raises.
@@ -213,8 +216,9 @@ def _check_finite(gram: Summary) -> None:
         raise NonFiniteEntry("the inner products overflow float64; rescale the series")
 
 
-# A Gram of more than _GRAM_COLUMNS columns is summed over blocks of that
-# many columns, each in slabs of _GRAM_ROWS rows (``_gram_product``).
+# ``_column_blocks`` cuts a series of more than _GRAM_COLUMNS columns into
+# blocks of that many, and ``_gram_product`` sums each in slabs of
+# _GRAM_ROWS rows
 _GRAM_COLUMNS = 256
 _GRAM_ROWS = 128
 
@@ -234,10 +238,9 @@ def _block_buffers(n: int, p: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 
 def _column_blocks(x: np.ndarray) -> Iterator[np.ndarray]:
-    """The column blocks of ``x`` as ``_gram_product`` reads them: ``x``
-    itself when it has at most ``_GRAM_COLUMNS`` columns, else a copy of
-    each block in turn into ``_block_buffers``, where a block read from a
-    pipe is held too."""
+    """The column blocks of ``x``: ``x`` itself when it has at most
+    ``_GRAM_COLUMNS`` columns, else a copy of each block in turn into
+    ``_block_buffers``, where a block read from a pipe is held too."""
     if x.shape[1] <= _GRAM_COLUMNS:
         yield x
         return
@@ -249,25 +252,30 @@ def _column_blocks(x: np.ndarray) -> Iterator[np.ndarray]:
 def _gram_product(
     n: int, p: int, blocks: Iterable[np.ndarray], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The one O(n^2 p) pass: the n x n Gram of an n x p series from its
-    column blocks (``_block_buffers``), into ``out`` when given.
+    """The one O(n^2 p) pass: the n x n Gram of an n x p series, into
+    ``out`` when given. ``blocks`` holds the series whole, as one block of
+    p columns, or yields its ``_column_blocks``.
 
-    With p <= ``_GRAM_COLUMNS`` the one block is the series, and its Gram is
-    ``x @ x.T``, for which numpy calls BLAS syrk: one triangle, mirrored, so
-    exactly symmetric. A wider series never needs to be held whole: each
-    block x_c, C-ordered, adds its upper row slabs x_c[r:r + S] x_c[r:]' (S =
-    ``_GRAM_ROWS``), and the upper triangle is mirrored once at the end. So
-    the Gram is exactly symmetric, and its bits depend on the block values
-    alone, not on where they were read from.
+    A series given whole takes ``x @ x.T``, for which numpy calls BLAS syrk:
+    one triangle, mirrored, so exactly symmetric. Every series already in
+    memory is given whole. A series given as blocks of ``_GRAM_COLUMNS``
+    columns is never held whole: each block x_c, C-ordered, adds its upper
+    row slabs x_c[r:r + S] x_c[r:]' (S = ``_GRAM_ROWS``), and the upper
+    triangle is mirrored once at the end. So that sum is exactly symmetric
+    too, and its bits depend on the block values alone, not on where they
+    were read from. It is slower than the one product, so only ``hdcp
+    detect`` takes it: for a wide input of more than one block, whether its
+    parse was split or not, so that its report does not depend on the split.
     """
-    if p <= _GRAM_COLUMNS:
-        (x,) = blocks
+    blocks = iter(blocks)
+    x = next(blocks)
+    if x.shape[1] == p:
         return np.matmul(x, x.T, out=out)
     if out is None:
         out = np.zeros((n, n), dtype=np.float64)
     else:
         out[...] = 0.0
-    for x in blocks:
+    for x in itertools.chain([x], blocks):
         for r in range(0, n, _GRAM_ROWS):
             out[r : r + _GRAM_ROWS, r:] += x[r : r + _GRAM_ROWS] @ x[r:].T
     for r in range(0, n, _GRAM_ROWS):
@@ -1063,7 +1071,7 @@ def prepare_global(series: Sequence[SeriesMatrix], window: DependenceWindow) -> 
     raw = np.empty((len(series), shape[0], shape[0]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for s, out in zip(series, raw):
-            _gram_product(*shape, _column_blocks(s.values), out=out)
+            _gram_product(*shape, [s.values], out=out)
         stack = GramSummary.of(raw)
         _check_finite(stack)
         curves = _split_curve(stack, m)

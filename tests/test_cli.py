@@ -510,14 +510,26 @@ def test_simulate_overflow_is_one_data_error_line(tmp_path, delta, workers):
 
 
 def test_detect_min_seg_below_floor_fails_before_the_gram(change_file, capsys, monkeypatch):
+    # with a fixed --m the floor is checked before the input is read, so no
+    # Gram is formed, not even the one a wide input's loader sums
     def no_gram(*args, **kwargs):
         raise AssertionError("Gram built for an infeasible --min-seg")
 
-    monkeypatch.setattr("hdcp.engine.compute_gram", no_gram)
+    monkeypatch.setattr("hdcp.engine._gram_product", no_gram)
     code = main(["detect", "--input", str(change_file), "--m", "2", "--min-seg", "3"])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err == "data error: min_segment_len=3 below the feasibility floor 2(M+2)=8\n"
+
+
+def test_detect_checks_a_fixed_m_before_reading_the_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["detect", "--input", missing, "--m", "-1"]) == EXIT_USAGE
+    assert main(["detect", "--input", missing, "--m", "2", "--min-seg", "3"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.endswith("data error: min_segment_len=3 below the feasibility floor 2(M+2)=8\n")
+    assert main(["detect", "--input", missing, "--m", "2"]) == EXIT_DATA
+    assert "missing.csv" in capsys.readouterr().err
 
 
 def test_detect_series_holds_the_parsed_array(tmp_path, monkeypatch):

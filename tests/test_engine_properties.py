@@ -233,7 +233,7 @@ def test_gram_product_is_bitwise_the_symmetrized_product(n, p, first, stacked):
     values = np.random.default_rng(n + p).standard_normal((first + n + 9, p))
     x = values[first : first + n]
     out = np.full((3, n, n), np.nan)[1] if stacked else None
-    got = engine._gram_product(n, p, engine._column_blocks(x), out=out)
+    got = engine._gram_product(n, p, [x], out=out)
     r = x @ x.T
     assert got.tobytes() == ((r + r.T) / 2.0).tobytes()
     assert out is None or got is out
@@ -244,7 +244,7 @@ def test_gram_product_memory_above_its_input():
     # out-of-place (r + r.T) / 2 peaked at 2.01
     n = 800
     x = np.random.default_rng(8).standard_normal((n, 50))
-    peak = _traced_peak(lambda x: engine._gram_product(*x.shape, engine._column_blocks(x)), x)
+    peak = _traced_peak(lambda x: engine._gram_product(*x.shape, [x]), x)
     assert peak <= 1.25 * n**2 * 8, f"{peak / (n**2 * 8):.2f} x n^2 float64"
 
 

@@ -217,7 +217,7 @@ def test_wide_gram_is_summed_from_column_blocks(n, p):
     # partial), row slabs of 128 (the last one partial, or one slab); the
     # sum is exactly symmetric and agrees with the naive Gram to rounding
     x = _values(n, p, n + p)
-    raw = compute_gram(as_series(x)).raw
+    raw = engine._gram_product(n, p, engine._column_blocks(x))
     assert (raw == raw.T).all()
     want, _ = naive_gram(x)
     np.testing.assert_allclose(raw, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -232,6 +232,21 @@ def test_wide_gram_is_summed_from_column_blocks(n, p):
 def test_gram_of_at_most_one_block_is_the_single_product(p):
     x = _values(100, p, p)
     assert compute_gram(as_series(x)).raw.tobytes() == (x @ x.T).tobytes()
+    blocks = list(engine._column_blocks(x))
+    assert len(blocks) == 1 and blocks[0] is x
+
+
+@pytest.mark.parametrize("p", [257, 600])
+def test_series_in_memory_takes_the_single_product(p):
+    # however wide, a series held whole takes one BLAS product, alone or in
+    # a stack: the column blocks are summed only where hdcp detect reads a
+    # wide input
+    x = _values(100, p, p)
+    want = (x @ x.T).tobytes()
+    assert compute_gram(as_series(x)).raw.tobytes() == want
+    stacked = [as_series(x), as_series(x + 1.0)]
+    engine.prepare_global(stacked, DependenceWindow(1))
+    assert stacked[0]._gram.raw.tobytes() == want
 
 
 @pytest.mark.parametrize("p", [300, 600])
@@ -254,7 +269,8 @@ def test_wide_detect_series_holds_no_rows(tmp_path, monkeypatch, p):
     assert values.shape == (60, p) and values.strides == (0, 0)
     assert values.base.nbytes == 8 and np.isnan(values.base)
     assert not values.flags.writeable
-    assert compute_gram(as_series(x)).raw.tobytes() == held[0]._gram.raw.tobytes()
+    want = engine._gram_product(60, p, engine._column_blocks(x))
+    assert held[0]._gram.raw.tobytes() == want.tobytes()
     with pytest.raises(NonFiniteEntry):
         engine._gram_summary(60, p, engine._column_blocks(values))
 

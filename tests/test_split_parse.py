@@ -163,34 +163,39 @@ def test_split_part_in_any_layout_grows_to_the_row_loops_array(tmp_path, split, 
 
 
 def test_detect_holds_one_copy_of_the_input_at_the_gram(tmp_path, split, monkeypatch):
-    # while the Gram of a wide input is summed, this process holds its half
-    # of the rows, the Gram, one block of columns and one row slab of the
-    # product: the child's half is read into the block a block at a time,
-    # and the file's bytes are read in place. 100 x 1600 here, so in units
-    # of n p float64 the half is 0.5, the Gram 0.06, the block (100 x 256)
-    # 0.16 and the slab (100 x 100) 0.06. The peak reads 0.85, and 1.34
-    # with the child's half held here as rows
-    n = 100
-    path, unit = _large_input(tmp_path, n=n, p=1600)
-    peaks = []
+    # While the Gram of a wide input of more than one block of columns is
+    # summed, this process holds its half of the rows, the Gram, one block
+    # and one row slab of the product: the child's half is read into the
+    # block a block at a time, and the file's bytes are read in place. At
+    # 100 x 1600, in units of n p float64, the half is 0.5, the Gram 0.06,
+    # the block (100 x 256) 0.16 and the slab (100 x 100) 0.06. The peak
+    # reads 0.85, and 1.34 with the child's half held here as rows.
+    # With one block (100 x 256) the rows grow in place and the Gram is
+    # their one product: the rows (1.0) and the Gram (0.39) read 1.52, and
+    # 2.07 with the child's block read beside this process's half
     product = engine._gram_product
+    n = 100
+    for p, held in ((1600, lambda unit: unit / 2 + (n + 256 + min(128, n)) * n * 8),
+                    (256, lambda unit: unit + n * n * 8)):
+        path, unit = _large_input(tmp_path, n=n, p=p)
+        peaks = []
 
-    def recorded(*args, **kwargs):
-        tracemalloc.reset_peak()
-        gram = product(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        return gram
+        def recorded(*args, **kwargs):
+            tracemalloc.reset_peak()
+            gram = product(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return gram
 
-    monkeypatch.setattr(engine, "_gram_product", recorded)
-    main(["detect", "--input", str(path), "--m", "2", "--output", str(tmp_path / "warm.json")])
-    tracemalloc.start()
-    try:
-        assert main(["detect", "--input", str(path), "--m", "2", "--output", str(tmp_path / "r.json")]) == 0
-    finally:
-        tracemalloc.stop()
-    held = unit / 2 + n * n * 8 + (engine._GRAM_COLUMNS + min(engine._GRAM_ROWS, n)) * n * 8
-    assert peaks[1] <= 1.2 * held, f"{peaks[1] / held:.2f} x the half, the Gram, a block and a slab"
-    assert len(split) == 2
+        monkeypatch.setattr(engine, "_gram_product", recorded)
+        argv = ["detect", "--input", str(path), "--m", "2", "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 0  # warm
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.2 * held(unit), f"p={p}: {peaks[1] / held(unit):.2f} x what is held"
+    assert len(split) == 4
 
 
 def test_wide_detect_report_matches_one_process(tmp_path, split, monkeypatch):
